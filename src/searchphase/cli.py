@@ -1,9 +1,12 @@
 """Experiment runner: sweeps, CSV/SVG artifacts, and comparison reports.
 
-Each subcommand builds an :class:`ExperimentPlan`, expands it into
-independent sweep cells, executes the cells on a bounded worker pool, and
-writes one CSV artifact per cell plus a ``manifest.json`` index.  SVG line
-plots are optional companions generated purely from the CSV text, so
+Each subcommand is one entry of :data:`SUBCOMMANDS`: its fields (parser,
+default, check, scalar setting or sweep axis), how its cells are named and
+its cell runner.  The argparse flags, the INI config sections, plan
+validation and the cell expansion are all generated from that table.  A
+plan expands into independent sweep cells, which run one after another;
+each writes one CSV artifact, and a ``manifest.json`` indexes them.  SVG
+line plots are optional companions generated purely from the CSV text, so
 regenerating a plot from its CSV reproduces it byte for byte.
 """
 
@@ -12,13 +15,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -33,16 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARTIAL = 2
 EXIT_BLOWUP = 3
-
-PLAN_KINDS = (
-    "tau_curve",
-    "singularity_scan",
-    "ode_run",
-    "sgd_run",
-    "committee_run",
-    "curriculum_run",
-    "compare",
-)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -97,90 +92,42 @@ def plan_hash(plan: ExperimentPlan) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _resolvable(name: str) -> ActivationSpec | None:
-    try:
-        return builtin(name)
-    except (KeyError, ValueError):
-        return None
-
-
 def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
-    """Collect structured problems; empty list means the plan is runnable."""
+    """Collect structured problems; empty list means the plan is runnable.
+
+    Every field of the plan's subcommand is checked (each element of a sweep
+    axis on its own), and the cells must have distinct names.
+    """
+    spec = SPECS.get(plan.kind)
+    if spec is None:
+        return [("kind", f"unknown kind {plan.kind!r}")]
+    values = {
+        **plan.settings,
+        **plan.sweep,
+        "seed": plan.seed,
+        "out": plan.output_dir,
+        "format": plan.emit,
+    }
     problems: list[tuple[str, str]] = []
-    if plan.kind not in PLAN_KINDS:
-        problems.append(("kind", f"unknown kind {plan.kind!r}"))
+    for f in _OUTPUT_FIELDS + spec.fields:
+        value = values.get(f.name)
+        items = [value] if f.section != "sweep" else value or []
+        if f.section == "sweep" and not items:
+            problems.append((f.name, "sweep axis is empty"))
+        for item in items:
+            text = f.problem(item)
+            if text:
+                problems.append((f.name, text))
+    if problems:
         return problems
-    if plan.emit not in ("csv", "svg", "both"):
-        problems.append(("format", f"must be csv, svg, or both, got {plan.emit!r}"))
-    if not plan.output_dir:
-        problems.append(("out", "output directory must be nonempty"))
 
-    sweep, cfg = plan.sweep, plan.settings
-
-    def need_axis(name, lo=None, hi=None, lo_open=False, hi_open=False):
-        values = sweep.get(name)
-        if not values:
-            problems.append((name, "sweep axis is empty"))
-            return
-        for v in values:
-            if lo is not None and (v <= lo if lo_open else v < lo):
-                problems.append((name, f"value {v} out of range"))
-            elif hi is not None and (v >= hi if hi_open else v > hi):
-                problems.append((name, f"value {v} out of range"))
-
-    def need_positive(name, integer=False):
-        v = cfg.get(name)
-        if v is None or v <= 0 or (integer and int(v) != v):
-            problems.append((name, f"must be a positive {'integer' if integer else 'number'}, got {v!r}"))
-
-    if plan.kind in ("tau_curve", "singularity_scan"):
-        names = sweep.get("activations") or []
-        if not names:
-            problems.append(("activations", "sweep axis is empty"))
-        for name in names:
-            if _resolvable(name) is None:
-                problems.append(("activations", f"unknown activation {name!r}"))
-        if plan.kind == "tau_curve":
-            need_axis("mu", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        need_positive("k_max", integer=True)
-    elif plan.kind in ("ode_run", "sgd_run", "curriculum_run"):
-        if _resolvable(cfg.get("activation", "")) is None:
-            problems.append(("activation", f"unknown activation {cfg.get('activation')!r}"))
-        need_axis("mu", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        if plan.kind == "ode_run":
-            need_positive("dt")
-            need_positive("t_max")
-        else:
-            if not sweep.get("seeds"):
-                problems.append(("seeds", "sweep axis is empty"))
-            need_positive("d", integer=True)
-            need_positive("batch_size", integer=True)
-            need_positive("n_steps", integer=True)
-            lr = cfg.get("learning_rate")
-            if lr is not None:
-                need_positive("learning_rate")
-        if plan.kind == "curriculum_run":
-            thr = cfg.get("switch_threshold", 0.5)
-            if not 0.0 < thr < 1.0:
-                problems.append(("switch_threshold", f"must be in (0, 1), got {thr!r}"))
-    elif plan.kind == "committee_run":
-        need_axis("mu", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        ranks = sweep.get("ranks") or []
-        if not ranks:
-            problems.append(("ranks", "sweep axis is empty"))
-        for r in ranks:
-            if r < 1:
-                problems.append(("ranks", f"rank {r} must be >= 1"))
-        need_positive("n_directions", integer=True)
-        need_positive("d", integer=True)
-        need_positive("batch_size", integer=True)
-        need_positive("learning_rate")
-        need_positive("n_steps", integer=True)
-    elif plan.kind == "compare":
-        for key in ("theory_csv", "experiment_csv"):
-            path = cfg.get(key)
-            if not path or not os.path.isfile(path):
-                problems.append((key, f"file not found: {path!r}"))
+    params_by_name: dict[str, list[dict]] = {}
+    for cell in build_cells(plan):
+        params_by_name.setdefault(cell.name, []).append(cell.params)
+    for name, params in params_by_name.items():
+        if len(params) > 1:
+            uses = " and ".join(", ".join(f"{k}={v}" for k, v in p.items()) for p in params)
+            problems.append(("sweep", f"cell name {name} repeats for {uses}"))
     return problems
 
 
@@ -360,37 +307,13 @@ def _mu_tag(mu: float) -> str:
 
 
 def build_cells(plan: ExperimentPlan) -> list[Cell]:
-    cfg, sweep = plan.settings, plan.sweep
-    cells: list[Cell] = []
-    if plan.kind == "tau_curve":
-        for name in sweep["activations"]:
-            cells.append(Cell(name=f"tau_{name}", params={"activation": name}))
-    elif plan.kind == "singularity_scan":
-        for name in sweep["activations"]:
-            cells.append(Cell(name=f"sing_{name}", params={"activation": name}))
-    elif plan.kind == "ode_run":
-        for mu in sweep["mu"]:
-            cells.append(
-                Cell(name=f"ode_{cfg['activation']}_{_mu_tag(mu)}", params={"mu": mu})
-            )
-    elif plan.kind in ("sgd_run", "curriculum_run"):
-        stem = "sgd" if plan.kind == "sgd_run" else "curriculum"
-        for mu in sweep["mu"]:
-            for seed in sweep["seeds"]:
-                cells.append(
-                    Cell(
-                        name=f"{stem}_{cfg['activation']}_{_mu_tag(mu)}_s{seed}",
-                        params={"mu": mu, "seed": seed},
-                    )
-                )
-    elif plan.kind == "committee_run":
-        for mu in sweep["mu"]:
-            for rank in sweep["ranks"]:
-                cells.append(
-                    Cell(name=f"committee_{_mu_tag(mu)}_r{rank}", params={"mu": mu, "rank": rank})
-                )
-    elif plan.kind == "compare":
-        cells.append(Cell(name="compare_report"))
+    """One cell per combination of the subcommand's cell axes, in order."""
+    spec = SPECS[plan.kind]
+    keys = list(spec.cells)
+    cells = []
+    for combo in itertools.product(*(plan.sweep[spec.cells[k]] for k in keys)):
+        params = dict(zip(keys, combo))
+        cells.append(Cell(name=spec.cell_name.format(**{**plan.settings, **params}), params=params))
     return cells
 
 
@@ -670,17 +593,6 @@ def _run_compare_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
     }
 
 
-_CELL_RUNNERS = {
-    "tau_curve": _run_tau_cell,
-    "singularity_scan": _run_singularity_cell,
-    "ode_run": _run_ode_cell,
-    "sgd_run": _run_sgd_cell,
-    "curriculum_run": _run_sgd_cell,
-    "committee_run": _run_committee_cell,
-    "compare": _run_compare_cell,
-}
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -691,7 +603,7 @@ def _execute_cell(plan: ExperimentPlan, cell: Cell) -> dict:
     entry = {"name": cell.name, "status": "ok", "files": [], "wall_time": 0.0, "error": None}
     start = time.perf_counter()
     try:
-        extra = _CELL_RUNNERS[plan.kind](plan, cell, csv_path)
+        extra = SPECS[plan.kind].run(plan, cell, csv_path)
         entry["files"].append(cell.name + ".csv")
         if plan.emit in ("svg", "both"):
             svg_path = os.path.join(plan.output_dir, cell.name + ".svg")
@@ -756,14 +668,10 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     if problems:
         raise ValidationError(problems)
     os.makedirs(plan.output_dir, exist_ok=True)
-    cells = build_cells(plan)
-    workers = int(os.environ.get("SEARCHPHASE_THREADS", "4") or "4")
-    workers = max(1, min(workers, len(cells)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_cell, plan, cell) for cell in cells]
-        entries = [f.result() for f in futures]
-    if plan.kind in ("sgd_run", "curriculum_run"):
-        summary_entry = _write_sgd_summary(plan, entries)
+    entries = [_execute_cell(plan, cell) for cell in build_cells(plan)]
+    summarize = SPECS[plan.kind].summarize
+    if summarize is not None:
+        summary_entry = summarize(plan, entries)
         if summary_entry is not None:
             entries.append(summary_entry)
     manifest = {
@@ -787,7 +695,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# Argument and config handling
+# Subcommand specs
 # ---------------------------------------------------------------------------
 
 
@@ -807,273 +715,295 @@ def _parse_names(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-_DEFAULTS: dict[str, dict] = {
-    "tau_curve": {"k_max": 25},
-    "singularity_scan": {"k_max": 25},
-    "ode_run": {
-        "activation": "linear",
-        "u0": 1e-3,
-        "m0": 1e-3,
-        "dt": 0.01,
-        "t_max": 1000.0,
-        "exit_fraction": 1.0,
-        "method": "rk4",
-        "record_every": 10,
-        "k_max": 25,
-    },
-    "sgd_run": {
-        "activation": "linear",
-        "d": 1000,
-        "batch_size": 500,
-        "learning_rate": 0.2,
-        "n_steps": 2000,
-        "frozen_mode": "aligned",
-        "objective": "mse",
-        "sampler": "subspace",
-        "align_threshold": 0.98,
-        "record_every": 1,
-        "k_max": 25,
-    },
-    "curriculum_run": {
-        "activation": "hermite3",
-        "d": 1000,
-        "batch_size": 500,
-        "learning_rate": None,
-        "n_steps": 60000,
-        "frozen_mode": "aligned",
-        "objective": "mse",
-        "sampler": "subspace",
-        "align_threshold": 0.98,
-        "record_every": 50,
-        "switch_threshold": 0.5,
-        "k_max": 25,
-    },
-    "committee_run": {
-        "n_directions": 4,
-        "d": 1000,
-        "batch_size": 500,
-        "learning_rate": 0.1,
-        "n_steps": 8000,
-        "onset_threshold": 0.3,
-        "record_every": 10,
-    },
-    "compare": {"theory_csv": None, "experiment_csv": None},
-}
+def _require(predicate, text: str):
+    """A field check: None when predicate(value) holds, else the problem."""
 
-_DEFAULT_SWEEPS: dict[str, dict] = {
-    "tau_curve": {"activations": ["linear", "erf", "sigmoid", "relu"], "mu": _parse_floats("0.02:0.98:49")},
-    "singularity_scan": {"activations": ["hermite3", "hermite5", "hermite7", "hermite9"]},
-    "ode_run": {"mu": [0.3]},
-    "sgd_run": {"mu": [0.5], "seeds": [0]},
-    "curriculum_run": {"mu": [0.325], "seeds": [0]},
-    "committee_run": {"mu": [0.5], "ranks": [1, 2, 3]},
-    "compare": {},
-}
+    def check(value):
+        try:
+            ok = bool(predicate(value))
+        except (TypeError, OverflowError):
+            ok = False
+        return None if ok else f"must be {text}, got {value!r}"
 
-_SETTING_PARSERS = {
-    "activation": str,
-    "method": str,
-    "frozen_mode": str,
-    "objective": str,
-    "sampler": str,
-    "theory_csv": str,
-    "experiment_csv": str,
-    "k_max": int,
-    "d": int,
-    "batch_size": int,
-    "n_steps": int,
-    "record_every": int,
-    "n_directions": int,
-    "u0": float,
-    "m0": float,
-    "dt": float,
-    "t_max": float,
-    "exit_fraction": float,
-    "learning_rate": float,
-    "align_threshold": float,
-    "switch_threshold": float,
-    "onset_threshold": float,
-}
+    return check
 
-_SWEEP_PARSERS = {
-    "activations": _parse_names,
-    "mu": _parse_floats,
-    "seeds": _parse_ints,
-    "ranks": _parse_ints,
-}
+
+def _is_positive(v) -> bool:
+    return v > 0 and math.isfinite(v)
+
+
+def _resolvable(name: str) -> ActivationSpec | None:
+    try:
+        return builtin(name)
+    except (KeyError, ValueError):
+        return None
+
+
+_positive = _require(_is_positive, "a positive finite number")
+_positive_int = _require(lambda v: isinstance(v, numbers.Integral) and v > 0, "a positive integer")
+_open_unit = _require(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_activation = _require(lambda v: _resolvable(v) is not None, "a known activation")
+_seed = _require(
+    lambda v: isinstance(v, numbers.Integral) and 0 <= v < 2**64, "an integer in [0, 2**64)")
+_existing_file = _require(lambda v: isinstance(v, str) and os.path.isfile(v), "an existing file")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One plan value: the parser of its raw text, its default and its check.
+
+    section is where the value lives and its INI section: "run" (a scalar
+    setting), "sweep" (an axis, checked element by element) or "output"
+    (where and how artifacts are written).  flag is True for the flag
+    spelled after the name, a string for another flag, or False for a value
+    only a config file sets.
+    """
+
+    name: str
+    parse: Callable[[str], object]
+    default: object = None
+    check: Callable[[object], str | None] | None = None
+    choices: tuple[str, ...] = ()
+    section: str = "run"
+    flag: str | bool = True
+    help: str | None = None
+
+    @property
+    def option(self) -> str:
+        return self.flag if isinstance(self.flag, str) else "--" + self.name.replace("_", "-")
+
+    def problem(self, value) -> str | None:
+        if self.choices and value not in self.choices:
+            return f"must be one of {', '.join(self.choices)}, got {value!r}"
+        return self.check(value) if self.check else None
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand: its plan kind, fields, cell naming and cell runner.
+
+    cells maps each cell parameter to the sweep axis it runs over; a plan
+    has one cell per combination, and cell_name is formatted with the
+    settings and the cell parameters.  summarize, when set, writes one more
+    artifact from the finished cells' entries.
+    """
+
+    name: str
+    kind: str
+    help: str
+    fields: tuple[Field, ...]
+    cells: dict[str, str]
+    cell_name: str
+    run: Callable[[ExperimentPlan, Cell, str], dict]
+    summarize: Callable[[ExperimentPlan, list], dict | None] | None = None
+
+
+def _with_defaults(fields: tuple[Field, ...], **defaults) -> tuple[Field, ...]:
+    return tuple(replace(f, default=defaults[f.name]) if f.name in defaults else f for f in fields)
+
+
+_OUTPUT_FIELDS = (
+    Field("seed", int, 0, _seed, section="output", help="base seed recorded in the manifest"),
+    Field("out", str, None, _require(bool, "a nonempty path"), section="output",
+          help="output directory"),
+    Field("format", str, "csv", choices=("csv", "svg", "both"), section="output",
+          help="artifact format"),
+)
+
+_ACTIVATION = Field("activation", str, "linear", _activation)
+_ACTIVATIONS = Field("activations", _parse_names, None, _activation, section="sweep")
+_MU = Field("mu", _parse_floats, None, _open_unit, section="sweep")
+_SEEDS = Field("seeds", _parse_ints, (0,), _seed, section="sweep", help="comma list of run seeds")
+_D = Field("d", int, 1000, _positive_int)
+_BATCH_SIZE = Field("batch_size", int, 500, _positive_int)
+_LEARNING_RATE = Field("learning_rate", float, None, _positive)
+_N_STEPS = Field("n_steps", int, None, _positive_int)
+_RECORD_EVERY = Field("record_every", int, None, _positive_int)
+_K_MAX = Field("k_max", int, 25, _positive_int)
+
+_SGD_FIELDS = (
+    _ACTIVATION, _MU, _SEEDS, _D, _BATCH_SIZE,
+    # unset: scaled_learning_rate(0.01, activation)
+    replace(_LEARNING_RATE, check=_require(
+        lambda v: v is None or _is_positive(v), "a positive finite number or unset")),
+    _N_STEPS,
+    Field("frozen_mode", str, "aligned", choices=("aligned", "mixed")),
+    Field("objective", str, "mse", choices=("mse", "correlation")),
+    Field("sampler", str, "subspace", choices=("subspace", "literal")),
+    Field("align_threshold", float, 0.98, _require(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+          flag=False),
+    _RECORD_EVERY, _K_MAX,
+)
+
+SUBCOMMANDS = (
+    Subcommand(
+        name="tau", kind="tau_curve", help="escape-time curves over a mu grid",
+        fields=(
+            replace(_ACTIVATIONS, default=("linear", "erf", "sigmoid", "relu"),
+                    help="comma list, e.g. linear,erf"),
+            replace(_MU, default=tuple(_parse_floats("0.02:0.98:49")),
+                    help="comma list or lo:hi:n grid"),
+            _K_MAX,
+        ),
+        cells={"activation": "activations"}, cell_name="tau_{activation}", run=_run_tau_cell,
+    ),
+    Subcommand(
+        name="singularity", kind="singularity_scan", help="roots of the drift coefficient on (0,1)",
+        fields=(
+            replace(_ACTIVATIONS, default=("hermite3", "hermite5", "hermite7", "hermite9"),
+                    help="comma list, e.g. hermite3,hermite5"),
+            _K_MAX,
+        ),
+        cells={"activation": "activations"}, cell_name="sing_{activation}",
+        run=_run_singularity_cell,
+    ),
+    Subcommand(
+        name="ode", kind="ode_run", help="reduced two-variable flow",
+        fields=_with_defaults((
+            _ACTIVATION, _MU,
+            Field("u0", float, 1e-3, _require(math.isfinite, "finite")),
+            Field("m0", float, 1e-3, _require(lambda v: -1.0 <= v <= 1.0, "in [-1, 1]")),
+            Field("dt", float, 0.01, _positive),
+            Field("t_max", float, 1000.0, _positive),
+            Field("exit_fraction", float, 1.0, _positive),
+            Field("method", str, "rk4", choices=("rk4", "euler")),
+            _RECORD_EVERY, _K_MAX,
+        ), mu=(0.3,), record_every=10),
+        cells={"mu": "mu"}, cell_name="ode_{activation}_mu{mu:.4g}", run=_run_ode_cell,
+    ),
+    Subcommand(
+        name="sgd", kind="sgd_run", help="one-pass spherical SGD in dimension d",
+        fields=_with_defaults(
+            _SGD_FIELDS, mu=(0.5,), learning_rate=0.2, n_steps=2000, record_every=1),
+        cells={"mu": "mu", "seed": "seeds"}, cell_name="sgd_{activation}_mu{mu:.4g}_s{seed}",
+        run=_run_sgd_cell, summarize=_write_sgd_summary,
+    ),
+    Subcommand(
+        name="curriculum", kind="curriculum_run",
+        help="two-stage run: squared labels, then plain labels",
+        fields=_with_defaults(
+            _SGD_FIELDS, activation="hermite3", mu=(0.325,), n_steps=60000, record_every=50,
+        ) + (Field("switch_threshold", float, 0.5, _open_unit),),
+        cells={"mu": "mu", "seed": "seeds"},
+        cell_name="curriculum_{activation}_mu{mu:.4g}_s{seed}",
+        run=_run_sgd_cell, summarize=_write_sgd_summary,
+    ),
+    Subcommand(
+        name="committee", kind="committee_run", help="multi-direction teacher with rank-R adapters",
+        fields=_with_defaults((
+            replace(_MU, help="adapted-direction alignment values"),
+            Field("ranks", _parse_ints, None, _positive_int, section="sweep"),
+            Field("n_directions", int, 4, _positive_int),
+            _D, _BATCH_SIZE, _LEARNING_RATE, _N_STEPS,
+            Field("onset_threshold", float, 0.3, _open_unit),
+            _RECORD_EVERY,
+        ), mu=(0.5,), ranks=(1, 2, 3), learning_rate=0.1, n_steps=8000, record_every=10),
+        cells={"mu": "mu", "rank": "ranks"}, cell_name="committee_mu{mu:.4g}_r{rank}",
+        run=_run_committee_cell,
+    ),
+    Subcommand(
+        name="compare", kind="compare", help="align exit epochs with predicted escape times",
+        fields=(
+            Field("theory_csv", str, None, _existing_file, flag="--theory",
+                  help="tau_curve CSV artifact"),
+            Field("experiment_csv", str, None, _existing_file, flag="--experiment",
+                  help="sgd_summary CSV artifact"),
+        ),
+        cells={}, cell_name="compare_report", run=_run_compare_cell,
+    ),
+)
+
+SPECS = {spec.kind: spec for spec in SUBCOMMANDS}
+
+
+# ---------------------------------------------------------------------------
+# Argument and config handling
+# ---------------------------------------------------------------------------
 
 
 def load_config(path: str) -> dict[str, dict[str, str]]:
     """Read an INI config: [run] scalars, [sweep] axes, [output] out/format/seed."""
     if not os.path.isfile(path):
         raise ValidationError([("config", f"file not found: {path!r}")])
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError([("config", str(exc))]) from exc
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
 def plan_from_args(kind: str, args: argparse.Namespace) -> ExperimentPlan:
-    """Merge defaults, config file, and command-line overrides into a plan."""
-    settings = dict(_DEFAULTS[kind])
-    sweep = {k: list(v) for k, v in _DEFAULT_SWEEPS[kind].items()}
-    out = None
-    emit = None
-    seed = None
+    """Merge defaults, config file, and command-line overrides into a plan.
 
+    Config entries and flags are raw strings that go through the same field
+    parsers; flags win.  Unknown config keys and values that do not parse
+    raise ValidationError.
+    """
+    fields = {f.name: f for f in _OUTPUT_FIELDS + SPECS[kind].fields}
+    raw = []
+    problems = []
     if getattr(args, "config", None):
-        sections = load_config(args.config)
-        problems = []
-        for key, raw in sections.get("run", {}).items():
-            if key not in settings:
-                problems.append(("run." + key, f"unknown setting for {kind}"))
-                continue
-            try:
-                settings[key] = _SETTING_PARSERS[key](raw)
-            except ValueError:
-                problems.append(("run." + key, f"cannot parse {raw!r}"))
-        for key, raw in sections.get("sweep", {}).items():
-            if key not in sweep:
-                problems.append(("sweep." + key, f"unknown sweep axis for {kind}"))
-                continue
-            try:
-                sweep[key] = _SWEEP_PARSERS[key](raw)
-            except ValueError:
-                problems.append(("sweep." + key, f"cannot parse {raw!r}"))
-        output = sections.get("output", {})
-        out = output.get("out", out)
-        emit = output.get("format", emit)
-        if "seed" in output:
-            try:
-                seed = int(output["seed"])
-            except ValueError:
-                problems.append(("output.seed", f"cannot parse {output['seed']!r}"))
-        if problems:
-            raise ValidationError(problems)
+        for section, entries in load_config(args.config).items():
+            for key, text in entries.items():
+                f = fields.get(key)
+                if f is None or f.section != section:
+                    problems.append((f"{section}.{key}", f"unknown {section} key for {kind}"))
+                else:
+                    raw.append((f"{section}.{key}", f, text))
+    for name, f in fields.items():
+        if getattr(args, name, None) is not None:
+            raw.append((name, f, getattr(args, name)))
 
-    for key in settings:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    for key in sweep:
-        value = getattr(args, key, None)
-        if value is not None:
-            sweep[key] = value
-    if getattr(args, "out", None) is not None:
-        out = args.out
-    if getattr(args, "format", None) is not None:
-        emit = args.format
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+    values = {name: f.default for name, f in fields.items()}
+    for where, f, text in raw:
+        try:
+            values[f.name] = f.parse(text)
+        except ValueError:
+            problems.append((where, f"cannot parse {text!r}"))
+    if problems:
+        raise ValidationError(problems)
 
     return ExperimentPlan(
         kind=kind,
-        settings=settings,
-        sweep=sweep,
-        output_dir=out or os.path.join("searchphase-out", kind),
-        emit=emit or "csv",
-        seed=seed if seed is not None else 0,
+        settings={name: values[name] for name, f in fields.items() if f.section == "run"},
+        sweep={name: list(values[name]) for name, f in fields.items() if f.section == "sweep"},
+        output_dir=values["out"] or os.path.join("searchphase-out", kind),
+        emit=values["format"],
+        seed=values["seed"],
     )
 
 
-_SUBCOMMANDS = {
-    "tau": "tau_curve",
-    "singularity": "singularity_scan",
-    "ode": "ode_run",
-    "sgd": "sgd_run",
-    "committee": "committee_run",
-    "curriculum": "curriculum_run",
-    "compare": "compare",
-}
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as a ValidationError (exit 1), not exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError([(self.prog, message)])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags of every subcommand, as raw strings; plan_from_args parses them."""
+    parser = _ArgumentParser(
         prog="searchphase",
         description="Escape-time theory and one-pass SGD experiments for low-rank adapters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for spec in SUBCOMMANDS:
+        p = sub.add_parser(spec.name, help=spec.help)
+        p.set_defaults(kind=spec.kind)
         p.add_argument("--config", help="INI config file ([run]/[sweep]/[output] sections)")
-        p.add_argument("--seed", type=int, help="base seed recorded in the manifest")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "svg", "both"], help="artifact format")
-
-    p = sub.add_parser("tau", help="escape-time curves over a mu grid")
-    common(p)
-    p.add_argument("--activations", type=_parse_names, help="comma list, e.g. linear,erf")
-    p.add_argument("--mu", type=_parse_floats, help="comma list or lo:hi:n grid")
-    p.add_argument("--k-max", dest="k_max", type=int)
-
-    p = sub.add_parser("singularity", help="roots of the drift coefficient on (0,1)")
-    common(p)
-    p.add_argument("--activations", type=_parse_names, help="comma list, e.g. hermite3,hermite5")
-    p.add_argument("--k-max", dest="k_max", type=int)
-
-    p = sub.add_parser("ode", help="reduced two-variable flow")
-    common(p)
-    p.add_argument("--activation")
-    p.add_argument("--mu", type=_parse_floats)
-    p.add_argument("--u0", type=float)
-    p.add_argument("--m0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--exit-fraction", dest="exit_fraction", type=float)
-    p.add_argument("--method", choices=["rk4", "euler"])
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-
-    def sgd_like(p):
-        common(p)
-        p.add_argument("--activation")
-        p.add_argument("--mu", type=_parse_floats)
-        p.add_argument("--seeds", type=_parse_ints, help="comma list of run seeds")
-        p.add_argument("--d", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--n-steps", dest="n_steps", type=int)
-        p.add_argument("--frozen-mode", dest="frozen_mode", choices=["aligned", "mixed"])
-        p.add_argument("--objective", choices=["mse", "correlation"])
-        p.add_argument("--sampler", choices=["subspace", "literal"])
-        p.add_argument("--record-every", dest="record_every", type=int)
-        p.add_argument("--k-max", dest="k_max", type=int)
-
-    p = sub.add_parser("sgd", help="one-pass spherical SGD in dimension d")
-    sgd_like(p)
-
-    p = sub.add_parser("curriculum", help="two-stage run: squared labels, then plain labels")
-    sgd_like(p)
-    p.add_argument("--switch-threshold", dest="switch_threshold", type=float)
-
-    p = sub.add_parser("committee", help="multi-direction teacher with rank-R adapters")
-    common(p)
-    p.add_argument("--mu", type=_parse_floats, help="adapted-direction alignment values")
-    p.add_argument("--ranks", type=_parse_ints)
-    p.add_argument("--n-directions", dest="n_directions", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--onset-threshold", dest="onset_threshold", type=float)
-    p.add_argument("--record-every", dest="record_every", type=int)
-
-    p = sub.add_parser("compare", help="align exit epochs with predicted escape times")
-    common(p)
-    p.add_argument("--theory", dest="theory_csv", help="tau_curve CSV artifact")
-    p.add_argument("--experiment", dest="experiment_csv", help="sgd_summary CSV artifact")
-
+        for f in _OUTPUT_FIELDS + spec.fields:
+            if f.flag:
+                metavar = "{" + ",".join(f.choices) + "}" if f.choices else None
+                p.add_argument(f.option, dest=f.name, metavar=metavar, help=f.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    kind = _SUBCOMMANDS[args.command]
     try:
-        plan = plan_from_args(kind, args)
+        args = build_parser().parse_args(argv)
+        plan = plan_from_args(args.kind, args)
         manifest, code = run_plan(plan)
     except ValidationError as exc:
         print(exc, file=sys.stderr)

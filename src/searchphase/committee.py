@@ -20,10 +20,11 @@ lambda_k = (-1 + sqrt(1 + 4 D_k^2)) / (2K), independent of the rank R.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
+from .ode import BLOWUP_LIMIT, NumericalBlowupError
 from .sgd import step_rng
 
 _INIT_STREAM = 0
@@ -265,7 +266,8 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     (y - yhat)^2; adapters are renormalized to unit length each step.  The
     batch is sampled through its exact frame law (coordinates along
     teachers and adapters, plus one residual direction), so the cost per
-    step is O(batch + d).
+    step is O(batch + d).  Raises NumericalBlowupError when a magnitude or
+    overlap stops being finite or a magnitude exceeds BLOWUP_LIMIT.
     """
     K, R, d = cfg.n_directions, cfg.rank, cfg.d
     rng = step_rng(cfg.seed, _INIT_STREAM, 0)
@@ -350,6 +352,9 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
         adapters /= np.linalg.norm(adapters, axis=1, keepdims=True)
 
         m, q = overlaps()
+        # false for NaN as well as for magnitudes beyond the limit
+        if not (float(np.max(np.abs(u))) <= BLOWUP_LIMIT and isfinite(float(np.sum(m)))):
+            raise NumericalBlowupError(f"committee SGD diverged at step {step}")
         if onset_step is None and n_a and np.max(np.abs(aggregate_overlap(cfg, m))) >= cfg.onset_threshold:
             onset_step = step
         if step % cfg.record_every == 0 or step == cfg.n_steps:

@@ -115,28 +115,6 @@ def scaled_hermite_table(k_max: int, r: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScaledHermiteBasis:
-    """The family He_k^[r], k = 0..max_degree, under N(0, variance)."""
-
-    variance: float
-    max_degree: int
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-
-    def evaluate(self, k: int, z):
-        if k > self.max_degree:
-            raise ValueError("degree exceeds max_degree")
-        return eval_scaled_hermite(k, self.variance, z)
-
-    def table(self, z) -> np.ndarray:
-        return scaled_hermite_table(self.max_degree, self.variance, np.asarray(z, float))
-
-
 @dataclass(frozen=True, eq=False)
 class HermiteCoefficients:
     """Truncated coefficient vectors of one activation under N(0, variance)."""

@@ -29,21 +29,19 @@ O(batch + d) instead of O(batch * d).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .activations import ActivationSpec, LabelTransform, transform_teacher
+from .ode import BLOWUP_LIMIT, NumericalBlowupError
 from .theory import ModelConfig, OrderParameterState, default_delta, population_loss
 
 _INIT_STREAM = 0
 _TRAIN_STREAM = 1
 _MEASURE_STREAM = 2
-
-
-class SamplerMismatchError(RuntimeError):
-    """Internal consistency failure between sampling routes."""
 
 
 @dataclass(frozen=True)
@@ -379,7 +377,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     Records every record_every-th step: the order parameters (geometry read
     off the actual vectors, so the mixed frozen mode reports its true
     preactivation variance), the batch training error of the step just
-    taken, and a fresh held-out Monte Carlo test error.
+    taken, and a fresh held-out Monte Carlo test error.  Raises
+    NumericalBlowupError when u or m stops being finite or |u| exceeds
+    BLOWUP_LIMIT.
     """
     state = init_state(cfg)
     stepper = sgd_step if cfg.sampler == "literal" else _sgd_step_subspace
@@ -412,6 +412,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         prev = state
         state = stepper(cfg, state, teacher)
         m = state.m
+        # false for NaN as well as for magnitudes beyond the limit
+        if not (abs(state.u) <= BLOWUP_LIMIT and math.isfinite(m)):
+            raise NumericalBlowupError(f"SGD diverged at step {step}")
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             # training error of the batch this step consumed (reproduced
             # from its counter), paired with the post-update state

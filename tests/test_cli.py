@@ -1,28 +1,37 @@
 """Command-line driver: plans, artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from searchphase.cli import (
     EXIT_BLOWUP,
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_VALIDATION,
+    SUBCOMMANDS,
     AlignmentError,
     ExperimentPlan,
     ValidationError,
+    build_cells,
+    build_parser,
     compare_theory_experiment,
     main,
     parse_csv_text,
+    plan_from_args,
     plan_hash,
     render_svg,
     validate_plan,
     write_csv,
     _fmt,
+    _OUTPUT_FIELDS,
 )
 
 
@@ -180,6 +189,15 @@ def test_ode_blowup_maps_to_exit_code(tmp_path):
     assert any(entry["status"] == "blowup" for entry in manifest["cells"])
 
 
+def test_sgd_blowup_maps_to_exit_code(tmp_path):
+    code = main(["sgd", "--learning-rate", "50", "--d", "100", "--batch-size", "50",
+                 "--n-steps", "200", "--out", str(tmp_path)])
+    assert code == EXIT_BLOWUP
+    manifest = json.loads(read(tmp_path / "manifest.json"))
+    assert [entry["status"] for entry in manifest["cells"]] == ["blowup"]
+    assert not os.path.exists(tmp_path / "sgd_linear_mu0.5_s0.csv")
+
+
 def synthetic_compare_inputs(tmp_path, mu_values, d=1000, exact=True):
     a = 1.0 - np.asarray(mu_values)
     tau = (1.0 + np.sqrt(1.0 + 4.0 * a * a)) / (2.0 * a * a)
@@ -258,3 +276,111 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
     code = main(["sgd", "--config", str(bad), "--out", str(tmp_path / "x")])
     assert code == EXIT_VALIDATION
     assert "warp_speed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--mu", "0.1:0.9:x"],
+    ["sgd", "--seeds", "0,x"],
+    ["ode", "--method", "rk5"],
+    ["sgd", "--frozen-mode", "bogus"],
+    ["tau", "--format", "png"],
+    ["tau", "--warp-speed", "9"],
+    [],
+])
+def test_usage_errors_exit_validation(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path)] if argv else argv)
+    assert code == EXIT_VALIDATION
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "manifest.json")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sgd", "--help"])
+    assert exc.value.code == 0
+    assert "--learning-rate" in capsys.readouterr().out
+
+
+def test_thread_variable_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("SEARCHPHASE_THREADS", "abc")
+    code = main(["tau", "--activations", "linear", "--mu", "0.5", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["ode", "--dt", "nan"], "dt"),
+    (["ode", "--t-max", "inf"], "t_max"),
+    (["sgd", "--learning-rate", "nan"], "learning_rate"),
+])
+def test_positive_fields_must_be_finite(tmp_path, capsys, argv, field):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"{field}: must be a positive finite number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["ode", "--mu", "0.3,0.30001"], ["mu=0.3", "mu=0.30001"]),
+    (["sgd", "--seeds", "0,0"], ["mu=0.5, seed=0 and mu=0.5, seed=0"]),
+    (["tau", "--activations", "linear,linear"], ["activation=linear and activation=linear"]),
+])
+def test_duplicate_cell_names_are_rejected(tmp_path, capsys, argv, values):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "repeats" in err
+    for text in values:
+        assert text in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+# raw values: plausible ones plus short junk (short, so no lo:hi:n grid
+# can ask for more than 10**4 points)
+_RAW = st.one_of(
+    st.sampled_from(["0.5", "0.2,0.8", "0.1:0.9:5", "1", "0,1", "40", "1e-3", "nan", "inf",
+                     "-0.5", "linear", "erf", "hermite3", "mixed", "literal", "euler", "both"]),
+    st.text(alphabet="0123456789.,:e-", min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flags_and_config_file_give_the_same_plan(data):
+    spec = data.draw(st.sampled_from(SUBCOMMANDS))
+    fields = [f for f in _OUTPUT_FIELDS + spec.fields if f.flag and f.name != "out"]
+    chosen = data.draw(st.lists(st.sampled_from(fields), unique_by=lambda f: f.name))
+    raw = {f.name: data.draw(_RAW.filter(lambda t: not t.startswith("-"))) for f in chosen}
+
+    def outcome(make_args):
+        try:
+            return plan_hash(plan_from_args(spec.kind, make_args()))
+        except ValidationError:
+            return "invalid"
+
+    argv = [spec.name] + [x for f in chosen for x in (f.option, raw[f.name])]
+    from_flags = outcome(lambda: build_parser().parse_args(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            for section in ("run", "sweep", "output"):
+                fh.write(f"[{section}]\n")
+                fh.writelines(f"{f.name} = {raw[f.name]}\n" for f in chosen if f.section == section)
+        from_ini = outcome(lambda: argparse.Namespace(config=path))
+    assert from_flags == from_ini
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_raw_values_give_a_runnable_plan_or_a_validation_error(data):
+    spec = data.draw(st.sampled_from(SUBCOMMANDS))
+    fields = [f for f in _OUTPUT_FIELDS + spec.fields if f.name != "out"]
+    chosen = data.draw(st.lists(st.sampled_from(fields), unique_by=lambda f: f.name))
+    raw = {f.name: data.draw(st.one_of(_RAW, st.text(max_size=8))) for f in chosen}
+    try:
+        plan = plan_from_args(spec.kind, argparse.Namespace(**raw))
+    except ValidationError:
+        return
+    if validate_plan(plan):
+        return
+    names = [cell.name for cell in build_cells(plan)]
+    assert len(names) == len(set(names)) >= 1

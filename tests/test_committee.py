@@ -16,6 +16,7 @@ from searchphase.committee import (
     committee_sgd,
     integrate_committee,
 )
+from searchphase.ode import NumericalBlowupError
 
 
 def single_adapted(rank, **kw):
@@ -192,3 +193,10 @@ def test_aggregate_overlap_arithmetic():
     np.testing.assert_array_equal(
         aggregate_overlap(frozen, np.ones((2, 3))), np.zeros(3)
     )
+
+
+def test_sgd_divergence_raises_blowup():
+    cfg = CommitteeConfig(mu=(0.5, 1.0, 1.0, 1.0), rank=2, d=100, batch_size=50,
+                          learning_rate=50.0, n_steps=200)
+    with pytest.raises(NumericalBlowupError):
+        committee_sgd(cfg)

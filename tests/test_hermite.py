@@ -11,7 +11,6 @@ from searchphase.hermite import (
     DegenerateFunctionError,
     HermiteCoefficients,
     QuadratureRule,
-    ScaledHermiteBasis,
     eval_scaled_hermite,
     gauss_hermite_rule,
     information_exponent,
@@ -91,18 +90,6 @@ def test_low_degree_closed_forms():
     np.testing.assert_allclose(eval_scaled_hermite(1, r, z), z)
     np.testing.assert_allclose(eval_scaled_hermite(2, r, z), z**2 - r)
     np.testing.assert_allclose(eval_scaled_hermite(3, r, z), z**3 - 3 * r * z)
-
-
-def test_basis_validation():
-    with pytest.raises(ValueError):
-        ScaledHermiteBasis(variance=0.0, max_degree=3)
-    with pytest.raises(ValueError):
-        ScaledHermiteBasis(variance=1.0, max_degree=-1)
-    basis = ScaledHermiteBasis(variance=0.5, max_degree=4)
-    with pytest.raises(ValueError):
-        basis.evaluate(5, 0.0)
-    table = basis.table(np.array([0.3, -0.2]))
-    assert table.shape == (5, 2)
 
 
 def test_quadrature_rule_validation():
