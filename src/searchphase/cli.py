@@ -96,7 +96,8 @@ def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
     """Collect structured problems; empty list means the plan is runnable.
 
     Every field of the plan's subcommand is checked (each element of a sweep
-    axis on its own), and the cells must have distinct names.
+    axis on its own), the cells must have distinct names, and each cell's
+    configs must build, so that their cross-field checks fail here.
     """
     spec = SPECS.get(plan.kind)
     if spec is None:
@@ -124,6 +125,11 @@ def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
     params_by_name: dict[str, list[dict]] = {}
     for cell in build_cells(plan):
         params_by_name.setdefault(cell.name, []).append(cell.params)
+        if spec.configs is not None:
+            try:
+                spec.configs(plan, cell)
+            except ValueError as exc:
+                problems.append((cell.name, str(exc)))
     for name, params in params_by_name.items():
         if len(params) > 1:
             uses = " and ".join(", ".join(f"{k}={v}" for k, v in p.items()) for p in params)
@@ -317,6 +323,15 @@ def build_cells(plan: ExperimentPlan) -> list[Cell]:
     return cells
 
 
+def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
+    """The reduced model of a tau, singularity or ode cell at each mu it
+    evaluates; a singularity scan's grid, inside (0, 1), is stood for by 0.5."""
+    act = builtin(cell.params.get("activation") or plan.settings["activation"])
+    k_max = plan.settings["k_max"]
+    mus = [cell.params["mu"]] if "mu" in cell.params else plan.sweep.get("mu", [0.5])
+    return [ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max) for mu in mus]
+
+
 def _run_tau_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
     cfg = plan.settings
     act = builtin(cell.params["activation"])
@@ -351,8 +366,7 @@ def _run_singularity_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> di
 
 def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
     cfg = plan.settings
-    act = builtin(cfg["activation"])
-    model = ModelConfig(teacher=act, student=act, mu=cell.params["mu"], k_max=cfg["k_max"])
+    model = _model_configs(plan, cell)[0]
     state0 = OrderParameterState(u=cfg["u0"], m=cfg["m0"])
     settings = FlowSettings(
         dt=cfg["dt"],
@@ -379,8 +393,11 @@ def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
     return {"t_exit": rec.t_exit, "exited": rec.exited}
 
 
-def _sim_config(plan: ExperimentPlan, cell: Cell, curriculum: Curriculum | None) -> SimConfig:
+def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
     cfg = plan.settings
+    curriculum = None
+    if plan.kind == "curriculum_run":
+        curriculum = Curriculum(switch_threshold=cfg["switch_threshold"])
     act = builtin(cfg["activation"])
     lr = cfg.get("learning_rate")
     if lr is None:
@@ -406,10 +423,7 @@ def _sim_config(plan: ExperimentPlan, cell: Cell, curriculum: Curriculum | None)
 
 def _run_sgd_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
     cfg = plan.settings
-    curriculum = None
-    if plan.kind == "curriculum_run":
-        curriculum = Curriculum(switch_threshold=cfg["switch_threshold"])
-    sim = _sim_config(plan, cell, curriculum)
+    sim = _sim_config(plan, cell)
     result = run_simulation(sim)
     metadata = {
         "kind": plan.kind,
@@ -452,12 +466,10 @@ def _run_sgd_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
     }
 
 
-def _run_committee_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
     cfg = plan.settings
-    n_dir = cfg["n_directions"]
-    mu_vec = (cell.params["mu"],) + (1.0,) * (n_dir - 1)
-    committee = CommitteeConfig(
-        mu=mu_vec,
+    return CommitteeConfig(
+        mu=(cell.params["mu"],) + (1.0,) * (cfg["n_directions"] - 1),
         rank=cell.params["rank"],
         d=cfg["d"],
         batch_size=cfg["batch_size"],
@@ -467,6 +479,12 @@ def _run_committee_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict
         record_every=cfg["record_every"],
         onset_threshold=cfg["onset_threshold"],
     )
+
+
+def _run_committee_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+    cfg = plan.settings
+    n_dir = cfg["n_directions"]
+    committee = _committee_config(plan, cell)
     rates = committee_linear_rates(committee)
     result = committee_sgd(committee)
     rank = cell.params["rank"]
@@ -785,7 +803,8 @@ class Subcommand:
     cells maps each cell parameter to the sweep axis it runs over; a plan
     has one cell per combination, and cell_name is formatted with the
     settings and the cell parameters.  summarize, when set, writes one more
-    artifact from the finished cells' entries.
+    artifact from the finished cells' entries.  configs, when set, builds
+    the config(s) a cell runs with, for validate_plan to check.
     """
 
     name: str
@@ -796,6 +815,7 @@ class Subcommand:
     cell_name: str
     run: Callable[[ExperimentPlan, Cell, str], dict]
     summarize: Callable[[ExperimentPlan, list], dict | None] | None = None
+    configs: Callable[[ExperimentPlan, Cell], object] | None = None
 
 
 def _with_defaults(fields: tuple[Field, ...], **defaults) -> tuple[Field, ...]:
@@ -846,6 +866,7 @@ SUBCOMMANDS = (
             _K_MAX,
         ),
         cells={"activation": "activations"}, cell_name="tau_{activation}", run=_run_tau_cell,
+        configs=_model_configs,
     ),
     Subcommand(
         name="singularity", kind="singularity_scan", help="roots of the drift coefficient on (0,1)",
@@ -855,7 +876,7 @@ SUBCOMMANDS = (
             _K_MAX,
         ),
         cells={"activation": "activations"}, cell_name="sing_{activation}",
-        run=_run_singularity_cell,
+        run=_run_singularity_cell, configs=_model_configs,
     ),
     Subcommand(
         name="ode", kind="ode_run", help="reduced two-variable flow",
@@ -870,13 +891,14 @@ SUBCOMMANDS = (
             _RECORD_EVERY, _K_MAX,
         ), mu=(0.3,), record_every=10),
         cells={"mu": "mu"}, cell_name="ode_{activation}_mu{mu:.4g}", run=_run_ode_cell,
+        configs=_model_configs,
     ),
     Subcommand(
         name="sgd", kind="sgd_run", help="one-pass spherical SGD in dimension d",
         fields=_with_defaults(
             _SGD_FIELDS, mu=(0.5,), learning_rate=0.2, n_steps=2000, record_every=1),
         cells={"mu": "mu", "seed": "seeds"}, cell_name="sgd_{activation}_mu{mu:.4g}_s{seed}",
-        run=_run_sgd_cell, summarize=_write_sgd_summary,
+        run=_run_sgd_cell, summarize=_write_sgd_summary, configs=_sim_config,
     ),
     Subcommand(
         name="curriculum", kind="curriculum_run",
@@ -886,7 +908,7 @@ SUBCOMMANDS = (
         ) + (Field("switch_threshold", float, 0.5, _open_unit),),
         cells={"mu": "mu", "seed": "seeds"},
         cell_name="curriculum_{activation}_mu{mu:.4g}_s{seed}",
-        run=_run_sgd_cell, summarize=_write_sgd_summary,
+        run=_run_sgd_cell, summarize=_write_sgd_summary, configs=_sim_config,
     ),
     Subcommand(
         name="committee", kind="committee_run", help="multi-direction teacher with rank-R adapters",
@@ -899,7 +921,7 @@ SUBCOMMANDS = (
             _RECORD_EVERY,
         ), mu=(0.5,), ranks=(1, 2, 3), learning_rate=0.1, n_steps=8000, record_every=10),
         cells={"mu": "mu", "rank": "ranks"}, cell_name="committee_mu{mu:.4g}_r{rank}",
-        run=_run_committee_cell,
+        run=_run_committee_cell, configs=_committee_config,
     ),
     Subcommand(
         name="compare", kind="compare", help="align exit epochs with predicted escape times",

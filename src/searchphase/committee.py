@@ -20,12 +20,13 @@ lambda_k = (-1 + sqrt(1 + 4 D_k^2)) / (2K), independent of the rank R.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .ode import BLOWUP_LIMIT, NumericalBlowupError
-from .sgd import step_rng
+from .ode import BLOWUP_LIMIT, NumericalBlowupError, fixed_step
+from .sgd import frame_gradient, orthonormal_frame, step_rng
 
 _INIT_STREAM = 0
 _TRAIN_STREAM = 1
@@ -99,8 +100,9 @@ def committee_reduced_init(cfg: CommitteeConfig) -> CommitteeState:
 
 
 def _committee_rhs(
-    cfg: CommitteeConfig, u: np.ndarray, m: np.ndarray, q: np.ndarray, include_coupling: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    cfg: CommitteeConfig, q: np.ndarray, include_coupling: bool, y: np.ndarray
+) -> np.ndarray:
+    u, m = y
     K = cfg.n_directions
     delta = 1.0 - np.asarray(cfg.mu)  # D_k
     du = (delta[:, None] * m - u @ q) / K
@@ -111,29 +113,20 @@ def _committee_rhs(
         dm = dm - cross / K
     frozen = delta == 0.0
     du[frozen] = 0.0
-    return du, dm
+    return np.array([du, dm])
 
 
 def committee_ode_step(
     cfg: CommitteeConfig, state: CommitteeState, dt: float, include_coupling: bool = True
 ) -> CommitteeState:
-    """One RK4 step of the reduced committee flow (q held fixed).
+    """One fixed_step RK4 step of the reduced committee flow (q held fixed).
 
     include_coupling=False drops the C = U^T U cross-direction term, which
     decouples the system into K*R independent rank-one problems when q = I.
     """
-    u, m, q = state.u, state.m, state.q
-
-    def f(uu, mm):
-        return _committee_rhs(cfg, uu, mm, q, include_coupling)
-
-    k1u, k1m = f(u, m)
-    k2u, k2m = f(u + 0.5 * dt * k1u, m + 0.5 * dt * k1m)
-    k3u, k3m = f(u + 0.5 * dt * k2u, m + 0.5 * dt * k2m)
-    k4u, k4m = f(u + dt * k3u, m + dt * k3m)
-    u_new = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    m_new = np.clip(m + dt / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m), -1.0, 1.0)
-    return replace(state, u=u_new, m=m_new)
+    rhs = partial(_committee_rhs, cfg, state.q, include_coupling)
+    u_new, m_new = fixed_step(rhs, np.array([state.u, state.m]), dt)
+    return replace(state, u=u_new, m=np.clip(m_new, -1.0, 1.0))
 
 
 def committee_loss(cfg: CommitteeConfig, state: CommitteeState) -> float:
@@ -264,28 +257,23 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     adapted pair the pinned initial overlap 1/sqrt(d); adapted magnitudes
     start at 1/sqrt(d).  Updates are batch means of per-sample gradients of
     (y - yhat)^2; adapters are renormalized to unit length each step.  The
-    batch is sampled through its exact frame law (coordinates along
-    teachers and adapters, plus one residual direction), so the cost per
-    step is O(batch + d).  Raises NumericalBlowupError when a magnitude or
-    overlap stops being finite or a magnitude exceeds BLOWUP_LIMIT.
+    batch is sampled through its exact frame law with the helpers of the
+    SGD step kernel: coordinates along sgd.orthonormal_frame(teachers,
+    adapters), and the batch-mean gradient assembled by sgd.frame_gradient
+    from one residual d-vector, so the cost per step is O(batch + d).
+    Raises NumericalBlowupError when a magnitude or overlap stops being
+    finite or a magnitude exceeds BLOWUP_LIMIT.
     """
     K, R, d = cfg.n_directions, cfg.rank, cfg.d
     rng = step_rng(cfg.seed, _INIT_STREAM, 0)
     teachers = np.linalg.qr(rng.standard_normal((d, K)))[0].T  # (K, d) orthonormal
     adapted = np.array(cfg.adapted, dtype=int)
     n_a = len(adapted)
-    adapters = np.empty((R, d))
     core = np.sum(teachers[adapted], axis=0) / sqrt(d) if n_a else np.zeros(d)
-    residuals: list[np.ndarray] = []
-    for r in range(R):
-        g = rng.standard_normal(d)
-        g -= teachers.T @ (teachers @ g)
-        for prev in residuals:
-            g -= (g @ prev) * prev
-        g /= np.linalg.norm(g)
-        residuals.append(g)
-        adapters[r] = core + sqrt(max(1.0 - n_a / d, 0.0)) * g
-        adapters[r] /= np.linalg.norm(adapters[r])
+    draws = [rng.standard_normal(d) for _ in range(R)]
+    residuals = orthonormal_frame([], [g - teachers.T @ (teachers @ g) for g in draws])
+    adapters = core + sqrt(max(1.0 - n_a / d, 0.0)) * residuals
+    adapters = np.array([a / np.linalg.norm(a) for a in adapters])
 
     u = np.zeros((K, R))
     u[adapted] = 1.0 / sqrt(d)
@@ -322,15 +310,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     for step in range(1, cfg.n_steps + 1):
         srng = step_rng(cfg.seed, _TRAIN_STREAM, step - 1)
         # frame: K teacher rows (already orthonormal) + adapter residuals
-        basis = [teachers[k] for k in range(K)]
-        for r in range(R):
-            v = adapters[r].copy()
-            for b in basis:
-                v -= (v @ b) * b
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-10:
-                basis.append(v / nrm)
-        F = np.array(basis)
+        F = orthonormal_frame(teachers, adapters)
         coords = srng.standard_normal((cfg.batch_size, F.shape[0]))
         g_res = srng.standard_normal(d)
 
@@ -344,9 +324,8 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
 
         du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
         # shared mean-gradient direction: w = mean(eps_i x_i)
-        in_frame = (eps @ coords) / cfg.batch_size
-        res = g_res - F.T @ (F @ g_res)
-        w = F.T @ in_frame + (float(np.linalg.norm(eps)) / cfg.batch_size) * res
+        scale = float(np.linalg.norm(eps)) / cfg.batch_size
+        w = frame_gradient(F, (eps @ coords) / cfg.batch_size, scale, g_res)
         u[adapted] += du_row[None, :]
         adapters += (cfg.learning_rate * 2.0 / sqK) * np.outer(U_col, w)
         adapters /= np.linalg.norm(adapters, axis=1, keepdims=True)

@@ -13,7 +13,9 @@ change of variables m = tanh(g) is provided for the late phase.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,9 +81,31 @@ class TrajectoryRecord:
     exited: bool
 
 
-def _flow_rhs(cfg: ModelConfig, u: float, m: float) -> tuple[float, float]:
+def fixed_step(
+    f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float, method: str = "rk4"
+) -> np.ndarray:
+    """One step of y' = f(y) by explicit Euler or classical RK4; y is an
+    ndarray of any shape and f returns one of the same shape."""
+    k1 = f(y)
+    if method == "euler":
+        return y + dt * k1
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _crossing_time(t0: float, width: float, g0: float, g1: float) -> float:
+    """Linear interpolation of a threshold crossing inside [t0, t0 + width],
+    from the gaps g0 < 0 <= g1 to the threshold at its ends."""
+    frac = g0 / (g0 - g1) if g1 != g0 else 1.0
+    return float(t0 + min(1.0, max(0.0, frac)) * width)
+
+
+def _flow_rhs(cfg: ModelConfig, y: np.ndarray) -> np.ndarray:
+    u, m = y.tolist()
     du, dm = loss_gradients(cfg, OrderParameterState(u, m))
-    return -cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm
+    return np.array([-cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm])
 
 
 def integrate_flow(
@@ -91,9 +115,9 @@ def integrate_flow(
 ) -> TrajectoryRecord:
     """Integrate the full gradient flow from state0.
 
-    Fixed-step RK4 (or explicit Euler).  m is clipped to [-1, 1] after each
-    step: the (1 - m^2) factor makes the band invariant exactly, clipping
-    only removes rounding excursions.  Raises NumericalBlowupError when the
+    Fixed-step RK4 (or explicit Euler) by fixed_step.  m is clipped to
+    [-1, 1] after each step: the (1 - m^2) factor makes the band invariant
+    exactly, clipping only removes rounding excursions.  Raises NumericalBlowupError when the
     state leaves the representable region.
     """
     dt = settings.dt
@@ -120,28 +144,16 @@ def integrate_flow(
 
     record(0, 0.0, u, m)
     n_recorded = 1
+    rhs = partial(_flow_rhs, cfg)
     for step in range(1, n_steps + 1):
-        if settings.method == "euler":
-            du, dm = _flow_rhs(cfg, u, m)
-            u_new = u + dt * du
-            m_new = m + dt * dm
-        else:
-            k1u, k1m = _flow_rhs(cfg, u, m)
-            k2u, k2m = _flow_rhs(cfg, u + 0.5 * dt * k1u, m + 0.5 * dt * k1m)
-            k3u, k3m = _flow_rhs(cfg, u + 0.5 * dt * k2u, m + 0.5 * dt * k2m)
-            k4u, k4m = _flow_rhs(cfg, u + dt * k3u, m + dt * k3m)
-            u_new = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            m_new = m + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        u_new, m_new = fixed_step(rhs, np.array([u, m]), dt, settings.method).tolist()
         if not (np.isfinite(u_new) and np.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"flow diverged at t={step * dt:.6g}")
         m_new = min(1.0, max(-1.0, m_new))
         t = step * dt
         gap = max(abs(u_new), abs(m_new)) - threshold
         if t_exit is None and gap >= 0.0:
-            # linear interpolation of the crossing inside the step
-            frac = prev_gap / (prev_gap - gap) if gap != prev_gap else 1.0
-            frac = min(1.0, max(0.0, frac))
-            t_exit = t - dt + frac * dt
+            t_exit = _crossing_time(t - dt, dt, prev_gap, gap)
         prev_gap = gap
         u, m = u_new, m_new
         if step % settings.record_every == 0:
@@ -214,9 +226,7 @@ def integrate_linearized(
             if i == 0:
                 t_exit = float(t[0])
             else:
-                g0, g1 = gap[i - 1], gap[i]
-                frac = g0 / (g0 - g1) if g1 != g0 else 1.0
-                t_exit = float(t[i - 1] + frac * (t[i] - t[i - 1]))
+                t_exit = _crossing_time(t[i - 1], t[i] - t[i - 1], gap[i - 1], gap[i])
     return LinearizedTrajectory(t=t, u=u, m=m, loss=loss, t_exit=t_exit)
 
 
@@ -295,7 +305,7 @@ def oscillator_trajectory(
     dt: float = 0.01,
     t_max: float = 100.0,
 ) -> OscillatorRecord:
-    """Integrate g'' - B g' - A^2 tanh(g) = 0 by RK4 on (g, g').
+    """Integrate g'' - B g' - A^2 tanh(g) = 0 by fixed_step RK4 on (g, g').
 
     m = tanh(g); the reported energy is g'^2/2 + V(g) with
     V(g) = -A^2 log cosh g, so dE/dt = B g'^2 (nonincreasing for B < 0,
@@ -305,25 +315,20 @@ def oscillator_trajectory(
         raise ValueError("dt and t_max must be positive")
     A, B = lin.A, lin.B
 
-    def rhs(g: float, v: float) -> tuple[float, float]:
-        return v, B * v + A * A * np.tanh(g)
+    def rhs(y: np.ndarray) -> np.ndarray:
+        g, v = y
+        return np.array([v, B * v + A * A * np.tanh(g)])
 
     n_steps = int(round(t_max / dt))
     t = dt * np.arange(n_steps + 1)
-    g_arr = np.empty(n_steps + 1)
-    v_arr = np.empty(n_steps + 1)
-    g, v = float(g0), float(v0)
-    g_arr[0], v_arr[0] = g, v
+    gv = np.empty((n_steps + 1, 2))
+    gv[0] = float(g0), float(v0)
     for i in range(1, n_steps + 1):
-        k1g, k1v = rhs(g, v)
-        k2g, k2v = rhs(g + 0.5 * dt * k1g, v + 0.5 * dt * k1v)
-        k3g, k3v = rhs(g + 0.5 * dt * k2g, v + 0.5 * dt * k2v)
-        k4g, k4v = rhs(g + dt * k3g, v + dt * k3v)
-        g += dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        v += dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        gv[i] = fixed_step(rhs, gv[i - 1], dt)
+        g, v = gv[i]
         if not (np.isfinite(g) and np.isfinite(v)) or abs(g) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"oscillator diverged at t={i * dt:.6g}")
-        g_arr[i], v_arr[i] = g, v
+    g_arr, v_arr = np.ascontiguousarray(gv.T)
     V, _ = effective_potential(lin, g_arr)
     energy = 0.5 * v_arr**2 + V
     return OscillatorRecord(t=t, g=g_arr, velocity=v_arr, m=np.tanh(g_arr), energy=energy)

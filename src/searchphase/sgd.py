@@ -16,16 +16,20 @@ Randomness is counter-based: step t of a run draws from
 Philox(key=(seed, stream), counter=(0,0,0,t)), so trajectories are
 reproducible per (seed, stream, step) and independent of execution order.
 
-Two samplers produce identical process laws:
+Every step runs through one kernel, _step, which also returns the training
+error of the batch it consumed.  Its two samplers differ only in how that
+batch is drawn, and produce identical process laws:
 
 * "literal"   materializes the full (batch, d) Gaussian matrix;
 * "subspace"  draws only the coordinates along the active frame
-  (w_star, [xi,] w) plus a single d-vector for the orthogonal remainder of
-  the batch-mean gradient, which has the exact conditional law
-  N(0, |c|^2 (I - F F^T)) given the frame coordinates.
+  (w_star, [xi,] w), built by orthonormal_frame, plus a single d-vector
+  for the orthogonal remainder of the batch-mean gradient, which has the
+  exact conditional law N(0, |c|^2 (I - F F^T)) given the frame
+  coordinates (frame_gradient).
 
 The subspace sampler is the default; it makes the cost per step
-O(batch + d) instead of O(batch * d).
+O(batch + d) instead of O(batch * d).  The committee simulator shares
+orthonormal_frame and frame_gradient.
 """
 from __future__ import annotations
 
@@ -183,12 +187,76 @@ def _teacher_for_stage(cfg: SimConfig, stage: int) -> ActivationSpec:
     return cfg.teacher
 
 
-def _per_sample_scale(objective: str, eps: np.ndarray, y: np.ndarray, dpre: np.ndarray):
-    # coefficient c_i with  -grad_w(sample i) = c_i * x_i  and
-    # -grad_u(sample i) = c_i * (w . x_i) / u  (split below to avoid u=0 issues)
-    if objective == "mse":
-        return 2.0 * eps * dpre
-    return y * dpre
+def orthonormal_frame(rows, extras) -> np.ndarray:
+    """(f, d) orthonormal frame of (rows, extras) by Gram-Schmidt: rows are
+    orthonormal already; each extra adds its residual unless it vanishes."""
+    basis = list(rows)
+    for v in extras:
+        v = np.array(v, dtype=float)
+        for b in basis:
+            v -= (v @ b) * b
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-10:
+            basis.append(v / nrm)
+    return np.array(basis)
+
+
+def frame_gradient(
+    F: np.ndarray, in_frame: np.ndarray, scale: float, g_res: np.ndarray
+) -> np.ndarray:
+    """Batch-mean gradient mean(c_i x_i) as a d-vector, from its frame part
+    in_frame = mean(c_i F x_i) (exact) and scale = |c| / batch: the rest has
+    the law N(0, scale^2 (I - F^T F)) given the frame coordinates, drawn as
+    scale times the standard normal g_res projected off the frame."""
+    res = g_res - F.T @ (F @ g_res)
+    return F.T @ in_frame + scale * res
+
+
+def _frame(state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, w_coords, tilde_coords): the frame of (w_star, [xi,] w) and the
+    frame coordinates of w (which may leave the frame only by rounding) and
+    of the frozen part."""
+    rows = [state.omega_star] if state.xi is None else [state.omega_star, state.xi]
+    F = orthonormal_frame(rows, [state.omega])
+    return F, F @ state.omega, F @ state.omega_tilde
+
+
+def _step(
+    cfg: SimConfig, state: SimState, teacher: ActivationSpec, literal: bool
+) -> tuple[SimState, float]:
+    """One SGD step on the batch of counter state.step, drawn in full
+    (literal) or as frame coordinates plus one residual d-vector.  Returns
+    the updated state and the training error of that batch at state."""
+    rng = step_rng(cfg.seed, _TRAIN_STREAM, state.step)
+    B = cfg.batch_size
+    # lift(mean(c_i x_i), c) is the batch-mean gradient as a d-vector
+    if literal:
+        x = rng.standard_normal((B, cfg.d))
+        a_star, a_w, a_tilde = x @ state.omega_star, x @ state.omega, x @ state.omega_tilde
+
+        def lift(in_batch, c):
+            return in_batch
+
+    else:
+        F, w_coords, tilde_coords = _frame(state)
+        x = rng.standard_normal((B, F.shape[0]))
+        g_res = rng.standard_normal(cfg.d)
+        a_star, a_w, a_tilde = x[:, 0], x @ w_coords, x @ tilde_coords
+
+        def lift(in_batch, c):
+            return frame_gradient(F, in_batch, float(np.linalg.norm(c)) / B, g_res)
+
+    y = teacher.evaluate(a_star)
+    pre = a_tilde + state.u * a_w
+    eps = y - cfg.student.evaluate(pre)
+    dpre = _student_derivative(cfg.student, pre)
+    # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
+    c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
+    u_new = state.u + cfg.learning_rate * float(np.mean(c * a_w))
+    w_new = state.omega + cfg.learning_rate * state.u * lift((c @ x) / B, c)
+    w_new /= np.linalg.norm(w_new)
+    new = replace(state, u=u_new, omega=w_new, step=state.step + 1)
+    return new, float((eps * eps).sum()) / B
 
 
 def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = None) -> SimState:
@@ -197,23 +265,7 @@ def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = N
     This is the reference implementation of the update contract; the
     subspace sampler reproduces its law at O(batch + d) cost.
     """
-    teacher = teacher or cfg.teacher
-    rng = step_rng(cfg.seed, _TRAIN_STREAM, state.step)
-    x = rng.standard_normal((cfg.batch_size, cfg.d))
-    a_star = x @ state.omega_star
-    a_w = x @ state.omega
-    y = teacher.evaluate(a_star)
-    pre = x @ state.omega_tilde + state.u * a_w
-    yhat = cfg.student.evaluate(pre)
-    dpre = _student_derivative(cfg.student, pre)
-    eps = y - yhat
-    c = _per_sample_scale(cfg.objective, eps, y, dpre)
-    grad_u = float(np.mean(c * a_w))
-    grad_w_vec = (c @ x) / cfg.batch_size
-    u_new = state.u + cfg.learning_rate * grad_u
-    w_new = state.omega + cfg.learning_rate * state.u * grad_w_vec
-    w_new /= np.linalg.norm(w_new)
-    return replace(state, u=u_new, omega=w_new, step=state.step + 1)
+    return _step(cfg, state, teacher or cfg.teacher, literal=True)[0]
 
 
 def _student_derivative(student: ActivationSpec, pre: np.ndarray) -> np.ndarray:
@@ -221,60 +273,6 @@ def _student_derivative(student: ActivationSpec, pre: np.ndarray) -> np.ndarray:
         return student.derivative(pre)
     h = 1e-6
     return (student.evaluate(pre + h) - student.evaluate(pre - h)) / (2.0 * h)
-
-
-def _frame(state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal frame spanning (w_star, [xi,] w) by Gram-Schmidt.
-
-    Returns (F, w_coords, tilde_coords): F is (f, d) with rows orthonormal,
-    w_coords are the frame coordinates of w (w itself may leave the frame
-    only by rounding), tilde_coords those of the frozen part.
-    """
-    rows = [state.omega_star]
-    if state.xi is not None:
-        rows.append(state.xi)
-    basis = list(rows)
-    w_res = state.omega.copy()
-    for b in basis:
-        w_res -= (w_res @ b) * b
-    nrm = np.linalg.norm(w_res)
-    if nrm > 1e-10:
-        basis.append(w_res / nrm)
-    F = np.array(basis)
-    w_coords = F @ state.omega
-    tilde_coords = F @ state.omega_tilde
-    return F, w_coords, tilde_coords
-
-
-def _sgd_step_subspace(
-    cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = None
-) -> SimState:
-    """Law-exact fast step: frame coordinates + one residual direction."""
-    teacher = teacher or cfg.teacher
-    rng = step_rng(cfg.seed, _TRAIN_STREAM, state.step)
-    F, w_coords, tilde_coords = _frame(state)
-    f = F.shape[0]
-    coords = rng.standard_normal((cfg.batch_size, f))
-    g_res = rng.standard_normal(cfg.d)
-    a_star = coords[:, 0]
-    a_w = coords @ w_coords
-    y = teacher.evaluate(a_star)
-    pre = coords @ tilde_coords + state.u * a_w
-    yhat = cfg.student.evaluate(pre)
-    dpre = _student_derivative(cfg.student, pre)
-    eps = y - yhat
-    c = _per_sample_scale(cfg.objective, eps, y, dpre)
-    grad_u = float(np.mean(c * a_w))
-    # batch-mean gradient vector: frame part exactly, orthogonal remainder in
-    # law (its conditional distribution given the coordinates is
-    # N(0, |c|^2/B^2 * (I - F^T F)))
-    in_frame = (c @ coords) / cfg.batch_size
-    res = g_res - F.T @ (F @ g_res)
-    grad_w_vec = F.T @ in_frame + (float(np.linalg.norm(c)) / cfg.batch_size) * res
-    u_new = state.u + cfg.learning_rate * grad_u
-    w_new = state.omega + cfg.learning_rate * state.u * grad_w_vec
-    w_new /= np.linalg.norm(w_new)
-    return replace(state, u=u_new, omega=w_new, step=state.step + 1)
 
 
 _TEST_SAMPLES_PER_RECORD = 10_000
@@ -382,7 +380,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     BLOWUP_LIMIT.
     """
     state = init_state(cfg)
-    stepper = sgd_step if cfg.sampler == "literal" else _sgd_step_subspace
+    literal = cfg.sampler == "literal"
     mu = cfg.mu
     exit_level = cfg.exit_fraction * mu
 
@@ -405,21 +403,21 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     stage = 1 if cfg.curriculum is not None else 2
     exit_step = aligned_step = switch_step = None
     init_u, init_m = state.u, state.m
-    record(0, state, _batch_mse(cfg, state, _teacher_for_stage(cfg, stage)))
 
     for step in range(1, cfg.n_steps + 1):
-        teacher = _teacher_for_stage(cfg, stage)
         prev = state
-        state = stepper(cfg, state, teacher)
+        state, train_mse = _step(cfg, state, _teacher_for_stage(cfg, stage), literal)
+        if step == 1:
+            # the initial state is paired with the first batch's error
+            record(0, prev, train_mse)
         m = state.m
         # false for NaN as well as for magnitudes beyond the limit
         if not (abs(state.u) <= BLOWUP_LIMIT and math.isfinite(m)):
             raise NumericalBlowupError(f"SGD diverged at step {step}")
         if step % cfg.record_every == 0 or step == cfg.n_steps:
-            # training error of the batch this step consumed (reproduced
-            # from its counter), paired with the post-update state
-            tr = _batch_mse(cfg, prev, teacher)
-            record(step, state, tr)
+            # training error of the batch this step consumed, paired with
+            # the post-update state
+            record(step, state, train_mse)
         if exit_step is None and max(abs(state.u), abs(m)) >= exit_level:
             exit_step = step
         if stage == 1 and m >= cfg.curriculum.switch_threshold:
@@ -465,12 +463,11 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     """
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    stepper = sgd_step if cfg.sampler == "literal" else _sgd_step_subspace
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m
     for j in range(n_batches):
-        nxt = stepper(cfg, replace(state, step=j), None)
+        nxt, _ = _step(cfg, replace(state, step=j), cfg.teacher, cfg.sampler == "literal")
         du[j] = nxt.u - state.u
         dm[j] = nxt.m - m0
     return DriftEstimate(
@@ -480,20 +477,3 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
         dm_stderr=float(np.std(dm, ddof=1) / np.sqrt(n_batches)),
         n_batches=n_batches,
     )
-
-
-def _batch_mse(cfg: SimConfig, state: SimState, teacher: ActivationSpec) -> float:
-    """Training error of the batch consumed at state.step (recomputed)."""
-    rng = step_rng(cfg.seed, _TRAIN_STREAM, state.step)
-    if cfg.sampler == "literal":
-        x = rng.standard_normal((cfg.batch_size, cfg.d))
-        a_star = x @ state.omega_star
-        pre = x @ state.omega_tilde + state.u * (x @ state.omega)
-    else:
-        F, w_coords, tilde_coords = _frame(state)
-        coords = rng.standard_normal((cfg.batch_size, F.shape[0]))
-        a_star = coords[:, 0]
-        pre = coords @ tilde_coords + state.u * (coords @ w_coords)
-    y = teacher.evaluate(a_star)
-    yhat = cfg.student.evaluate(pre)
-    return float(np.mean((y - yhat) ** 2))

@@ -145,14 +145,14 @@ def _tail_ok(terms: np.ndarray, rtol: float = TAIL_RTOL) -> bool:
     return bool(np.all(np.abs(terms[-3:]) <= rtol * scale + 1e-300))
 
 
-@lru_cache(maxsize=512)
-def _teacher_coefficients_cached(cfg: "ModelConfig") -> np.ndarray:
-    kp = cfg.teacher.pure_hermite_degree
+@lru_cache(maxsize=64)
+def _teacher_coefficients_cached(teacher: ActivationSpec, k_max: int) -> np.ndarray:
+    kp = teacher.pure_hermite_degree
     if kp is not None:
-        phi = np.zeros(cfg.k_max + 1)
+        phi = np.zeros(k_max + 1)
         phi[kp] = float(factorial(kp))
     else:
-        phi = np.array(project_activation(cfg.teacher, 1.0, cfg.k_max).sigma_k)
+        phi = np.array(project_activation(teacher, 1.0, k_max).sigma_k)
     phi.setflags(write=False)
     return phi
 
@@ -160,9 +160,10 @@ def _teacher_coefficients_cached(cfg: "ModelConfig") -> np.ndarray:
 def teacher_coefficients(cfg: ModelConfig) -> np.ndarray:
     """Unit-variance coefficient vector phi_k of the (transformed) teacher.
 
-    Cached per config object; the returned array is read-only.
+    Cached per (teacher, k_max), so every config of one tau curve or
+    singularity scan shares it; the returned array is read-only.
     """
-    return _teacher_coefficients_cached(cfg)
+    return _teacher_coefficients_cached(cfg.teacher, cfg.k_max)
 
 
 def _student_rescaled(cfg: ModelConfig, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +225,13 @@ def _gradient_sums(
     ks, inv_fact = _series_workspace(k_max)
     me_pow = me**ks
     # C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
-    c1 = float(np.sum(inv_fact * sh * sbh * r ** (ks - 1.0)))
+    c1 = float((inv_fact * sh * sbh * r ** (ks - 1.0)).sum())
     # Sa = sum_{k>=1} phi_k m_eff^{k-1} sigma_k / ((k-1)! r^k)
-    sa = float(np.sum((inv_fact * ks)[1:] * phi[1:] * me_pow[:-1] * sh[1:]))
+    sa = float(((inv_fact * ks)[1:] * phi[1:] * me_pow[:-1] * sh[1:]).sum())
     # Sb = sum_{k>=1} phi_k m_eff^k sigma_k / ((k-1)! r^{k+1})
-    sb = float(np.sum((inv_fact * ks)[1:] * phi[1:] * me_pow[1:] * sh[1:] / r))
+    sb = float(((inv_fact * ks)[1:] * phi[1:] * me_pow[1:] * sh[1:] / r).sum())
     # Sc = sum_{k>=0} phi_k m_eff^k sigmabar_k / (k! r^{k+1})
-    sc = float(np.sum(inv_fact * phi * me_pow * sbh / r))
+    sc = float((inv_fact * phi * me_pow * sbh / r).sum())
     return c1, sa, sb, sc
 
 

@@ -384,3 +384,18 @@ def test_raw_values_give_a_runnable_plan_or_a_validation_error(data):
         return
     names = [cell.name for cell in build_cells(plan)]
     assert len(names) == len(set(names)) >= 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ode", "--activation", "hermite5", "--k-max", "2"], "k_max must cover"),
+    (["tau", "--activations", "hermite5", "--k-max", "2"], "k_max must cover"),
+    (["singularity", "--activations", "hermite5", "--k-max", "2"], "k_max must cover"),
+    (["committee", "--d", "5", "--ranks", "2"], "d too small"),
+    (["sgd", "--d", "3"], "d must be at least 4"),
+])
+def test_cross_field_config_errors_exit_validation(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and message in err
+    assert not os.path.exists(tmp_path / "out")

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from searchphase.activations import builtin
 from searchphase.ode import (
     FlowSettings,
     NumericalBlowupError,
+    fixed_step,
     integrate_flow,
     integrate_linearized,
     oscillator_trajectory,
@@ -214,3 +216,20 @@ def test_record_thinning_preserves_grid():
     np.testing.assert_allclose(np.diff(rec.t)[:-1], 0.07, atol=1e-12)
     for arr in (rec.u, rec.m, rec.m_eff, rec.r, rec.loss):
         assert arr.shape == rec.t.shape
+
+
+@pytest.mark.parametrize("method, dt, order", [("rk4", 0.1, 4), ("euler", 0.005, 1)])
+def test_fixed_step_order_against_matrix_exponential(method, dt, order):
+    # y' = A y from y0 over [0, 2]: halving dt divides the error by 2**order
+    A = np.array([[-0.5, 1.0], [-1.0, -0.2]])
+    y0 = np.array([1.0, 0.5])
+    exact = expm(2.0 * A) @ y0
+
+    def error(h):
+        y = y0
+        for _ in range(int(round(2.0 / h))):
+            y = fixed_step(lambda v: A @ v, y, h, method)
+        return np.linalg.norm(y - exact)
+
+    ratio = error(dt) / error(dt / 2)
+    assert ratio == pytest.approx(2.0**order, rel=0.05)

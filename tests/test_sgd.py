@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from searchphase.activations import builtin
+from searchphase.activations import LabelTransform, builtin, transform_teacher
 from searchphase.sgd import (
     Curriculum,
     SimConfig,
     SimState,
+    _TRAIN_STREAM,
     epoch_time_scale,
     init_state,
     measure_drift,
@@ -254,3 +257,56 @@ def test_correlation_objective_runs():
     res = run_simulation(cfg)
     assert len(res.m) == 51
     assert np.isfinite(res.m).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    overlap=st.floats(-0.8, 0.8),
+    magnitude=st.floats(0.05, 1.0),
+    frozen_mode=st.sampled_from(["aligned", "mixed"]),
+    objective=st.sampled_from(["mse", "correlation"]),
+)
+def test_samplers_agree_in_law_over_states(overlap, magnitude, frozen_mode, objective):
+    # d / batch and the learning rate are large enough that the residual
+    # (off-frame) noise moves the drift of m through the renormalization,
+    # so the residual's law is checked as well as the in-frame part
+    cfg_s = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=400, batch_size=40,
+                      learning_rate=0.2, n_steps=1, k_max=40, init_overlap=overlap,
+                      init_magnitude=magnitude, frozen_mode=frozen_mode, objective=objective)
+    cfg_l = replace(cfg_s, sampler="literal")
+    st_ = init_state(cfg_s)
+    d_s = measure_drift(cfg_s, st_, 400)
+    d_l = measure_drift(cfg_l, st_, 400)
+    assert abs(d_s.du - d_l.du) < 4.0 * math.hypot(d_s.du_stderr, d_l.du_stderr)
+    assert abs(d_s.dm - d_l.dm) < 4.0 * math.hypot(d_s.dm_stderr, d_l.dm_stderr)
+
+
+@pytest.mark.parametrize("curriculum", [None, Curriculum(switch_threshold=0.5)])
+def test_train_mse_is_the_error_of_the_consumed_batch(curriculum):
+    cfg = SimConfig(teacher=HE3, student=HE3, mu=0.3, d=60, batch_size=40, learning_rate=0.01,
+                    n_steps=40, sampler="literal", curriculum=curriculum, init_overlap=0.45,
+                    k_max=30)
+    res = run_simulation(cfg)
+    squared = transform_teacher(HE3, LabelTransform(kind="square"))
+    state, stage1 = init_state(cfg), curriculum is not None
+    errors = []
+    for _ in range(cfg.n_steps):
+        teacher = squared if stage1 else HE3
+        x = step_rng(cfg.seed, _TRAIN_STREAM, state.step).standard_normal((cfg.batch_size, cfg.d))
+        pre = x @ state.omega_tilde + state.u * (x @ state.omega)
+        errors.append(np.mean((teacher.evaluate(x @ state.omega_star) - HE3.evaluate(pre)) ** 2))
+        state = sgd_step(cfg, state, teacher)
+        stage1 = stage1 and state.m < curriculum.switch_threshold
+    if curriculum is not None:
+        assert res.switch_step is not None and res.switch_step < cfg.n_steps
+    # record 0 pairs the initial state with the first batch
+    np.testing.assert_allclose(res.train_mse, [errors[0]] + errors, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sampler", ["subspace", "literal"])
+def test_first_two_records_share_the_first_batch_error(sampler):
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=100, batch_size=50, learning_rate=0.05,
+                    n_steps=3, sampler=sampler, k_max=40)
+    res = run_simulation(cfg)
+    assert res.train_mse[0] == res.train_mse[1]
+    assert res.train_mse[1] != res.train_mse[2]

@@ -389,3 +389,15 @@ def test_squared_teacher_removes_odd_singularity():
         act = builtin(f"hermite({k})")
         squared = transform_teacher(act, LabelTransform("square"))
         assert find_singularities(squared, act) == []
+
+
+def test_tau_curve_computes_teacher_coefficients_once():
+    # the cache is keyed on (teacher, k_max), not on the per-mu config
+    from searchphase.theory import _teacher_coefficients_cached
+
+    act = builtin("erf")  # a fresh spec the cache has never seen
+    before = _teacher_coefficients_cached.cache_info()
+    tau_curve(act, act, np.linspace(0.05, 0.95, 19), k_max=30)
+    after = _teacher_coefficients_cached.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits >= 18
