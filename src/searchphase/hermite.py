@@ -6,9 +6,13 @@ variance r, written He_k^[r], with
     E[He_k^[r](z) He_m^[r](z)] = delta_km * k! * r^k  for z ~ N(0, r).
 
 The module provides evaluation by the three-term recurrence, coefficient
-extraction by Gauss-Hermite quadrature, closed forms for pure Hermite
+extraction by Gauss-Hermite quadrature, the closed form for pure Hermite
 activations, conversion to the unit-variance basis, and the product
 expansion needed for squared labels.
+
+rescaled_coefficients is the reduced theory's one source of coefficients:
+sigma_k[r] / r^k and sigmabar_k[r] / r^k, by the closed form for a pure
+Hermite activation and by quadrature otherwise.
 
 Conventions
 -----------
@@ -135,21 +139,17 @@ class HermiteCoefficients:
 
 
 @lru_cache(maxsize=64)
-def _projection_matrices(order: int, k_max: int):
+def _projection_matrices(k_max: int):
     # row k of M:  weights * He_k(nodes)      -> sigma integrands
     # row k of Mb: weights * nodes * He_k(nodes) -> sigmabar integrands
-    rule = gauss_hermite_rule(order)
+    rule = gauss_hermite_rule(2 * k_max + 10)
     table = scaled_hermite_table(k_max, 1.0, rule.nodes)
     M = table * rule.weights
     Mb = M * rule.nodes
     return rule, M, Mb
 
 
-# margin of quadrature nodes beyond K_max below which projection is refused
-_QUAD_MARGIN = 5
-
-
-def project_activation(f, r: float, k_max: int, quad: QuadratureRule | None = None) -> HermiteCoefficients:
+def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
     """Project an activation onto He_0^[r] .. He_{k_max}^[r].
 
     Uses the standardized variable x = z / sqrt(r) and the scaling relation
@@ -158,6 +158,8 @@ def project_activation(f, r: float, k_max: int, quad: QuadratureRule | None = No
 
         sigma_k[r]    = r^{k/2}    E[He_k(x) f(sqrt(r) x)]
         sigmabar_k[r] = r^{(k+1)/2} E[x He_k(x) f'(sqrt(r) x)]
+
+    The expectations use the cached Gauss-Hermite rule of order 2*k_max + 10.
 
     Parameters
     ----------
@@ -168,8 +170,6 @@ def project_activation(f, r: float, k_max: int, quad: QuadratureRule | None = No
         Variance, > 0.
     k_max : int
         Highest retained degree.
-    quad : QuadratureRule, optional
-        Defaults to the cached rule of order 2*k_max + 10.
 
     Returns
     -------
@@ -179,16 +179,9 @@ def project_activation(f, r: float, k_max: int, quad: QuadratureRule | None = No
         raise ConfigurationError("variance must be positive")
     if k_max < 0:
         raise ConfigurationError("k_max must be >= 0")
-    if quad is None:
-        quad = gauss_hermite_rule(2 * k_max + 10)
-    if quad.order < k_max + _QUAD_MARGIN:
-        raise ConfigurationError(
-            f"quadrature order {quad.order} too low for K_max={k_max}; "
-            f"need at least {k_max + _QUAD_MARGIN}"
-        )
-    _, M, Mb = _projection_matrices(quad.order, k_max)
+    rule, M, Mb = _projection_matrices(k_max)
     sr = np.sqrt(r)
-    z = sr * quad.nodes
+    z = sr * rule.nodes
     fv = np.asarray(f.evaluate(z), dtype=float)
     deriv = getattr(f, "derivative", None)
     if callable(deriv):
@@ -200,6 +193,60 @@ def project_activation(f, r: float, k_max: int, quad: QuadratureRule | None = No
     sigma = (M @ fv) * sr**ks
     sigma_bar = (Mb @ fpv) * sr ** (ks + 1)
     return HermiteCoefficients(variance=r, sigma_k=sigma, sigma_bar_k=sigma_bar)
+
+
+@lru_cache(maxsize=64)
+def series_workspace(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (k, 1/k!) arrays for degrees 0..k_max (read-only)."""
+    ks = np.arange(k_max + 1, dtype=float)
+    inv_fact = np.ones(k_max + 1)
+    for k in range(1, k_max + 1):
+        inv_fact[k] = inv_fact[k - 1] / k
+    ks.setflags(write=False)
+    inv_fact.setflags(write=False)
+    return ks, inv_fact
+
+
+@lru_cache(maxsize=64)
+def _pure_layout(k_star: int):
+    # the same-parity degrees ks, their half-gaps js = (k_star - ks)/2, the
+    # degrees below k_star and their sigmabar half-gaps jb, with 1/j! of each
+    _, inv_fact = series_workspace(k_star)
+    ks = np.arange(k_star % 2, k_star + 1, 2)
+    js = (k_star - ks) // 2
+    low = ks[:-1]
+    jb = (k_star - 2 - low) // 2
+    return float(factorial(k_star)), ks, js, inv_fact[js], low, jb, inv_fact[jb], k_star - low
+
+
+def _pure_rescaled(k_star: int, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # the closed form of pure_hermite_coefficients divided by r^k
+    fk, ks, js, inv_js, low, jb, inv_jb, gap = _pure_layout(k_star)
+    half = (r - 1.0) / 2.0
+    sh = np.zeros(k_max + 1)
+    sbh = np.zeros(k_max + 1)
+    sh[ks] = fk * half**js * inv_js
+    sbh[k_star] = k_star * sh[k_star]
+    sbh[low] = fk * half**jb * inv_jb * (k_star * r - low) / gap
+    return sh, sbh
+
+
+def rescaled_coefficients(f, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_k[r] / r^k, sigmabar_k[r] / r^k) for k = 0..k_max.
+
+    The rescaled coefficients stay O(1) as r -> 0, which keeps every series
+    built from them in range even at r ~ 1e-8.  A pure Hermite activation
+    (``f.pure_hermite_degree`` set, at most k_max) takes the closed form of
+    pure_hermite_coefficients and never touches quadrature; any other
+    activation is projected by project_activation.
+    """
+    kp = f.pure_hermite_degree
+    if kp is not None:
+        return _pure_rescaled(kp, r, k_max)
+    co = project_activation(f, r, k_max)
+    ks, _ = series_workspace(k_max)
+    powers = r**ks
+    return co.sigma_k / powers, co.sigma_bar_k / powers
 
 
 def pure_hermite_coefficients(k_star: int, r: float, k: int) -> tuple[float, float]:
@@ -217,23 +264,9 @@ def pure_hermite_coefficients(k_star: int, r: float, k: int) -> tuple[float, flo
         raise ValueError("variance must be positive")
     if k < 0 or k > k_star:
         raise ValueError("need 0 <= k <= k_star")
-    if (k_star - k) % 2 != 0:
-        return 0.0, 0.0
-    j = (k_star - k) // 2
-    sigma = factorial(k_star) * r**k * ((r - 1) / 2) ** j / factorial(j)
-    if k == k_star:
-        return sigma, k_star * sigma
-    # remaining same-parity degrees satisfy k <= k_star - 2
-    jb = (k_star - 2 - k) // 2
-    sigma_bar = (
-        factorial(k_star)
-        * r**k
-        * ((r - 1) / 2) ** jb
-        / factorial(jb)
-        * (k_star * r - k)
-        / (k_star - k)
-    )
-    return sigma, sigma_bar
+    sh, sbh = _pure_rescaled(k_star, r, k_star)
+    scale = r**k
+    return float(sh[k] * scale), float(sbh[k] * scale)
 
 
 def to_standard_basis(coeffs: HermiteCoefficients) -> np.ndarray:

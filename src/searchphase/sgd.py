@@ -16,8 +16,8 @@ Randomness is counter-based: step t of a run draws from
 Philox(key=(seed, stream), counter=(0,0,0,t)), so trajectories are
 reproducible per (seed, stream, step) and independent of execution order.
 
-Every step runs through one kernel, _step, which also returns the training
-error of the batch it consumed.  Its two samplers differ only in how that
+Every step runs through one kernel, _step, which also returns the residuals
+y - yhat of the batch it consumed.  Its two samplers differ only in how that
 batch is drawn, and produce identical process laws:
 
 * "literal"   materializes the full (batch, d) Gaussian matrix;
@@ -223,10 +223,11 @@ def _frame(state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _step(
     cfg: SimConfig, state: SimState, teacher: ActivationSpec, literal: bool
-) -> tuple[SimState, float]:
+) -> tuple[SimState, np.ndarray]:
     """One SGD step on the batch of counter state.step, drawn in full
     (literal) or as frame coordinates plus one residual d-vector.  Returns
-    the updated state and the training error of that batch at state."""
+    the updated state and the residuals y - yhat of that batch at state,
+    from which a record takes the batch's training error."""
     rng = step_rng(cfg.seed, _TRAIN_STREAM, state.step)
     B = cfg.batch_size
     # lift(mean(c_i x_i), c) is the batch-mean gradient as a d-vector
@@ -256,7 +257,7 @@ def _step(
     w_new = state.omega + cfg.learning_rate * state.u * lift((c @ x) / B, c)
     w_new /= np.linalg.norm(w_new)
     new = replace(state, u=u_new, omega=w_new, step=state.step + 1)
-    return new, float((eps * eps).sum()) / B
+    return new, eps
 
 
 def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = None) -> SimState:
@@ -388,7 +389,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     rec = {k: np.empty(n_rec_max) for k in ("t_epoch", "u", "m", "m_eff", "r", "train_mse", "test_mse")}
     n_rec = 0
 
-    def record(step: int, s: SimState, train_mse: float) -> None:
+    def record(step: int, s: SimState, eps: np.ndarray) -> None:
         nonlocal n_rec
         combined = s.omega_tilde + s.u * s.omega
         rec["t_epoch"][n_rec] = step
@@ -396,7 +397,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         rec["m"][n_rec] = s.m
         rec["m_eff"][n_rec] = float(combined @ s.omega_star)
         rec["r"][n_rec] = float(combined @ combined)
-        rec["train_mse"][n_rec] = train_mse
+        rec["train_mse"][n_rec] = float((eps * eps).sum()) / cfg.batch_size
         rec["test_mse"][n_rec] = _subspace_test_mse(cfg, s, step)
         n_rec += 1
 
@@ -406,10 +407,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
     for step in range(1, cfg.n_steps + 1):
         prev = state
-        state, train_mse = _step(cfg, state, _teacher_for_stage(cfg, stage), literal)
+        state, eps = _step(cfg, state, _teacher_for_stage(cfg, stage), literal)
         if step == 1:
             # the initial state is paired with the first batch's error
-            record(0, prev, train_mse)
+            record(0, prev, eps)
         m = state.m
         # false for NaN as well as for magnitudes beyond the limit
         if not (abs(state.u) <= BLOWUP_LIMIT and math.isfinite(m)):
@@ -417,7 +418,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             # training error of the batch this step consumed, paired with
             # the post-update state
-            record(step, state, train_mse)
+            record(step, state, eps)
         if exit_step is None and max(abs(state.u), abs(m)) >= exit_level:
             exit_step = step
         if stage == 1 and m >= cfg.curriculum.switch_threshold:

@@ -10,9 +10,11 @@ r = mu^2 + u^2 + 2*mu*u*m (pre-activation variance).  The student's scaled
 Hermite coefficients are re-evaluated at the instantaneous r; the teacher's
 live at variance 1.
 
-Numerical note: series are computed with coefficients rescaled by r^{-k}
-(sigma_k / r^k stays O(1) as r -> 0) so that small-mu linearizations do not
-underflow.  Pure Hermite students take a closed-form path that never touches
+Numerical note: both units take their coefficients from
+hermite.rescaled_coefficients, the student at r and the teacher at r = 1.
+Series are computed with coefficients rescaled by r^{-k} (sigma_k / r^k
+stays O(1) as r -> 0) so that small-mu linearizations do not underflow.
+Pure Hermite units take the closed form there, which never touches
 quadrature.
 """
 from __future__ import annotations
@@ -24,8 +26,8 @@ from math import factorial, inf, isfinite
 
 import numpy as np
 
-from .activations import ActivationSpec
-from .hermite import project_activation
+from .activations import ActivationSpec, builtin
+from .hermite import pure_hermite_coefficients, rescaled_coefficients, series_workspace
 
 # minimum admissible pre-activation variance before the state is declared
 # collapsed (the expansion measure degenerates)
@@ -124,18 +126,6 @@ class SearchPhaseLinearization:
     converged: bool = True
 
 
-@lru_cache(maxsize=64)
-def _series_workspace(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (k, 1/k!) arrays for degrees 0..k_max (read-only)."""
-    ks = np.arange(k_max + 1, dtype=float)
-    inv_fact = np.ones(k_max + 1)
-    for k in range(1, k_max + 1):
-        inv_fact[k] = inv_fact[k - 1] / k
-    ks.setflags(write=False)
-    inv_fact.setflags(write=False)
-    return ks, inv_fact
-
-
 def _tail_ok(terms: np.ndarray, rtol: float = TAIL_RTOL) -> bool:
     # a finite expansion (trailing exact zeros) always passes
     terms = np.asarray(terms, dtype=float)
@@ -147,12 +137,7 @@ def _tail_ok(terms: np.ndarray, rtol: float = TAIL_RTOL) -> bool:
 
 @lru_cache(maxsize=64)
 def _teacher_coefficients_cached(teacher: ActivationSpec, k_max: int) -> np.ndarray:
-    kp = teacher.pure_hermite_degree
-    if kp is not None:
-        phi = np.zeros(k_max + 1)
-        phi[kp] = float(factorial(kp))
-    else:
-        phi = np.array(project_activation(teacher, 1.0, k_max).sigma_k)
+    phi, _ = rescaled_coefficients(teacher, 1.0, k_max)
     phi.setflags(write=False)
     return phi
 
@@ -164,34 +149,6 @@ def teacher_coefficients(cfg: ModelConfig) -> np.ndarray:
     singularity scan shares it; the returned array is read-only.
     """
     return _teacher_coefficients_cached(cfg.teacher, cfg.k_max)
-
-
-def _student_rescaled(cfg: ModelConfig, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_k / r^k, sigmabar_k / r^k) for the student at variance r.
-
-    The rescaled coefficients stay O(1) for r -> 0, which keeps every series
-    below representable range even at mu ~ 1e-4.
-    """
-    kmax = cfg.k_max
-    kp = cfg.student.pure_hermite_degree
-    sh = np.zeros(kmax + 1)
-    sbh = np.zeros(kmax + 1)
-    if kp is not None:
-        _, inv_fact = _series_workspace(kmax)
-        fk = 1.0 / inv_fact[kp]
-        half = (r - 1.0) / 2.0
-        ks_sel = np.arange(kp % 2, kp + 1, 2)
-        js = (kp - ks_sel) // 2
-        sh[ks_sel] = fk * half**js * inv_fact[js]
-        sbh[kp] = kp * sh[kp]
-        low = ks_sel[ks_sel < kp]
-        jb = (kp - 2 - low) // 2
-        sbh[low] = fk * half**jb * inv_fact[jb] * (kp * r - low) / (kp - low)
-        return sh, sbh
-    co = project_activation(cfg.student, r, kmax)
-    ks, _ = _series_workspace(kmax)
-    powers = r**ks
-    return co.sigma_k / powers, co.sigma_bar_k / powers
 
 
 def _state_geometry(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
@@ -210,19 +167,19 @@ def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
     """
     r, me = _state_geometry(cfg, s)
     phi = teacher_coefficients(cfg)
-    sh, _ = _student_rescaled(cfg, r)
-    ks, inv_fact = _series_workspace(cfg.k_max)
+    sh, _ = rescaled_coefficients(cfg.student, r, cfg.k_max)
+    ks, inv_fact = series_workspace(cfg.k_max)
     # sigma_k^2/r^k = sh^2 * r^k ; sigma_k/r^k = sh
     terms = inv_fact * (0.5 * phi**2 + 0.5 * sh * sh * r**ks - sh * phi * me**ks)
     if not _tail_ok(terms, LOSS_TAIL_RTOL):
         warnings.warn("population loss series tail above tolerance", SeriesConvergenceWarning)
-    return float(np.sum(terms))
+    return float(terms.sum())
 
 
 def _gradient_sums(
     phi: np.ndarray, sh: np.ndarray, sbh: np.ndarray, r: float, me: float, k_max: int
 ) -> tuple[float, float, float, float]:
-    ks, inv_fact = _series_workspace(k_max)
+    ks, inv_fact = series_workspace(k_max)
     me_pow = me**ks
     # C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
     c1 = float((inv_fact * sh * sbh * r ** (ks - 1.0)).sum())
@@ -239,7 +196,7 @@ def loss_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, flo
     """(dL/du, dL/dm) of the population loss, by the exact coefficient series."""
     r, me = _state_geometry(cfg, s)
     phi = teacher_coefficients(cfg)
-    sh, sbh = _student_rescaled(cfg, r)
+    sh, sbh = rescaled_coefficients(cfg.student, r, cfg.k_max)
     c1, sa, sb, sc = _gradient_sums(phi, sh, sbh, r, me, cfg.k_max)
     g = c1 + sb - sc
     drive = s.u + cfg.mu * s.m
@@ -252,9 +209,9 @@ def correlation_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
     """Correlation objective 1 - E[y yhat] in series form."""
     r, me = _state_geometry(cfg, s)
     phi = teacher_coefficients(cfg)
-    sh, _ = _student_rescaled(cfg, r)
-    ks, inv_fact = _series_workspace(cfg.k_max)
-    return 1.0 - float(np.sum(inv_fact * phi * sh * me**ks))
+    sh, _ = rescaled_coefficients(cfg.student, r, cfg.k_max)
+    ks, inv_fact = series_workspace(cfg.k_max)
+    return 1.0 - float((inv_fact * phi * sh * me**ks).sum())
 
 
 def correlation_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
@@ -265,7 +222,7 @@ def correlation_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[flo
     """
     r, me = _state_geometry(cfg, s)
     phi = teacher_coefficients(cfg)
-    sh, sbh = _student_rescaled(cfg, r)
+    sh, sbh = rescaled_coefficients(cfg.student, r, cfg.k_max)
     _, sa, sb, sc = _gradient_sums(phi, sh, sbh, r, me, cfg.k_max)
     drive = s.u + cfg.mu * s.m
     dldu = -(drive * (sc - sb) + s.m * sa)
@@ -285,8 +242,8 @@ def linearize_search_phase(cfg: ModelConfig) -> SearchPhaseLinearization:
     mu = cfg.mu
     r = mu * mu
     phi = teacher_coefficients(cfg)
-    sh, sbh = _student_rescaled(cfg, r)
-    ks, inv_fact = _series_workspace(cfg.k_max)
+    sh, sbh = rescaled_coefficients(cfg.student, r, cfg.k_max)
+    ks, inv_fact = series_workspace(cfg.k_max)
     mu_pow = mu**ks
     # sigmabar_k/mu^{k+1} = sbh mu^{k-1};  sigma_k/mu^k = sh mu^k
     a_terms = -inv_fact * (sbh * mu_pow / mu) * (-phi + sh * mu_pow)
@@ -298,8 +255,8 @@ def linearize_search_phase(cfg: ModelConfig) -> SearchPhaseLinearization:
     b2_terms = np.zeros_like(b1_terms)
     b2_terms[1:] = (inv_fact * ks)[1:] * phi[1:] * diff[1:] * mu_pow[1:] / (mu * mu)
     b_terms = -(b1_terms + b2_terms)
-    A = cfg.delta * float(np.sum(a_terms))
-    B = cfg.delta * float(np.sum(b_terms))
+    A = cfg.delta * float(a_terms.sum())
+    B = cfg.delta * float(b_terms.sum())
     converged = _tail_ok(a_terms) and _tail_ok(b_terms)
     lam_plus, lam_minus = drift_eigenvalues(A, B)
     tau = inf if abs(A) < A_SINGULAR_TOL else 1.0 / lam_plus
@@ -437,8 +394,6 @@ def asymptotic_tau(k_star: int, mu: float, regime: str) -> float:
         raise ValueError("regime must be 'near_one' or 'near_zero'")
     if k_star < 3:
         raise ValueError("near_zero branches need k_star >= 3")
-    from .activations import builtin
-
     act = builtin(f"hermite({k_star})")
     b0 = linearize_search_phase(
         ModelConfig(teacher=act, student=act, mu=1e-4, k_max=k_star + 2)
@@ -454,10 +409,7 @@ def even_hermite_mean(k_star: int, r: float) -> float:
     """Mean sigma_0[r] = k*! (r-1)^{k*/2} / (2^{k*/2} (k*/2)!) of an even pure Hermite."""
     if k_star % 2 != 0 or k_star < 2:
         raise ValueError("k_star must be even and >= 2")
-    if r <= 0:
-        raise ValueError("variance must be positive")
-    p = k_star // 2
-    return factorial(k_star) * (r - 1.0) ** p / (2**p * factorial(p))
+    return pure_hermite_coefficients(k_star, r, 0)[0]
 
 
 def effective_potential(lin: SearchPhaseLinearization, g):

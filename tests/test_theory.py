@@ -1,5 +1,6 @@
 """Population loss, gradients, search-phase linearization, escape times."""
 
+import dataclasses
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from searchphase.theory import (
     loss_gradients,
     population_loss,
     tau_curve,
+    teacher_coefficients,
 )
 
 LINEAR = builtin("linear")
@@ -401,3 +403,23 @@ def test_tau_curve_computes_teacher_coefficients_once():
     after = _teacher_coefficients_cached.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits >= 18
+
+
+def test_pure_hermite_path_matches_quadrature_path():
+    # the same polynomial without its degree tag goes through quadrature
+    states = [OrderParameterState(0.1, 0.2), OrderParameterState(0.4, -0.3), OrderParameterState(0.7, 0.9)]
+    for k in range(1, 8):
+        act = builtin(f"hermite{k}")
+        plain = dataclasses.replace(act, pure_hermite_degree=None)
+        for mu in (0.3, 0.5, 0.8):
+            closed = model(act, mu, delta=default_delta(act))
+            quad = model(plain, mu, delta=closed.delta)
+            for s in states:
+                for fn in (population_loss, loss_gradients, correlation_gradients):
+                    np.testing.assert_allclose(fn(quad, s), fn(closed, s), rtol=1e-9, atol=1e-13)
+            lin_c, lin_q = linearize_search_phase(closed), linearize_search_phase(quad)
+            np.testing.assert_allclose([lin_q.A, lin_q.B], [lin_c.A, lin_c.B], rtol=1e-9, atol=1e-13)
+    for k in range(1, 10):
+        phi = teacher_coefficients(model(builtin(f"hermite{k}"), 0.5))
+        assert phi[k] == float(math.factorial(k))
+        assert np.count_nonzero(phi) == 1
