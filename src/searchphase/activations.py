@@ -15,8 +15,8 @@ from .hermite import eval_scaled_hermite
 class ActivationSpec:
     """A named scalar function z -> sigma(z).
 
-    derivative is a callable when analytic, or None (consumers fall back to
-    central differences).  parity is one of 'odd', 'even', 'none'.
+    derivative is a callable when analytic, or None (slope then falls back
+    to a central difference).  parity is one of 'odd', 'even', 'none'.
     pure_hermite_degree is set when the function IS a probabilists' Hermite
     polynomial of unit variance, enabling closed-form coefficients.
     """
@@ -30,6 +30,13 @@ class ActivationSpec:
     def __post_init__(self):
         if self.parity not in ("odd", "even", "none"):
             raise ValueError("parity must be 'odd', 'even' or 'none'")
+
+    def slope(self, z):
+        """sigma'(z): the analytic derivative, or a central difference with h = 1e-6."""
+        if self.derivative is not None:
+            return self.derivative(z)
+        h = 1e-6
+        return (self.evaluate(z + h) - self.evaluate(z - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,12 @@ def transform_teacher(spec: ActivationSpec, t: LabelTransform) -> ActivationSpec
     """Compose a label transform with an activation, fixing up metadata."""
     if t.kind == "identity":
         return spec
-    ev = spec.evaluate
-    dv = spec.derivative
-    sq_deriv = None
-    if callable(dv):
-        sq_deriv = lambda z: 2.0 * ev(z) * dv(z)
+    ev, dv = spec.evaluate, spec.derivative
     return ActivationSpec(
         name=f"square({spec.name})",
         evaluate=lambda z: ev(z) ** 2,
-        derivative=sq_deriv,
+        # without an analytic derivative the square's slope is a central difference too
+        derivative=None if dv is None else lambda z: 2.0 * ev(z) * dv(z),
         # squaring an odd or even function gives an even one; unknown stays unknown
         parity="even" if spec.parity in ("odd", "even") else "none",
         pure_hermite_degree=None,

@@ -364,10 +364,9 @@ def _run_singularity_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> di
     return {"roots": [float(r) for r in roots]}
 
 
-def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple[ModelConfig, FlowSettings]:
+    """The reduced model and the integration controls of an ode cell."""
     cfg = plan.settings
-    model = _model_configs(plan, cell)[0]
-    state0 = OrderParameterState(u=cfg["u0"], m=cfg["m0"])
     settings = FlowSettings(
         dt=cfg["dt"],
         t_max=cfg["t_max"],
@@ -375,7 +374,13 @@ def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
         method=cfg["method"],
         record_every=cfg["record_every"],
     )
-    rec = integrate_flow(model, state0, settings)
+    return _model_configs(plan, cell)[0], settings
+
+
+def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+    cfg = plan.settings
+    model, settings = _ode_configs(plan, cell)
+    rec = integrate_flow(model, OrderParameterState(u=cfg["u0"], m=cfg["m0"]), settings)
     metadata = {
         "kind": "ode_run",
         "activation": cfg["activation"],
@@ -891,7 +896,7 @@ SUBCOMMANDS = (
             _RECORD_EVERY, _K_MAX,
         ), mu=(0.3,), record_every=10),
         cells={"mu": "mu"}, cell_name="ode_{activation}_mu{mu:.4g}", run=_run_ode_cell,
-        configs=_model_configs,
+        configs=_ode_configs,
     ),
     Subcommand(
         name="sgd", kind="sgd_run", help="one-pass spherical SGD in dimension d",

@@ -280,28 +280,17 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     mu_vec = np.asarray(cfg.mu)
     sqK = sqrt(K)
 
-    n_rec_max = cfg.n_steps // cfg.record_every + 2
-    rec_t = np.empty(n_rec_max)
-    rec_u = np.empty((n_rec_max, K, R))
-    rec_m = np.empty((n_rec_max, K, R))
-    rec_meff = np.empty((n_rec_max, K))
-    rec_rho = np.empty((n_rec_max, R))
-    rec_mse = np.empty(n_rec_max)
-    n_rec = 0
+    rows: list[tuple] = []  # one per record: t_epoch, u, m, m_eff, rho, test_mse
     onset_step = None
 
     def overlaps() -> tuple[np.ndarray, np.ndarray]:
         return teachers @ adapters.T, adapters @ adapters.T  # m (K,R), q (R,R)
 
     def record(step: int, m: np.ndarray, q: np.ndarray) -> None:
-        nonlocal n_rec
-        rec_t[n_rec] = step
-        rec_u[n_rec] = u
-        rec_m[n_rec] = m
-        rec_meff[n_rec] = mu_vec + np.sum(u * m, axis=1)
-        rec_rho[n_rec] = aggregate_overlap(cfg, m)
-        rec_mse[n_rec] = _exact_test_mse(cfg, u, m, q)
-        n_rec += 1
+        rows.append((
+            float(step), u.copy(), m, mu_vec + np.sum(u * m, axis=1), aggregate_overlap(cfg, m),
+            _exact_test_mse(cfg, u, m, q),
+        ))
 
     m, q = overlaps()
     init_m = m.copy()
@@ -340,12 +329,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
             record(step, m, q)
 
     return CommitteeRunResult(
-        t_epoch=rec_t[:n_rec],
-        u=rec_u[:n_rec],
-        m=rec_m[:n_rec],
-        m_eff=rec_meff[:n_rec],
-        rho=rec_rho[:n_rec],
-        test_mse=rec_mse[:n_rec],
+        *map(np.array, zip(*rows)),
         onset_step=onset_step,
         final_q=q,
         init_m=init_m,

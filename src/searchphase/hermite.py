@@ -164,8 +164,8 @@ def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
     Parameters
     ----------
     f : ActivationSpec
-        Needs callable ``evaluate``; ``derivative`` is used when callable,
-        otherwise a central difference with h = 1e-6.
+        Needs ``evaluate`` and ``slope`` (the derivative, or its central
+        difference when there is none).
     r : float
         Variance, > 0.
     k_max : int
@@ -183,12 +183,7 @@ def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
     sr = np.sqrt(r)
     z = sr * rule.nodes
     fv = np.asarray(f.evaluate(z), dtype=float)
-    deriv = getattr(f, "derivative", None)
-    if callable(deriv):
-        fpv = np.asarray(deriv(z), dtype=float)
-    else:
-        h = 1e-6
-        fpv = (np.asarray(f.evaluate(z + h), float) - np.asarray(f.evaluate(z - h), float)) / (2 * h)
+    fpv = np.asarray(f.slope(z), dtype=float)
     ks = np.arange(k_max + 1)
     sigma = (M @ fv) * sr**ks
     sigma_bar = (Mb @ fpv) * sr ** (ks + 1)

@@ -13,6 +13,7 @@ change of variables m = tanh(g) is provided for the late phase.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -55,6 +56,8 @@ class FlowSettings:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError("t_max / dt must be a finite number of steps")
         if self.exit_fraction <= 0:
             raise ValueError("exit_fraction must be positive")
         if self.method not in ("rk4", "euler"):

@@ -28,7 +28,10 @@ batch is drawn, and produce identical process laws:
   coordinates (frame_gradient).
 
 The subspace sampler is the default; it makes the cost per step
-O(batch + d) instead of O(batch * d).  The committee simulator shares
+O(batch + d) instead of O(batch * d).  Held-out test errors, of records and
+of measure_test_mse alike, come from one sampler that draws frame
+coordinates in the same way.  init_state builds xi and the off-w_star part
+of w with orthonormal_frame, and the committee simulator shares
 orthonormal_frame and frame_gradient.
 """
 from __future__ import annotations
@@ -160,20 +163,12 @@ def init_state(cfg: SimConfig) -> SimState:
     overlap = cfg.init_overlap if cfg.init_overlap is not None else 1.0 / np.sqrt(d)
     if not (-1.0 < overlap < 1.0):
         raise ValueError("init_overlap must lie strictly inside (-1, 1)")
-    xi = None
-    if cfg.frozen_mode == "mixed":
-        xi = rng.standard_normal(d)
-        xi -= (xi @ w_star) * w_star
-        xi /= np.linalg.norm(xi)
-        omega_tilde = cfg.mu * w_star + (1.0 - cfg.mu) * xi
-    else:
-        omega_tilde = cfg.mu * w_star
-    g = rng.standard_normal(d)
-    g -= (g @ w_star) * w_star
-    if xi is not None:
-        g -= (g @ xi) * xi
-    g /= np.linalg.norm(g)
-    omega = overlap * w_star + np.sqrt(1.0 - overlap * overlap) * g
+    mixed = cfg.frozen_mode == "mixed"
+    # frame rows w_star, [xi,] g, drawn in that order; g is w's direction off w_star
+    F = orthonormal_frame([w_star], [rng.standard_normal(d) for _ in range(1 + mixed)])
+    xi = F[1].copy() if mixed else None  # the state keeps no view of F
+    omega_tilde = cfg.mu * w_star if xi is None else cfg.mu * w_star + (1.0 - cfg.mu) * xi
+    omega = overlap * w_star + np.sqrt(1.0 - overlap * overlap) * F[-1]
     omega /= np.linalg.norm(omega)
     u0 = cfg.init_magnitude if cfg.init_magnitude is not None else 1.0 / np.sqrt(d)
     return SimState(
@@ -250,7 +245,7 @@ def _step(
     y = teacher.evaluate(a_star)
     pre = a_tilde + state.u * a_w
     eps = y - cfg.student.evaluate(pre)
-    dpre = _student_derivative(cfg.student, pre)
+    dpre = cfg.student.slope(pre)
     # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
     c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
     u_new = state.u + cfg.learning_rate * float(np.mean(c * a_w))
@@ -269,30 +264,24 @@ def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = N
     return _step(cfg, state, teacher or cfg.teacher, literal=True)[0]
 
 
-def _student_derivative(student: ActivationSpec, pre: np.ndarray) -> np.ndarray:
-    if student.derivative is not None:
-        return student.derivative(pre)
-    h = 1e-6
-    return (student.evaluate(pre + h) - student.evaluate(pre - h)) / (2.0 * h)
-
-
 _TEST_SAMPLES_PER_RECORD = 10_000
 
 
-def _subspace_test_mse(cfg: SimConfig, state: SimState, block: int) -> float:
-    """Held-out test error from fresh samples drawn in the reduced frame.
+def _held_out_errors(cfg: SimConfig, state: SimState, n: int, block: int) -> np.ndarray:
+    """Squared errors (y - yhat)^2 of n fresh held-out samples.
 
-    The statistic depends on the inputs only through their projections onto
-    (w_star, [xi,] w), so sampling frame coordinates is distribution-exact
-    for both frozen modes.  Labels always come from the task teacher,
+    The error depends on an input only through its projections onto
+    (w_star, [xi,] w), so the samples are drawn as (n, f) frame coordinates
+    from the measurement stream's counter block, which is exact in law for
+    both frozen modes.  Labels always come from the task teacher,
     independent of any curriculum stage.
     """
     rng = step_rng(cfg.seed, _MEASURE_STREAM, block)
     F, w_coords, tilde_coords = _frame(state)
-    coords = rng.standard_normal((_TEST_SAMPLES_PER_RECORD, F.shape[0]))
+    coords = rng.standard_normal((n, F.shape[0]))
     y = cfg.teacher.evaluate(coords[:, 0])
     yhat = cfg.student.evaluate(coords @ tilde_coords + state.u * (coords @ w_coords))
-    return float(np.mean((y - yhat) ** 2))
+    return (y - yhat) ** 2
 
 
 class TestMseEstimate(NamedTuple):
@@ -317,28 +306,16 @@ def measure_test_mse(
 ) -> TestMseEstimate:
     """Fresh-sample MC estimate of E[(y - yhat)^2] next to the series value.
 
-    The series value is twice the reduced population loss at the measured
+    The n_samples inputs are drawn as frame coordinates from counter block
+    `block` of the measurement stream, like a record's; stderr is the ddof-0
+    standard deviation of the squared errors over sqrt(n_samples).  The
+    series value is twice the reduced population loss at the measured
     (u, m); in mixed mode it is the aligned-theory prediction, so the gap
     between the two columns is itself the concentration statement.
     """
-    rng = step_rng(cfg.seed, _MEASURE_STREAM, block)
-    total = 0.0
-    total_sq = 0.0
-    left = int(n_samples)
-    chunk = 65536
-    while left > 0:
-        n = min(chunk, left)
-        x = rng.standard_normal((n, cfg.d))
-        y = cfg.teacher.evaluate(x @ state.omega_star)
-        yhat = cfg.student.evaluate(x @ state.omega_tilde + state.u * (x @ state.omega))
-        sq = (y - yhat) ** 2
-        total += float(np.sum(sq))
-        total_sq += float(np.sum(sq * sq))
-        left -= n
-    n = int(n_samples)
-    mc = total / n
-    var = max(total_sq / n - mc * mc, 0.0)
-    stderr = float(np.sqrt(var / n))
+    sq = _held_out_errors(cfg, state, int(n_samples), block)
+    mc = float(np.mean(sq))
+    stderr = float(np.std(sq) / np.sqrt(sq.size))
     series = 2.0 * population_loss(_theory_config(cfg), reduced_state(cfg, state))
     return TestMseEstimate(mc=mc, series=series, stderr=stderr)
 
@@ -385,21 +362,15 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     mu = cfg.mu
     exit_level = cfg.exit_fraction * mu
 
-    n_rec_max = cfg.n_steps // cfg.record_every + 2
-    rec = {k: np.empty(n_rec_max) for k in ("t_epoch", "u", "m", "m_eff", "r", "train_mse", "test_mse")}
-    n_rec = 0
+    rows: list[tuple[float, ...]] = []  # one per record, in RunResult's field order
 
     def record(step: int, s: SimState, eps: np.ndarray) -> None:
-        nonlocal n_rec
         combined = s.omega_tilde + s.u * s.omega
-        rec["t_epoch"][n_rec] = step
-        rec["u"][n_rec] = s.u
-        rec["m"][n_rec] = s.m
-        rec["m_eff"][n_rec] = float(combined @ s.omega_star)
-        rec["r"][n_rec] = float(combined @ combined)
-        rec["train_mse"][n_rec] = float((eps * eps).sum()) / cfg.batch_size
-        rec["test_mse"][n_rec] = _subspace_test_mse(cfg, s, step)
-        n_rec += 1
+        test = _held_out_errors(cfg, s, _TEST_SAMPLES_PER_RECORD, step)
+        rows.append((
+            float(step), s.u, s.m, float(combined @ s.omega_star), float(combined @ combined),
+            float((eps * eps).sum()) / cfg.batch_size, float(np.mean(test)),
+        ))
 
     stage = 1 if cfg.curriculum is not None else 2
     exit_step = aligned_step = switch_step = None
@@ -430,13 +401,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                 break
 
     return RunResult(
-        t_epoch=rec["t_epoch"][:n_rec],
-        u=rec["u"][:n_rec],
-        m=rec["m"][:n_rec],
-        m_eff=rec["m_eff"][:n_rec],
-        r=rec["r"][:n_rec],
-        train_mse=rec["train_mse"][:n_rec],
-        test_mse=rec["test_mse"][:n_rec],
+        *map(np.array, zip(*rows)),
         exit_step=exit_step,
         aligned_step=aligned_step,
         switch_step=switch_step,

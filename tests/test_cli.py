@@ -392,6 +392,7 @@ def test_raw_values_give_a_runnable_plan_or_a_validation_error(data):
     (["singularity", "--activations", "hermite5", "--k-max", "2"], "k_max must cover"),
     (["committee", "--d", "5", "--ranks", "2"], "d too small"),
     (["sgd", "--d", "3"], "d must be at least 4"),
+    (["ode", "--dt", "1e-9", "--t-max", "1e300"], "finite number of steps"),
 ])
 def test_cross_field_config_errors_exit_validation(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])

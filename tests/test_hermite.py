@@ -1,5 +1,7 @@
 """Scaled-Hermite algebra: orthogonality, projections, squaring, exponents."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,3 +190,12 @@ def test_coefficients_container_validation():
         HermiteCoefficients(variance=1.0, sigma_k=np.zeros(3), sigma_bar_k=np.zeros(2))
     coeffs = HermiteCoefficients(variance=1.0, sigma_k=np.zeros(4), sigma_bar_k=np.zeros(4))
     assert coeffs.k_max == 3
+
+
+def test_missing_derivative_falls_back_to_central_difference():
+    erf = builtin("erf")
+    numeric = dataclasses.replace(erf, derivative=None)
+    for r in (0.25, 1.0):
+        want = project_activation(erf, r, k_max=12).sigma_bar_k
+        got = project_activation(numeric, r, k_max=12).sigma_bar_k
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)

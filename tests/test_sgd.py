@@ -310,3 +310,20 @@ def test_first_two_records_share_the_first_batch_error(sampler):
     res = run_simulation(cfg)
     assert res.train_mse[0] == res.train_mse[1]
     assert res.train_mse[1] != res.train_mse[2]
+
+
+@pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
+def test_held_out_error_matches_literal_draws(frozen_mode):
+    # the frame-coordinate sampler against full d-dimensional inputs, at a
+    # state a few steps in, where w has left the plane it started in
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=40, batch_size=20, learning_rate=0.2,
+                    n_steps=5, k_max=40, frozen_mode=frozen_mode, init_overlap=0.3,
+                    init_magnitude=0.5)
+    st_ = run_simulation(cfg).final_state
+    n = 100_000
+    est = measure_test_mse(cfg, st_, n_samples=n)
+    x = np.random.default_rng(5).standard_normal((n, cfg.d))
+    pre = x @ st_.omega_tilde + st_.u * (x @ st_.omega)
+    sq = (ERF.evaluate(x @ st_.omega_star) - ERF.evaluate(pre)) ** 2
+    ref, ref_stderr = sq.mean(), sq.std() / math.sqrt(n)
+    assert abs(est.mc - ref) < 4.0 * math.hypot(est.stderr, ref_stderr)
