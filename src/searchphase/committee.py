@@ -25,8 +25,8 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .ode import BLOWUP_LIMIT, NumericalBlowupError, fixed_step
-from .sgd import frame_gradient, orthonormal_frame, step_rng
+from .ode import BLOWUP_LIMIT, NumericalBlowupError, _n_steps, fixed_step
+from .sgd import counter_stream, frame_gradient, orthonormal_frame, step_rng
 
 _INIT_STREAM = 0
 _TRAIN_STREAM = 1
@@ -187,7 +187,7 @@ def integrate_committee(
     """Fixed-step RK4 integration of the reduced committee flow."""
     if dt <= 0 or t_max <= 0 or record_every < 1:
         raise ValueError("dt, t_max and record_every must be positive")
-    n_steps = int(round(t_max / dt))
+    n_steps = _n_steps(t_max, dt)
     state = state0
     ts, us, ms, losses = [0.0], [state.u.copy()], [state.m.copy()], [committee_loss(cfg, state)]
     for i in range(1, n_steps + 1):
@@ -258,9 +258,12 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     start at 1/sqrt(d).  Updates are batch means of per-sample gradients of
     (y - yhat)^2; adapters are renormalized to unit length each step.  The
     batch is sampled through its exact frame law with the helpers of the
-    SGD step kernel: coordinates along sgd.orthonormal_frame(teachers,
-    adapters), and the batch-mean gradient assembled by sgd.frame_gradient
-    from one residual d-vector, so the cost per step is O(batch + d).
+    SGD step kernel: coordinates along the frame of (teachers, adapters),
+    which sgd.orthonormal_frame rebuilds in place in one preallocated array
+    each step, and the batch-mean gradient assembled by sgd.frame_gradient
+    from one residual d-vector, so the cost per step is O(batch + d).  Each
+    step's draws come from one sgd.counter_stream reset to the step's
+    counter, the same draws as sgd.step_rng.
     Raises NumericalBlowupError when a magnitude or overlap stops being
     finite or a magnitude exceeds BLOWUP_LIMIT.
     """
@@ -270,9 +273,18 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     adapted = np.array(cfg.adapted, dtype=int)
     n_a = len(adapted)
     core = np.sum(teachers[adapted], axis=0) / sqrt(d) if n_a else np.zeros(d)
-    draws = [rng.standard_normal(d) for _ in range(R)]
-    residuals = orthonormal_frame([], [g - teachers.T @ (teachers @ g) for g in draws])
+    # the (K + R, d) frame: K teacher rows, then the adapters, Gram-Schmidted
+    # in place each step; at init its adapter rows orthonormalize the draws
+    frame = np.empty((K + R, d))
+    # the residual draw, and the gradient (also the Gram-Schmidt's scratch)
+    g_res, grad = np.empty(d), np.empty(d)
+    for g in frame[K:]:
+        rng.standard_normal(out=g)
+    for g in frame[K:]:
+        g -= teachers.T @ (teachers @ g)
+    residuals = orthonormal_frame(frame[K:], [], grad)
     adapters = core + sqrt(max(1.0 - n_a / d, 0.0)) * residuals
+    frame[:K] = teachers
     adapters = np.array([a / np.linalg.norm(a) for a in adapters])
 
     u = np.zeros((K, R))
@@ -296,12 +308,14 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     init_m = m.copy()
     record(0, m, q)
 
+    train = counter_stream(cfg.seed, _TRAIN_STREAM)
     for step in range(1, cfg.n_steps + 1):
-        srng = step_rng(cfg.seed, _TRAIN_STREAM, step - 1)
+        srng = train(step - 1)
         # frame: K teacher rows (already orthonormal) + adapter residuals
-        F = orthonormal_frame(teachers, adapters)
+        frame[K:] = adapters
+        F = orthonormal_frame(frame, teachers, grad)
         coords = srng.standard_normal((cfg.batch_size, F.shape[0]))
-        g_res = srng.standard_normal(d)
+        srng.standard_normal(out=g_res)
 
         lam_star = coords[:, :K]  # teacher pre-activations
         adapter_coords = F @ adapters.T  # (f, R)
@@ -313,8 +327,8 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
 
         du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
         # shared mean-gradient direction: w = mean(eps_i x_i)
-        scale = float(np.linalg.norm(eps)) / cfg.batch_size
-        w = frame_gradient(F, (eps @ coords) / cfg.batch_size, scale, g_res)
+        scale = sqrt(eps @ eps) / cfg.batch_size
+        w = frame_gradient(F, (eps @ coords) / cfg.batch_size, scale, g_res, grad)
         u[adapted] += du_row[None, :]
         adapters += (cfg.learning_rate * 2.0 / sqK) * np.outer(U_col, w)
         adapters /= np.linalg.norm(adapters, axis=1, keepdims=True)

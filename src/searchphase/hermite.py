@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -88,22 +88,27 @@ def eval_scaled_hermite(k: int, r: float, z):
     k : int
         Degree, >= 0.
     r : float
-        Variance of the Gaussian measure, > 0.
+        Variance of the Gaussian measure, positive and finite.
     z : float or ndarray
 
     Returns
     -------
     float or ndarray
+        A new array (or a float for scalar z), never z itself.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if r <= 0:
-        raise ValueError("variance must be positive")
+    if not (0.0 < r < inf):
+        raise ValueError("variance must be positive and finite")
     z = np.asarray(z, dtype=float)
-    prev = np.zeros_like(z)
-    cur = np.ones_like(z)
-    for j in range(k):
-        prev, cur = cur, z * cur - j * r * prev
+    if k == 0:
+        cur = np.ones_like(z)
+    elif k == 1:
+        cur = z.copy()  # never the caller's array
+    else:
+        prev, cur = 1.0, z
+        for j in range(1, k):
+            prev, cur = cur, z * cur - j * r * prev
     return cur if cur.ndim else float(cur)
 
 

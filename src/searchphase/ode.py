@@ -37,6 +37,15 @@ class NumericalBlowupError(RuntimeError):
     """The flow left the representable region (bad step size or bad state)."""
 
 
+def _n_steps(t_max: float, dt: float) -> int:
+    """Number of fixed steps of size dt to t_max; ValueError when t_max / dt
+    is not a finite number."""
+    n = t_max / dt
+    if not math.isfinite(n):
+        raise ValueError("t_max / dt must be a finite number of steps")
+    return int(round(n))
+
+
 @dataclass(frozen=True)
 class FlowSettings:
     """Integration controls for integrate_flow.
@@ -56,8 +65,7 @@ class FlowSettings:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
-        if not math.isfinite(self.t_max / self.dt):
-            raise ValueError("t_max / dt must be a finite number of steps")
+        _n_steps(self.t_max, self.dt)
         if self.exit_fraction <= 0:
             raise ValueError("exit_fraction must be positive")
         if self.method not in ("rk4", "euler"):
@@ -124,7 +132,7 @@ def integrate_flow(
     state leaves the representable region.
     """
     dt = settings.dt
-    n_steps = int(round(settings.t_max / dt))
+    n_steps = _n_steps(settings.t_max, dt)
     n_rec = n_steps // settings.record_every + 1
     out = {name: np.empty(n_rec) for name in ("t", "u", "m", "m_eff", "r", "loss")}
 
@@ -322,7 +330,7 @@ def oscillator_trajectory(
         g, v = y
         return np.array([v, B * v + A * A * np.tanh(g)])
 
-    n_steps = int(round(t_max / dt))
+    n_steps = _n_steps(t_max, dt)
     t = dt * np.arange(n_steps + 1)
     gv = np.empty((n_steps + 1, 2))
     gv[0] = float(g0), float(v0)

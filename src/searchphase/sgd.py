@@ -15,10 +15,16 @@ increment 2*gamma/delta of the reduced description.
 Randomness is counter-based: step t of a run draws from
 Philox(key=(seed, stream), counter=(0,0,0,t)), so trajectories are
 reproducible per (seed, stream, step) and independent of execution order.
+step_rng builds that generator; a run keeps one Philox per stream
+(counter_stream) and resets it to each step's counter, which yields the
+same draws bit for bit.
 
 Every step runs through one kernel, _step, which also returns the residuals
-y - yhat of the batch it consumed.  Its two samplers differ only in how that
-batch is drawn, and produce identical process laws:
+y - yhat of the batch it consumed.  It works in a per-run _Workspace (the
+reset generators, a preallocated frame, one d-vector of scratch) and runs
+its d-vector passes in place, in the order of the plain expressions, so
+every bit is kept.  Its two samplers differ only in how the batch is
+drawn, and produce identical process laws:
 
 * "literal"   materializes the full (batch, d) Gaussian matrix;
 * "subspace"  draws only the coordinates along the active frame
@@ -121,6 +127,31 @@ def step_rng(seed: int, stream: int, step: int) -> np.random.Generator:
     )
 
 
+def counter_stream(seed: int, stream: int):
+    """step -> the generator step_rng(seed, stream, step) would build, served
+    by one Philox per stream whose state each call resets to key
+    (seed, stream), counter (0, 0, 0, step) and an empty buffer; the
+    generator one call returns is reset by the next."""
+    bitgen = np.random.Philox(key=[seed, stream])
+    gen = np.random.Generator(bitgen)
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": bitgen.state["state"]["key"].tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def at(step: int) -> np.random.Generator:
+        counter[3] = step
+        bitgen.state = state
+        return gen
+
+    return at
+
+
 def epoch_time_scale(cfg: SimConfig) -> float:
     """Flow-time increment of one SGD step: 2 * learning_rate / delta."""
     return 2.0 * cfg.learning_rate / default_delta(cfg.student)
@@ -157,20 +188,28 @@ def init_state(cfg: SimConfig) -> SimState:
     w_star and the frozen part is mu*w_star + (1-mu)*xi.
     """
     rng = step_rng(cfg.seed, _INIT_STREAM, 0)
-    d = cfg.d
-    w_star = rng.standard_normal(d)
-    w_star /= np.linalg.norm(w_star)
-    overlap = cfg.init_overlap if cfg.init_overlap is not None else 1.0 / np.sqrt(d)
+    overlap = cfg.init_overlap if cfg.init_overlap is not None else 1.0 / np.sqrt(cfg.d)
     if not (-1.0 < overlap < 1.0):
         raise ValueError("init_overlap must lie strictly inside (-1, 1)")
     mixed = cfg.frozen_mode == "mixed"
     # frame rows w_star, [xi,] g, drawn in that order; g is w's direction off w_star
-    F = orthonormal_frame([w_star], [rng.standard_normal(d) for _ in range(1 + mixed)])
-    xi = F[1].copy() if mixed else None  # the state keeps no view of F
-    omega_tilde = cfg.mu * w_star if xi is None else cfg.mu * w_star + (1.0 - cfg.mu) * xi
-    omega = overlap * w_star + np.sqrt(1.0 - overlap * overlap) * F[-1]
-    omega /= np.linalg.norm(omega)
-    u0 = cfg.init_magnitude if cfg.init_magnitude is not None else 1.0 / np.sqrt(d)
+    F = np.empty((2 + mixed, cfg.d))
+    for row in F:
+        rng.standard_normal(out=row)
+    w_star = F[0]
+    w_star /= math.sqrt(w_star @ w_star)
+    scratch = np.empty(cfg.d)
+    F = orthonormal_frame(F, F[:1], scratch)
+    xi = F[1] if mixed else None
+    # g becomes w in place, and the scratch vector becomes omega_tilde
+    omega = F[-1]
+    omega *= np.sqrt(1.0 - overlap * overlap)
+    omega += np.multiply(w_star, overlap, out=scratch)
+    omega /= math.sqrt(omega @ omega)
+    omega_tilde = np.multiply(w_star, cfg.mu, out=scratch)
+    if xi is not None:
+        omega_tilde += (1.0 - cfg.mu) * xi
+    u0 = cfg.init_magnitude if cfg.init_magnitude is not None else 1.0 / np.sqrt(cfg.d)
     return SimState(
         u=float(u0), omega=omega, omega_star=w_star, omega_tilde=omega_tilde, xi=xi, step=0
     )
@@ -182,48 +221,71 @@ def _teacher_for_stage(cfg: SimConfig, stage: int) -> ActivationSpec:
     return cfg.teacher
 
 
-def orthonormal_frame(rows, extras) -> np.ndarray:
-    """(f, d) orthonormal frame of (rows, extras) by Gram-Schmidt: rows are
-    orthonormal already; each extra adds its residual unless it vanishes."""
+def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt in place on the rows of the (f, d) array F, whose first
+    len(rows) rows hold rows, orthonormal already; residuals are taken
+    against rows itself, so the dot products see its memory layout.  Each
+    later row becomes its normalized residual against the rows kept before
+    it, or is dropped when that residual vanishes.  Returns the view of F's
+    kept rows; scratch is a d-vector the residuals pass through."""
     basis = list(rows)
-    for v in extras:
-        v = np.array(v, dtype=float)
+    for v in F[len(basis):]:
         for b in basis:
-            v -= (v @ b) * b
-        nrm = np.linalg.norm(v)
+            v -= np.multiply(v @ b, b, out=scratch)
+        nrm = math.sqrt(v @ v)
         if nrm > 1e-10:
-            basis.append(v / nrm)
-    return np.array(basis)
+            basis.append(np.divide(v, nrm, out=F[len(basis)]))
+    return F[:len(basis)]
 
 
 def frame_gradient(
-    F: np.ndarray, in_frame: np.ndarray, scale: float, g_res: np.ndarray
+    F: np.ndarray, in_frame: np.ndarray, scale: float, g_res: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Batch-mean gradient mean(c_i x_i) as a d-vector, from its frame part
     in_frame = mean(c_i F x_i) (exact) and scale = |c| / batch: the rest has
     the law N(0, scale^2 (I - F^T F)) given the frame coordinates, drawn as
-    scale times the standard normal g_res projected off the frame."""
-    res = g_res - F.T @ (F @ g_res)
-    return F.T @ in_frame + scale * res
+    scale times the standard normal g_res projected off the frame.  The
+    gradient is written to out; g_res is overwritten."""
+    np.matmul(F.T, F @ g_res, out=out)
+    res = np.subtract(g_res, out, out=g_res)
+    res *= scale
+    return np.add(np.matmul(F.T, in_frame, out=out), res, out=out)
 
 
-def _frame(state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, w_coords, tilde_coords): the frame of (w_star, [xi,] w) and the
-    frame coordinates of w (which may leave the frame only by rounding) and
-    of the frozen part."""
-    rows = [state.omega_star] if state.xi is None else [state.omega_star, state.xi]
-    F = orthonormal_frame(rows, [state.omega])
-    return F, F @ state.omega, F @ state.omega_tilde
+class _Workspace:
+    """What one run's steps and records reuse: a counter_stream per random
+    stream, the (f, d) frame whose fixed rows w_star[, xi] are copied in
+    once, and one d-vector g of scratch, which the Gram-Schmidt residuals, a
+    step's residual draw and a record's combined vector pass through in
+    turn.  Built from a state, it serves every state that shares that
+    state's w_star and xi; no state holds any of it."""
+
+    def __init__(self, cfg: SimConfig, state: SimState):
+        self.train = counter_stream(cfg.seed, _TRAIN_STREAM)
+        self.measure = counter_stream(cfg.seed, _MEASURE_STREAM)
+        self.fixed = [state.omega_star] if state.xi is None else [state.omega_star, state.xi]
+        self.F = np.empty((len(self.fixed) + 1, cfg.d))
+        self.F[:-1] = self.fixed
+        self.g = np.empty(cfg.d)
+
+    def frame(self, state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, w_coords, tilde_coords): the frame of (w_star, [xi,] w) and
+        the frame coordinates of w (which may leave the frame only by
+        rounding) and of the frozen part."""
+        self.F[-1] = state.omega
+        F = orthonormal_frame(self.F, self.fixed, self.g)
+        return F, F @ state.omega, F @ state.omega_tilde
 
 
 def _step(
-    cfg: SimConfig, state: SimState, teacher: ActivationSpec, literal: bool
+    cfg: SimConfig, state: SimState, teacher: ActivationSpec, literal: bool, ws: _Workspace
 ) -> tuple[SimState, np.ndarray]:
     """One SGD step on the batch of counter state.step, drawn in full
-    (literal) or as frame coordinates plus one residual d-vector.  Returns
-    the updated state and the residuals y - yhat of that batch at state,
-    from which a record takes the batch's training error."""
-    rng = step_rng(cfg.seed, _TRAIN_STREAM, state.step)
+    (literal) or as frame coordinates plus one residual d-vector, through
+    the run's workspace.  Returns the updated state and the residuals
+    y - yhat of that batch at state, from which a record takes the batch's
+    training error."""
+    rng = ws.train(state.step)
     B = cfg.batch_size
     # lift(mean(c_i x_i), c) is the batch-mean gradient as a d-vector
     if literal:
@@ -234,13 +296,13 @@ def _step(
             return in_batch
 
     else:
-        F, w_coords, tilde_coords = _frame(state)
+        F, w_coords, tilde_coords = ws.frame(state)
         x = rng.standard_normal((B, F.shape[0]))
-        g_res = rng.standard_normal(cfg.d)
+        g_res = rng.standard_normal(out=ws.g)
         a_star, a_w, a_tilde = x[:, 0], x @ w_coords, x @ tilde_coords
 
         def lift(in_batch, c):
-            return frame_gradient(F, in_batch, float(np.linalg.norm(c)) / B, g_res)
+            return frame_gradient(F, in_batch, math.sqrt(c @ c) / B, g_res, np.empty(cfg.d))
 
     y = teacher.evaluate(a_star)
     pre = a_tilde + state.u * a_w
@@ -248,10 +310,13 @@ def _step(
     dpre = cfg.student.slope(pre)
     # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
     c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
-    u_new = state.u + cfg.learning_rate * float(np.mean(c * a_w))
-    w_new = state.omega + cfg.learning_rate * state.u * lift((c @ x) / B, c)
-    w_new /= np.linalg.norm(w_new)
-    new = replace(state, u=u_new, omega=w_new, step=state.step + 1)
+    u_new = state.u + cfg.learning_rate * float((c * a_w).sum() / B)
+    # the fresh gradient array becomes the new w in place
+    w_new = lift((c @ x) / B, c)
+    w_new *= cfg.learning_rate * state.u
+    np.add(state.omega, w_new, out=w_new)
+    w_new /= math.sqrt(w_new @ w_new)
+    new = SimState(u_new, w_new, state.omega_star, state.omega_tilde, state.xi, state.step + 1)
     return new, eps
 
 
@@ -261,13 +326,15 @@ def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = N
     This is the reference implementation of the update contract; the
     subspace sampler reproduces its law at O(batch + d) cost.
     """
-    return _step(cfg, state, teacher or cfg.teacher, literal=True)[0]
+    return _step(cfg, state, teacher or cfg.teacher, True, _Workspace(cfg, state))[0]
 
 
 _TEST_SAMPLES_PER_RECORD = 10_000
 
 
-def _held_out_errors(cfg: SimConfig, state: SimState, n: int, block: int) -> np.ndarray:
+def _held_out_errors(
+    cfg: SimConfig, state: SimState, n: int, block: int, ws: _Workspace
+) -> np.ndarray:
     """Squared errors (y - yhat)^2 of n fresh held-out samples.
 
     The error depends on an input only through its projections onto
@@ -276,8 +343,8 @@ def _held_out_errors(cfg: SimConfig, state: SimState, n: int, block: int) -> np.
     both frozen modes.  Labels always come from the task teacher,
     independent of any curriculum stage.
     """
-    rng = step_rng(cfg.seed, _MEASURE_STREAM, block)
-    F, w_coords, tilde_coords = _frame(state)
+    rng = ws.measure(block)
+    F, w_coords, tilde_coords = ws.frame(state)
     coords = rng.standard_normal((n, F.shape[0]))
     y = cfg.teacher.evaluate(coords[:, 0])
     yhat = cfg.student.evaluate(coords @ tilde_coords + state.u * (coords @ w_coords))
@@ -313,7 +380,7 @@ def measure_test_mse(
     (u, m); in mixed mode it is the aligned-theory prediction, so the gap
     between the two columns is itself the concentration statement.
     """
-    sq = _held_out_errors(cfg, state, int(n_samples), block)
+    sq = _held_out_errors(cfg, state, int(n_samples), block, _Workspace(cfg, state))
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
     series = 2.0 * population_loss(_theory_config(cfg), reduced_state(cfg, state))
@@ -358,6 +425,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     BLOWUP_LIMIT.
     """
     state = init_state(cfg)
+    ws = _Workspace(cfg, state)
     literal = cfg.sampler == "literal"
     mu = cfg.mu
     exit_level = cfg.exit_fraction * mu
@@ -365,20 +433,23 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     rows: list[tuple[float, ...]] = []  # one per record, in RunResult's field order
 
     def record(step: int, s: SimState, eps: np.ndarray) -> None:
-        combined = s.omega_tilde + s.u * s.omega
-        test = _held_out_errors(cfg, s, _TEST_SAMPLES_PER_RECORD, step)
+        # combined = omega_tilde + u * omega, in the workspace's scratch
+        combined = np.add(s.omega_tilde, np.multiply(s.omega, s.u, out=ws.g), out=ws.g)
+        m_eff, r = float(combined @ s.omega_star), float(combined @ combined)
+        test = _held_out_errors(cfg, s, _TEST_SAMPLES_PER_RECORD, step, ws)
         rows.append((
-            float(step), s.u, s.m, float(combined @ s.omega_star), float(combined @ combined),
+            float(step), s.u, s.m, m_eff, r,
             float((eps * eps).sum()) / cfg.batch_size, float(np.mean(test)),
         ))
 
     stage = 1 if cfg.curriculum is not None else 2
+    teacher = _teacher_for_stage(cfg, stage)
     exit_step = aligned_step = switch_step = None
     init_u, init_m = state.u, state.m
 
     for step in range(1, cfg.n_steps + 1):
         prev = state
-        state, eps = _step(cfg, state, _teacher_for_stage(cfg, stage), literal)
+        state, eps = _step(cfg, state, teacher, literal, ws)
         if step == 1:
             # the initial state is paired with the first batch's error
             record(0, prev, eps)
@@ -394,6 +465,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             exit_step = step
         if stage == 1 and m >= cfg.curriculum.switch_threshold:
             stage = 2
+            teacher = _teacher_for_stage(cfg, stage)
             switch_step = step
         if aligned_step is None and m >= cfg.align_threshold:
             aligned_step = step
@@ -432,8 +504,9 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m
+    ws = _Workspace(cfg, state)
     for j in range(n_batches):
-        nxt, _ = _step(cfg, replace(state, step=j), cfg.teacher, cfg.sampler == "literal")
+        nxt, _ = _step(cfg, replace(state, step=j), cfg.teacher, cfg.sampler == "literal", ws)
         du[j] = nxt.u - state.u
         dm[j] = nxt.m - m0
     return DriftEstimate(

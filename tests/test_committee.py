@@ -64,6 +64,13 @@ def test_reduced_init_is_pinned():
         CommitteeState(u=np.zeros((3, 2)), m=np.zeros((3, 1)), q=np.eye(2))
 
 
+def test_overflowing_step_count_is_a_value_error():
+    # t_max / dt overflows to inf: bad input, not an OverflowError
+    cfg = single_adapted(1)
+    with pytest.raises(ValueError, match="finite number of steps"):
+        integrate_committee(cfg, committee_reduced_init(cfg), dt=1e-9, t_max=1e300)
+
+
 def test_reduced_flow_escapes_at_the_linear_rate():
     for rank in (1, 2):
         cfg = single_adapted(rank)

@@ -199,3 +199,32 @@ def test_missing_derivative_falls_back_to_central_difference():
         want = project_activation(erf, r, k_max=12).sigma_bar_k
         got = project_activation(numeric, r, k_max=12).sigma_bar_k
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+def test_recurrence_matches_zeros_ones_reference_bit_for_bit():
+    # the recurrence as first written: (prev, cur) start as arrays of zeros and ones
+    def reference(k, r, z):
+        z = np.asarray(z, dtype=float)
+        prev, cur = np.zeros_like(z), np.ones_like(z)
+        for j in range(k):
+            prev, cur = cur, z * cur - j * r * prev
+        return cur
+
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25, 1e200, -3e-300])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(12):
+            for r in (1.0, 0.3, 2.5):
+                got = eval_scaled_hermite(k, r, z)
+                assert got.tobytes() == reference(k, r, z).tobytes()
+                for v in z:
+                    one = eval_scaled_hermite(k, r, float(v))
+                    assert isinstance(one, float)
+                    assert np.float64(one).tobytes() == reference(k, r, v).tobytes()
+    linear = eval_scaled_hermite(1, 1.0, z)
+    assert not np.shares_memory(linear, z)
+    linear[:] = 7.0
+    assert z[6] == 1.5
+    # the zeros/ones start turned r = inf or nan into nan; such r is now refused
+    for r in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            eval_scaled_hermite(2, r, z)

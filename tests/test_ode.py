@@ -47,6 +47,27 @@ def test_flow_settings_validation():
         FlowSettings(record_every=0)
 
 
+def _unchecked_settings(**fields):
+    settings = FlowSettings()
+    for name, value in fields.items():
+        object.__setattr__(settings, name, value)
+    return settings
+
+
+@pytest.mark.parametrize("entry", ["FlowSettings", "integrate_flow", "oscillator_trajectory"])
+def test_overflowing_step_count_is_a_value_error(entry):
+    # t_max / dt overflows to inf: bad input, not an OverflowError
+    bad = dict(dt=1e-9, t_max=1e300)
+    with pytest.raises(ValueError, match="finite number of steps"):
+        if entry == "FlowSettings":
+            FlowSettings(**bad)
+        elif entry == "integrate_flow":
+            cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.5, k_max=2)
+            integrate_flow(cfg, OrderParameterState(1e-3, 1e-3), _unchecked_settings(**bad))
+        else:
+            oscillator_trajectory(linearize_search_phase(cubic_config()), g0=0.1, **bad)
+
+
 def test_exit_time_stable_under_step_halving():
     cfg = cubic_config()
     x0 = 1.0 / math.sqrt(1000.0)

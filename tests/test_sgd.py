@@ -14,6 +14,9 @@ from searchphase.sgd import (
     SimConfig,
     SimState,
     _TRAIN_STREAM,
+    _Workspace,
+    _step,
+    counter_stream,
     epoch_time_scale,
     init_state,
     measure_drift,
@@ -327,3 +330,61 @@ def test_held_out_error_matches_literal_draws(frozen_mode):
     sq = (ERF.evaluate(x @ st_.omega_star) - ERF.evaluate(pre)) ** 2
     ref, ref_stderr = sq.mean(), sq.std() / math.sqrt(n)
     assert abs(est.mc - ref) < 4.0 * math.hypot(est.stderr, ref_stderr)
+
+
+def test_counter_stream_draws_match_step_rng():
+    # the run's one reset Philox serves the batch and residual draws of a
+    # freshly built step_rng, whatever it served before
+    at = counter_stream(3, _TRAIN_STREAM)
+    at(77).standard_normal(5)
+    for t in (0, 5, 123456, 2**40):
+        ref, gen = step_rng(3, _TRAIN_STREAM, t), at(t)
+        assert ref.standard_normal((500, 3)).tobytes() == gen.standard_normal((500, 3)).tobytes()
+        buf = np.empty(1001)
+        assert gen.standard_normal(1001, out=buf) is buf
+        assert ref.standard_normal(1001).tobytes() == buf.tobytes()
+
+
+def _state_bytes(s):
+    return [s.u, s.step] + [a.tobytes() for a in (s.omega, s.omega_star, s.omega_tilde, s.xi)
+                            if a is not None]
+
+
+@pytest.mark.parametrize("sampler", ["subspace", "literal"])
+def test_measure_drift_leaves_its_state_alone(sampler):
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.3, d=80, batch_size=40, learning_rate=0.1,
+                    n_steps=1, frozen_mode="mixed", sampler=sampler, k_max=20)
+    st_ = init_state(cfg)
+    before = _state_bytes(st_)
+    first = measure_drift(cfg, st_, 6)
+    assert _state_bytes(st_) == before
+    assert measure_drift(cfg, st_, 6) == first
+
+
+@pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
+def test_runs_and_states_share_no_buffers(frozen_mode):
+    # runs share nothing; the states of one run share only the fixed
+    # w_star, xi and omega_tilde, never w or a workspace buffer
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.3, d=80, batch_size=40, learning_rate=0.1,
+                    n_steps=6, frozen_mode=frozen_mode, record_every=2, k_max=20)
+    first = run_simulation(cfg)
+    kept = _state_bytes(first.final_state)
+    later = run_simulation(replace(cfg, seed=1, n_steps=9))
+    assert _state_bytes(first.final_state) == kept
+    s0 = init_state(cfg)
+    ws = _Workspace(cfg, s0)
+    s1, _ = _step(cfg, s0, ERF, False, ws)
+    kept = _state_bytes(s1)
+    s2, _ = _step(cfg, s1, ERF, False, ws)
+    assert _state_bytes(s1) == kept
+
+    def fields(s):
+        return [a for a in (s.omega, s.omega_star, s.omega_tilde, s.xi) if a is not None]
+
+    runs = [fields(first.final_state), fields(later.final_state), fields(s0) + [s1.omega, s2.omega]]
+    buffers = [ws.F, ws.g]
+    for i, run in enumerate(runs):
+        others = [a for other in runs[i + 1:] for a in other] + buffers
+        assert not any(np.shares_memory(a, b) for a in run for b in others)
+    for w in (s0.omega, s1.omega, s2.omega):
+        assert not any(np.shares_memory(w, b) for b in runs[2] if b is not w)
