@@ -62,6 +62,8 @@ class CommitteeConfig:
             raise ValueError("learning_rate must be positive")
         if not (0.0 < self.onset_threshold < 1.0):
             raise ValueError("onset_threshold must lie in (0, 1)")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError("seed must lie in [0, 2**64)")
 
     @property
     def n_directions(self) -> int:
@@ -89,14 +91,9 @@ def committee_reduced_init(cfg: CommitteeConfig) -> CommitteeState:
     """Deterministic reduced init matching the simulator's pinned geometry:
     m_{k,r} = u_{k,r} = 1/sqrt(d) on adapted directions, 0 on frozen ones,
     q = I."""
-    K, R = cfg.n_directions, cfg.rank
-    u = np.zeros((K, R))
-    m = np.zeros((K, R))
-    val = 1.0 / sqrt(cfg.d)
-    for k in cfg.adapted:
-        u[k, :] = val
-        m[k, :] = val
-    return CommitteeState(u=u, m=m, q=np.eye(R))
+    u = np.zeros((cfg.n_directions, cfg.rank))
+    u[list(cfg.adapted)] = 1.0 / sqrt(cfg.d)
+    return CommitteeState(u=u, m=u.copy(), q=np.eye(cfg.rank))
 
 
 def _committee_rhs(
@@ -184,22 +181,21 @@ def integrate_committee(
     include_coupling: bool = True,
     record_every: int = 1,
 ) -> CommitteeTrajectory:
-    """Fixed-step RK4 integration of the reduced committee flow."""
+    """Fixed-step RK4 integration of the reduced committee flow; raises
+    NumericalBlowupError when a magnitude stops being finite or exceeds BLOWUP_LIMIT."""
     if dt <= 0 or t_max <= 0 or record_every < 1:
         raise ValueError("dt, t_max and record_every must be positive")
     n_steps = _n_steps(t_max, dt)
     state = state0
-    ts, us, ms, losses = [0.0], [state.u.copy()], [state.m.copy()], [committee_loss(cfg, state)]
+    rows = [(0.0, state.u, state.m, committee_loss(cfg, state))]  # np.array copies each row
     for i in range(1, n_steps + 1):
         state = committee_ode_step(cfg, state, dt, include_coupling)
+        # false for NaN as well as for magnitudes beyond the limit
+        if not float(np.max(np.abs(state.u))) <= BLOWUP_LIMIT:
+            raise NumericalBlowupError(f"committee flow diverged at t={i * dt:.6g}")
         if i % record_every == 0:
-            ts.append(i * dt)
-            us.append(state.u.copy())
-            ms.append(state.m.copy())
-            losses.append(committee_loss(cfg, state))
-    return CommitteeTrajectory(
-        t=np.array(ts), u=np.array(us), m=np.array(ms), loss=np.array(losses)
-    )
+            rows.append((i * dt, state.u, state.m, committee_loss(cfg, state)))
+    return CommitteeTrajectory(*map(np.array, zip(*rows)))
 
 
 def aggregate_overlap(cfg: CommitteeConfig, m: np.ndarray) -> np.ndarray:

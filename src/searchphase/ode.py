@@ -133,28 +133,21 @@ def integrate_flow(
     """
     dt = settings.dt
     n_steps = _n_steps(settings.t_max, dt)
-    n_rec = n_steps // settings.record_every + 1
-    out = {name: np.empty(n_rec) for name in ("t", "u", "m", "m_eff", "r", "loss")}
-
     mu = cfg.mu
     threshold = settings.exit_fraction * mu
-    u, m = state0.u, state0.m
+    u, m = float(state0.u), float(state0.m)
     t_exit: float | None = None
     prev_gap = max(abs(u), abs(m)) - threshold
     if prev_gap >= 0.0:
         t_exit = 0.0
 
-    def record(idx: int, t: float, u: float, m: float) -> None:
-        s = OrderParameterState(u, m)
-        out["t"][idx] = t
-        out["u"][idx] = u
-        out["m"][idx] = m
-        out["m_eff"][idx] = s.m_eff(mu)
-        out["r"][idx] = s.r(mu)
-        out["loss"][idx] = population_loss(cfg, s)
+    rows: list[tuple[float, ...]] = []  # one per record, in TrajectoryRecord's field order
 
-    record(0, 0.0, u, m)
-    n_recorded = 1
+    def record(t: float, u: float, m: float) -> None:
+        s = OrderParameterState(u, m)
+        rows.append((t, u, m, s.m_eff(mu), s.r(mu), population_loss(cfg, s)))
+
+    record(0.0, u, m)
     rhs = partial(_flow_rhs, cfg)
     for step in range(1, n_steps + 1):
         u_new, m_new = fixed_step(rhs, np.array([u, m]), dt, settings.method).tolist()
@@ -168,20 +161,10 @@ def integrate_flow(
         prev_gap = gap
         u, m = u_new, m_new
         if step % settings.record_every == 0:
-            record(n_recorded, t, u, m)
-            n_recorded += 1
+            record(t, u, m)
         if settings.stop_at_exit and t_exit is not None:
             break
-    return TrajectoryRecord(
-        t=out["t"][:n_recorded],
-        u=out["u"][:n_recorded],
-        m=out["m"][:n_recorded],
-        m_eff=out["m_eff"][:n_recorded],
-        r=out["r"][:n_recorded],
-        loss=out["loss"][:n_recorded],
-        t_exit=t_exit,
-        exited=t_exit is not None,
-    )
+    return TrajectoryRecord(*map(np.array, zip(*rows)), t_exit=t_exit, exited=t_exit is not None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,13 +118,15 @@ class SimConfig:
             raise ValueError("record_every must be >= 1")
         if not (0.0 < self.align_threshold <= 1.0):
             raise ValueError("align_threshold must lie in (0, 1]")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 def step_rng(seed: int, stream: int, step: int) -> np.random.Generator:
-    """Counter-based generator for one step of one stream of one run."""
-    return np.random.Generator(
-        np.random.Philox(key=[seed, stream], counter=[0, 0, 0, step])
-    )
+    """Counter-based generator for one step of one stream of one run, keyed by
+    the exact uint64 pair (seed, stream): a list would pass seeds >= 2**63 through float64."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, step]))
 
 
 def counter_stream(seed: int, stream: int):
@@ -132,8 +134,8 @@ def counter_stream(seed: int, stream: int):
     by one Philox per stream whose state each call resets to key
     (seed, stream), counter (0, 0, 0, step) and an empty buffer; the
     generator one call returns is reset by the next."""
-    bitgen = np.random.Philox(key=[seed, stream])
-    gen = np.random.Generator(bitgen)
+    gen = step_rng(seed, stream, 0)
+    bitgen = gen.bit_generator
     counter = [0, 0, 0, 0]
     state = {
         "bit_generator": "Philox",

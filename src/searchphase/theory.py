@@ -151,11 +151,13 @@ def teacher_coefficients(cfg: ModelConfig) -> np.ndarray:
     return _teacher_coefficients_cached(cfg.teacher, cfg.k_max)
 
 
-def _state_geometry(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
-    r = s.r(cfg.mu)
-    if r < R_FLOOR:
+def _expand(cfg: ModelConfig, r: float, floor: float = R_FLOOR):
+    """(phi, ks, inv_fact, sh, sbh) at variance r, from the caches; r below floor
+    raises DegenerateStateError (linearize_search_phase passes 0 to admit any mu)."""
+    if r < floor:
         raise DegenerateStateError(f"pre-activation variance collapsed: r={r:.3e}")
-    return r, s.m_eff(cfg.mu)
+    return (teacher_coefficients(cfg), *series_workspace(cfg.k_max),
+            *rescaled_coefficients(cfg.student, r, cfg.k_max))
 
 
 def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
@@ -165,10 +167,8 @@ def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
 
     Emits SeriesConvergenceWarning when the truncation tail is not negligible.
     """
-    r, me = _state_geometry(cfg, s)
-    phi = teacher_coefficients(cfg)
-    sh, _ = rescaled_coefficients(cfg.student, r, cfg.k_max)
-    ks, inv_fact = series_workspace(cfg.k_max)
+    r, me = s.r(cfg.mu), s.m_eff(cfg.mu)
+    phi, ks, inv_fact, sh, _ = _expand(cfg, r)
     # sigma_k^2/r^k = sh^2 * r^k ; sigma_k/r^k = sh
     terms = inv_fact * (0.5 * phi**2 + 0.5 * sh * sh * r**ks - sh * phi * me**ks)
     if not _tail_ok(terms, LOSS_TAIL_RTOL):
@@ -176,11 +176,10 @@ def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
     return float(terms.sum())
 
 
-def _gradient_sums(
-    phi: np.ndarray, sh: np.ndarray, sbh: np.ndarray, r: float, me: float, k_max: int
-) -> tuple[float, float, float, float]:
-    ks, inv_fact = series_workspace(k_max)
-    me_pow = me**ks
+def _gradient_sums(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float, float, float]:
+    r = s.r(cfg.mu)
+    phi, ks, inv_fact, sh, sbh = _expand(cfg, r)
+    me_pow = s.m_eff(cfg.mu) ** ks
     # C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
     c1 = float((inv_fact * sh * sbh * r ** (ks - 1.0)).sum())
     # Sa = sum_{k>=1} phi_k m_eff^{k-1} sigma_k / ((k-1)! r^k)
@@ -194,10 +193,7 @@ def _gradient_sums(
 
 def loss_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
     """(dL/du, dL/dm) of the population loss, by the exact coefficient series."""
-    r, me = _state_geometry(cfg, s)
-    phi = teacher_coefficients(cfg)
-    sh, sbh = rescaled_coefficients(cfg.student, r, cfg.k_max)
-    c1, sa, sb, sc = _gradient_sums(phi, sh, sbh, r, me, cfg.k_max)
+    c1, sa, sb, sc = _gradient_sums(cfg, s)
     g = c1 + sb - sc
     drive = s.u + cfg.mu * s.m
     dldu = drive * g - s.m * sa
@@ -207,11 +203,8 @@ def loss_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, flo
 
 def correlation_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
     """Correlation objective 1 - E[y yhat] in series form."""
-    r, me = _state_geometry(cfg, s)
-    phi = teacher_coefficients(cfg)
-    sh, _ = rescaled_coefficients(cfg.student, r, cfg.k_max)
-    ks, inv_fact = series_workspace(cfg.k_max)
-    return 1.0 - float((inv_fact * phi * sh * me**ks).sum())
+    phi, ks, inv_fact, sh, _ = _expand(cfg, s.r(cfg.mu))
+    return 1.0 - float((inv_fact * phi * sh * s.m_eff(cfg.mu) ** ks).sum())
 
 
 def correlation_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
@@ -220,10 +213,7 @@ def correlation_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[flo
     For linear matching activations this is exactly (-m, -u), independent
     of mu.
     """
-    r, me = _state_geometry(cfg, s)
-    phi = teacher_coefficients(cfg)
-    sh, sbh = rescaled_coefficients(cfg.student, r, cfg.k_max)
-    _, sa, sb, sc = _gradient_sums(phi, sh, sbh, r, me, cfg.k_max)
+    _, sa, sb, sc = _gradient_sums(cfg, s)
     drive = s.u + cfg.mu * s.m
     dldu = -(drive * (sc - sb) + s.m * sa)
     dldm = -(s.u * cfg.mu * (sc - sb) + s.u * sa)
@@ -237,13 +227,12 @@ def linearize_search_phase(cfg: ModelConfig) -> SearchPhaseLinearization:
     B = -[ sum_k sigmabar_k sigma_k/(k! mu^{2k+2})
            + sum_{k>=1} phi_k/((k-1)! mu^{k+2}) (sigma_k - sigmabar_k/k) ]
 
-    both evaluated at r = mu^2 and scaled by cfg.delta.
+    both evaluated at r = mu^2 and scaled by cfg.delta.  B's second sum
+    starts at k = 1, so it leaves out the flow Jacobian's k = 0 term
+    delta * phi_0 * sigmabar_0 / mu^2, which is nonzero for relu.
     """
     mu = cfg.mu
-    r = mu * mu
-    phi = teacher_coefficients(cfg)
-    sh, sbh = rescaled_coefficients(cfg.student, r, cfg.k_max)
-    ks, inv_fact = series_workspace(cfg.k_max)
+    phi, ks, inv_fact, sh, sbh = _expand(cfg, mu * mu, floor=0.0)
     mu_pow = mu**ks
     # sigmabar_k/mu^{k+1} = sbh mu^{k-1};  sigma_k/mu^k = sh mu^k
     a_terms = -inv_fact * (sbh * mu_pow / mu) * (-phi + sh * mu_pow)

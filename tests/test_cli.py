@@ -400,3 +400,15 @@ def test_cross_field_config_errors_exit_validation(tmp_path, capsys, argv, messa
     err = capsys.readouterr().err
     assert "invalid configuration" in err and message in err
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_top_seed_runs_its_own_stream(tmp_path):
+    top = 2**64 - 1
+    code = main(["sgd", "--mu", "0.3", "--seeds", f"0,{top}", "--d", "100",
+                 "--batch-size", "50", "--n-steps", "20", "--k-max", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    _, cols, zero = parse_csv_text(read(tmp_path / "sgd_linear_mu0.3_s0.csv"))
+    _, _, high = parse_csv_text(read(tmp_path / f"sgd_linear_mu0.3_s{top}.csv"))
+    assert "u" in cols
+    assert not np.array_equal(zero["u"], high["u"])

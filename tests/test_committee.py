@@ -207,3 +207,16 @@ def test_sgd_divergence_raises_blowup():
                           learning_rate=50.0, n_steps=200)
     with pytest.raises(NumericalBlowupError):
         committee_sgd(cfg)
+
+
+def test_config_rejects_seeds_outside_uint64():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            CommitteeConfig(mu=(0.5,), rank=1, seed=seed)
+    CommitteeConfig(mu=(0.5,), rank=1, seed=2**64 - 1)
+
+
+def test_reduced_flow_divergence_raises_blowup():
+    cfg = CommitteeConfig(mu=(0.5, 1.0, 1.0), rank=2)
+    with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError):
+        integrate_committee(cfg, committee_reduced_init(cfg), dt=20.0, t_max=400.0)

@@ -388,3 +388,22 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
         assert not any(np.shares_memory(a, b) for a in run for b in others)
     for w in (s0.omega, s1.omega, s2.omega):
         assert not any(np.shares_memory(w, b) for b in runs[2] if b is not w)
+
+
+def test_seeds_above_2_63_key_distinct_streams():
+    # a float64 round trip would merge these two seeds into one key
+    lo, hi = 2**64 - 2049, 2**64 - 2048
+    a = step_rng(lo, _TRAIN_STREAM, 0).standard_normal(8)
+    assert not np.array_equal(a, step_rng(hi, _TRAIN_STREAM, 0).standard_normal(8))
+    assert np.array_equal(a, counter_stream(lo, _TRAIN_STREAM)(0).standard_normal(8))
+    top = step_rng(2**64 - 1, _TRAIN_STREAM, 0).standard_normal(8)
+    assert not np.array_equal(top, step_rng(0, _TRAIN_STREAM, 0).standard_normal(8))
+
+
+def test_config_rejects_seeds_outside_uint64():
+    good = dict(teacher=LINEAR, student=LINEAR, mu=0.5, d=100, batch_size=10,
+                learning_rate=0.1, n_steps=5)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SimConfig(**good, seed=seed)
+    SimConfig(**good, seed=2**64 - 1)

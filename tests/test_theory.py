@@ -200,7 +200,9 @@ def test_linear_activation_closed_form():
 
 
 def test_linearization_consistency_with_exact_gradients():
-    for act, k_max in ((LINEAR, 2), (ERF, 25), (HE3, 25)):
+    # sigmoid has phi_0 != 0 but sigmabar_0 ~ 1e-18, so the k = 0 term that
+    # B leaves out stays far below the tolerance
+    for act, k_max in ((LINEAR, 2), (ERF, 25), (HE3, 25), (builtin("sigmoid"), 40)):
         for mu in (0.2, 0.6):
             cfg = model(act, mu, k_max=k_max)
             lin = linearize_search_phase(cfg)
@@ -423,3 +425,10 @@ def test_pure_hermite_path_matches_quadrature_path():
         phi = teacher_coefficients(model(builtin(f"hermite{k}"), 0.5))
         assert phi[k] == float(math.factorial(k))
         assert np.count_nonzero(phi) == 1
+
+
+def test_linearization_accepts_mu_below_the_state_floor():
+    # mu^2 = 1e-14 is below the state paths' R_FLOOR; the base point is exempt
+    for act in (LINEAR, HE3):
+        lin = linearize_search_phase(model(act, 1e-7))
+        assert math.isfinite(lin.A) and math.isfinite(lin.B)
