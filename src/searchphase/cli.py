@@ -4,10 +4,12 @@ Each subcommand is one entry of :data:`SUBCOMMANDS`: its fields (parser,
 default, check, scalar setting or sweep axis), how its cells are named and
 its cell runner.  The argparse flags, the INI config sections, plan
 validation and the cell expansion are all generated from that table.  A
-plan expands into independent sweep cells, which run one after another;
-each writes one CSV artifact, and a ``manifest.json`` indexes them.  SVG
-line plots are optional companions generated purely from the CSV text, so
-regenerating a plot from its CSV reproduces it byte for byte.
+plan expands into independent sweep cells, which run one after another.
+Cell runners return a table and touch no path; :func:`_execute`, the one
+writer, turns each table into one CSV artifact and one entry of the
+``manifest.json`` that indexes them.  SVG line plots are optional
+companions rendered purely from the CSV text, so regenerating a plot from
+its CSV reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from .activations import ActivationSpec, builtin
 from .committee import CommitteeConfig, committee_linear_rates, committee_sgd
@@ -158,8 +160,8 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
-def write_csv(path: str, metadata: dict, columns, rows) -> None:
-    """Write a `#`-headed, LF-terminated CSV with deterministic formatting."""
+def write_csv(path: str, metadata: dict, columns, rows) -> str:
+    """Write a `#`-headed, LF-terminated CSV with deterministic formatting; return its text."""
     lines = []
     for key in sorted(metadata):
         value = metadata[key]
@@ -168,8 +170,10 @@ def write_csv(path: str, metadata: dict, columns, rows) -> None:
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    text = "\n".join(lines) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+    return text
 
 
 def parse_csv_text(text: str):
@@ -296,13 +300,6 @@ def render_svg(csv_text: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def svg_from_csv(csv_path: str, svg_path: str) -> None:
-    with open(csv_path, newline="") as fh:
-        text = fh.read()
-    with open(svg_path, "w", newline="") as fh:
-        fh.write(render_svg(text))
-
-
 # ---------------------------------------------------------------------------
 # Cells
 # ---------------------------------------------------------------------------
@@ -332,7 +329,7 @@ def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
     return [ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max) for mu in mus]
 
 
-def _run_tau_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _run_tau_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     act = builtin(cell.params["activation"])
     curve = tau_curve(act, act, np.asarray(plan.sweep["mu"]), k_max=cfg["k_max"])
@@ -343,11 +340,10 @@ def _run_tau_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
         "title": f"escape time, {cell.params['activation']}",
     }
     rows = zip(curve.mu, curve.A, curve.B, curve.lambda_plus, curve.tau, curve.converged)
-    write_csv(csv_path, metadata, ["mu", "A", "B", "lambda_plus", "tau", "converged"], rows)
-    return {}
+    return metadata, ["mu", "A", "B", "lambda_plus", "tau", "converged"], rows, {}
 
 
-def _run_singularity_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _run_singularity_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     name = cell.params["activation"]
     act = builtin(name)
@@ -360,8 +356,8 @@ def _run_singularity_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> di
         "n_roots": len(roots),
         "title": f"drift-coefficient roots, {name}",
     }
-    write_csv(csv_path, metadata, ["degree", "root_mu"], [(degree, r) for r in roots])
-    return {"roots": [float(r) for r in roots]}
+    rows = [(degree, r) for r in roots]
+    return metadata, ["degree", "root_mu"], rows, {"roots": [float(r) for r in roots]}
 
 
 def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple[ModelConfig, FlowSettings]:
@@ -377,7 +373,7 @@ def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple[ModelConfig, FlowSet
     return _model_configs(plan, cell)[0], settings
 
 
-def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _run_ode_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     model, settings = _ode_configs(plan, cell)
     rec = integrate_flow(model, OrderParameterState(u=cfg["u0"], m=cfg["m0"]), settings)
@@ -394,8 +390,8 @@ def _run_ode_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
         "title": f"flow, {cfg['activation']}, {_mu_tag(cell.params['mu'])}",
     }
     rows = zip(rec.t, rec.u, rec.m, rec.m_eff, rec.r, rec.loss)
-    write_csv(csv_path, metadata, ["t", "u", "m", "m_eff", "r", "loss"], rows)
-    return {"t_exit": rec.t_exit, "exited": rec.exited}
+    summary = {"t_exit": rec.t_exit, "exited": rec.exited}
+    return metadata, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
 
 
 def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
@@ -426,7 +422,7 @@ def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
     )
 
 
-def _run_sgd_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _run_sgd_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     sim = _sim_config(plan, cell)
     result = run_simulation(sim)
@@ -449,21 +445,15 @@ def _run_sgd_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
         ),
     }
     columns = ["t_epoch", "u", "m", "m_eff", "r", "train_mse", "test_mse"]
-    rows = [
-        list(tup)
-        for tup in zip(
-            result.t_epoch, result.u, result.m, result.m_eff, result.r,
-            result.train_mse, result.test_mse,
-        )
-    ]
+    values = [result.t_epoch, result.u, result.m, result.m_eff, result.r,
+              result.train_mse, result.test_mse]
     if plan.kind == "curriculum_run":
-        metadata["switch_step"] = result.switch_step
+        switch = result.switch_step
+        metadata["switch_step"] = switch
         columns.append("stage")
-        for row in rows:
-            stage = 1 if result.switch_step is not None and row[0] >= result.switch_step else 0
-            row.append(stage)
-    write_csv(csv_path, metadata, columns, rows)
-    return {
+        values.append(np.zeros(len(result.t_epoch), dtype=int) if switch is None
+                      else (result.t_epoch >= switch).astype(int))
+    return metadata, columns, zip(*values), {
         "exit_epoch": None if result.exit_step is None else float(result.exit_step),
         "aligned_epoch": None if result.aligned_step is None else float(result.aligned_step),
         "mu": cell.params["mu"],
@@ -486,7 +476,7 @@ def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
     )
 
 
-def _run_committee_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _run_committee_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     n_dir = cfg["n_directions"]
     committee = _committee_config(plan, cell)
@@ -512,15 +502,8 @@ def _run_committee_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict
         + [f"m_eff_{k + 1}" for k in range(n_dir)]
         + ["test_mse"]
     )
-    rows = [
-        [result.t_epoch[i]]
-        + [result.rho[i, r] for r in range(rank)]
-        + [result.m_eff[i, k] for k in range(n_dir)]
-        + [result.test_mse[i]]
-        for i in range(len(result.t_epoch))
-    ]
-    write_csv(csv_path, metadata, columns, rows)
-    return {
+    rows = np.column_stack((result.t_epoch, result.rho, result.m_eff, result.test_mse))
+    return metadata, columns, rows, {
         "onset_epoch": None if result.onset_step is None else float(result.onset_step),
         "mu": cell.params["mu"],
         "rank": rank,
@@ -578,6 +561,8 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     fitted = scale * predicted + offset
     denom = np.where(np.abs(exit_epoch) > 0, np.abs(exit_epoch), 1.0)
     residual = np.where(mask, (exit_epoch - fitted) / denom, np.nan)
+    from scipy import stats  # imported here: it is most of the cost of importing this module
+
     spearman = stats.spearmanr(predicted[mask], exit_epoch[mask])
     rho = float(getattr(spearman, "statistic", getattr(spearman, "correlation", np.nan)))
     return {
@@ -595,7 +580,7 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     }
 
 
-def _run_compare_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
+def _run_compare_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     report = compare_theory_experiment(cfg["theory_csv"], cfg["experiment_csv"])
     metadata = {
@@ -608,9 +593,7 @@ def _run_compare_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
         "title": "exit epochs vs predicted escape times",
     }
     columns = ["mu", "tau", "predicted_epoch", "exit_epoch", "fitted_epoch", "relative_residual"]
-    rows = zip(*(report[c] for c in columns))
-    write_csv(csv_path, metadata, columns, rows)
-    return {
+    return metadata, columns, zip(*(report[c] for c in columns)), {
         "spearman": report["spearman"],
         "max_abs_relative_residual": report["max_abs_relative_residual"],
     }
@@ -621,63 +604,54 @@ def _run_compare_cell(plan: ExperimentPlan, cell: Cell, csv_path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _execute_cell(plan: ExperimentPlan, cell: Cell) -> dict:
-    csv_path = os.path.join(plan.output_dir, cell.name + ".csv")
-    entry = {"name": cell.name, "status": "ok", "files": [], "wall_time": 0.0, "error": None}
+def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dict:
+    """The one writer: table() gives (metadata, columns, rows, summary), which
+    become name.csv, name.svg rendered from that text when the plan emits SVG,
+    and the manifest entry (with the summary unless it is None).  An exception
+    sets the status: "blowup" for NumericalBlowupError, else "failed"."""
+    entry = {"name": name, "status": "ok", "files": [], "wall_time": 0.0, "error": None}
     start = time.perf_counter()
     try:
-        extra = SPECS[plan.kind].run(plan, cell, csv_path)
-        entry["files"].append(cell.name + ".csv")
+        metadata, columns, rows, summary = table()
+        text = write_csv(os.path.join(plan.output_dir, name + ".csv"), metadata, columns, rows)
+        entry["files"].append(name + ".csv")
         if plan.emit in ("svg", "both"):
-            svg_path = os.path.join(plan.output_dir, cell.name + ".svg")
-            svg_from_csv(csv_path, svg_path)
-            entry["files"].append(cell.name + ".svg")
-        entry["summary"] = extra
-    except NumericalBlowupError as exc:
-        entry["status"] = "blowup"
-        entry["error"] = str(exc)
-    except (AlignmentError, ValidationError) as exc:
-        entry["status"] = "failed"
-        entry["error"] = str(exc)
-    except Exception as exc:  # pragma: no cover - defensive
-        entry["status"] = "failed"
-        entry["error"] = f"{type(exc).__name__}: {exc}"
+            with open(os.path.join(plan.output_dir, name + ".svg"), "w", newline="") as fh:
+                fh.write(render_svg(text))
+            entry["files"].append(name + ".svg")
+        if summary is not None:
+            entry["summary"] = summary
+    except Exception as exc:
+        entry["status"] = "blowup" if isinstance(exc, NumericalBlowupError) else "failed"
+        known = isinstance(exc, (NumericalBlowupError, AlignmentError, ValidationError))
+        entry["error"] = str(exc) if known else f"{type(exc).__name__}: {exc}"
     entry["wall_time"] = time.perf_counter() - start
     return entry
 
 
-def _write_sgd_summary(plan: ExperimentPlan, entries: list[dict]) -> dict | None:
+def _sgd_summary(plan: ExperimentPlan, entries: list[dict]) -> tuple | None:
+    """("sgd_summary", table): the finished cells' exit and aligned epochs by
+    (mu, seed), tabulated when _execute calls table; None when none finished."""
     points = [e["summary"] for e in entries if e["status"] == "ok" and e.get("summary")]
     if not points:
         return None
-    start = time.perf_counter()
-    name = "sgd_summary"
-    csv_path = os.path.join(plan.output_dir, name + ".csv")
-    cfg = plan.settings
-    metadata = {
-        "kind": "sgd_summary",
-        "activation": cfg["activation"],
-        "d": cfg["d"],
-        "batch_size": cfg["batch_size"],
-        "title": f"exit epochs, {cfg['activation']}",
-    }
-    rows = [
-        (p["mu"], p["seed"], p["exit_epoch"], p["aligned_epoch"])
-        for p in sorted(points, key=lambda p: (p["mu"], p["seed"]))
-    ]
-    write_csv(csv_path, metadata, ["mu", "seed", "exit_epoch", "aligned_epoch"], rows)
-    entry = {
-        "name": name,
-        "status": "ok",
-        "files": [name + ".csv"],
-        "wall_time": 0.0,
-        "error": None,
-    }
-    if plan.emit in ("svg", "both"):
-        svg_from_csv(csv_path, os.path.join(plan.output_dir, name + ".svg"))
-        entry["files"].append(name + ".svg")
-    entry["wall_time"] = time.perf_counter() - start
-    return entry
+
+    def table():
+        cfg = plan.settings
+        metadata = {
+            "kind": "sgd_summary",
+            "activation": cfg["activation"],
+            "d": cfg["d"],
+            "batch_size": cfg["batch_size"],
+            "title": f"exit epochs, {cfg['activation']}",
+        }
+        rows = [
+            (p["mu"], p["seed"], p["exit_epoch"], p["aligned_epoch"])
+            for p in sorted(points, key=lambda p: (p["mu"], p["seed"]))
+        ]
+        return metadata, ["mu", "seed", "exit_epoch", "aligned_epoch"], rows, None
+
+    return "sgd_summary", table
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
@@ -691,12 +665,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     if problems:
         raise ValidationError(problems)
     os.makedirs(plan.output_dir, exist_ok=True)
-    entries = [_execute_cell(plan, cell) for cell in build_cells(plan)]
-    summarize = SPECS[plan.kind].summarize
-    if summarize is not None:
-        summary_entry = summarize(plan, entries)
-        if summary_entry is not None:
-            entries.append(summary_entry)
+    spec = SPECS[plan.kind]
+    entries = [_execute(plan, c.name, partial(spec.run, plan, c)) for c in build_cells(plan)]
+    summary = spec.summarize(plan, entries) if spec.summarize is not None else None
+    if summary is not None:
+        entries.append(_execute(plan, *summary))
     manifest = {
         "plan_hash": plan_hash(plan),
         "kind": plan.kind,
@@ -807,9 +780,11 @@ class Subcommand:
 
     cells maps each cell parameter to the sweep axis it runs over; a plan
     has one cell per combination, and cell_name is formatted with the
-    settings and the cell parameters.  summarize, when set, writes one more
-    artifact from the finished cells' entries.  configs, when set, builds
-    the config(s) a cell runs with, for validate_plan to check.
+    settings and the cell parameters.  run returns a cell's table,
+    (metadata, columns, rows, summary), for _execute to write.  summarize,
+    when set, returns one more artifact from the finished cells' entries as
+    (name, table), table a callable giving such a table, or None.  configs, when
+    set, builds the config(s) a cell runs with, for validate_plan to check.
     """
 
     name: str
@@ -818,8 +793,8 @@ class Subcommand:
     fields: tuple[Field, ...]
     cells: dict[str, str]
     cell_name: str
-    run: Callable[[ExperimentPlan, Cell, str], dict]
-    summarize: Callable[[ExperimentPlan, list], dict | None] | None = None
+    run: Callable[[ExperimentPlan, Cell], tuple]
+    summarize: Callable[[ExperimentPlan, list], tuple | None] | None = None
     configs: Callable[[ExperimentPlan, Cell], object] | None = None
 
 
@@ -903,7 +878,7 @@ SUBCOMMANDS = (
         fields=_with_defaults(
             _SGD_FIELDS, mu=(0.5,), learning_rate=0.2, n_steps=2000, record_every=1),
         cells={"mu": "mu", "seed": "seeds"}, cell_name="sgd_{activation}_mu{mu:.4g}_s{seed}",
-        run=_run_sgd_cell, summarize=_write_sgd_summary, configs=_sim_config,
+        run=_run_sgd_cell, summarize=_sgd_summary, configs=_sim_config,
     ),
     Subcommand(
         name="curriculum", kind="curriculum_run",
@@ -913,7 +888,7 @@ SUBCOMMANDS = (
         ) + (Field("switch_threshold", float, 0.5, _open_unit),),
         cells={"mu": "mu", "seed": "seeds"},
         cell_name="curriculum_{activation}_mu{mu:.4g}_s{seed}",
-        run=_run_sgd_cell, summarize=_write_sgd_summary, configs=_sim_config,
+        run=_run_sgd_cell, summarize=_sgd_summary, configs=_sim_config,
     ),
     Subcommand(
         name="committee", kind="committee_run", help="multi-direction teacher with rank-R adapters",

@@ -115,7 +115,11 @@ def _crossing_time(t0: float, width: float, g0: float, g1: float) -> float:
 
 def _flow_rhs(cfg: ModelConfig, y: np.ndarray) -> np.ndarray:
     u, m = y.tolist()
-    du, dm = loss_gradients(cfg, OrderParameterState(u, m))
+    try:
+        state = OrderParameterState(u, m)
+    except ValueError:  # an RK4 stage of too large a step can leave the band
+        raise NumericalBlowupError(f"a flow stage left |m| <= 1 (m={m:.6g})") from None
+    du, dm = loss_gradients(cfg, state)
     return np.array([-cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm])
 
 
@@ -129,7 +133,7 @@ def integrate_flow(
     Fixed-step RK4 (or explicit Euler) by fixed_step.  m is clipped to
     [-1, 1] after each step: the (1 - m^2) factor makes the band invariant
     exactly, clipping only removes rounding excursions.  Raises NumericalBlowupError when the
-    state leaves the representable region.
+    state leaves the representable region or a stage's m leaves [-1, 1].
     """
     dt = settings.dt
     n_steps = _n_steps(settings.t_max, dt)

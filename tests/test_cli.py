@@ -4,6 +4,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import searchphase
 from searchphase.cli import (
     EXIT_BLOWUP,
     EXIT_OK,
@@ -158,6 +161,58 @@ def test_svg_is_a_pure_function_of_the_csv(tmp_path):
     assert svg_disk.lstrip().startswith("<svg")
 
 
+def test_sgd_manifest_indexes_every_artifact_and_svg(tmp_path):
+    code = main(["sgd", "--mu", "0.3,0.6", "--seeds", "0,1", "--d", "100",
+                 "--batch-size", "50", "--n-steps", "30", "--k-max", "2",
+                 "--format", "both", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    manifest = json.loads(read(tmp_path / "manifest.json"))
+    listed = [f for entry in manifest["cells"] for f in entry["files"]]
+    present = {p.name for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert sorted(listed) == sorted(present)
+    assert {"sgd_summary.csv", "sgd_summary.svg"} <= present
+    for entry in manifest["cells"]:
+        assert entry["files"] == [entry["name"] + ".csv", entry["name"] + ".svg"]
+        assert read(tmp_path / entry["files"][1]) == render_svg(read(tmp_path / entry["files"][0]))
+    *cells, summary = manifest["cells"]
+    assert len(cells) == 4 and all("summary" in entry for entry in cells)
+    assert summary["name"] == "sgd_summary" and "summary" not in summary
+
+
+def test_committee_artifact_has_one_row_per_record(tmp_path):
+    code = main(["committee", "--mu", "0.5", "--ranks", "2", "--d", "200",
+                 "--n-steps", "50", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    meta, cols, data = parse_csv_text(read(tmp_path / "committee_mu0.5_r2.csv"))
+    assert cols == ["t_epoch", "rho_1", "rho_2", "m_eff_1", "m_eff_2", "m_eff_3", "m_eff_4",
+                    "test_mse"]
+    assert meta["rank"] == "2" and meta["n_directions"] == "4"
+    np.testing.assert_array_equal(data["t_epoch"], np.arange(0, 51, 10))
+
+
+@pytest.mark.parametrize("threshold, switch, stages", [
+    ("0.01", "1", [0, 1, 1, 1, 1]),
+    ("0.99", "nan", [0, 0, 0, 0, 0]),
+])
+def test_curriculum_stage_column_follows_the_switch(tmp_path, threshold, switch, stages):
+    code = main(["curriculum", "--switch-threshold", threshold, "--d", "400",
+                 "--batch-size", "100", "--n-steps", "20", "--record-every", "5",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    meta, cols, data = parse_csv_text(read(tmp_path / "curriculum_hermite3_mu0.325_s0.csv"))
+    assert meta["switch_step"] == switch
+    assert cols[-1] == "stage"
+    np.testing.assert_array_equal(data["t_epoch"], [0, 5, 10, 15, 20])
+    np.testing.assert_array_equal(data["stage"], stages)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, searchphase.cli; assert 'scipy.stats' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(searchphase.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_singularity_scan_finds_cubic_root(tmp_path):
     code = main(["singularity", "--activations", "hermite3", "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -187,6 +242,14 @@ def test_ode_blowup_maps_to_exit_code(tmp_path):
     assert code == EXIT_BLOWUP
     manifest = json.loads(read(tmp_path / "manifest.json"))
     assert any(entry["status"] == "blowup" for entry in manifest["cells"])
+
+
+def test_ode_stage_leaving_the_band_is_a_blowup(tmp_path):
+    code = main(["ode", "--activation", "linear", "--mu", "0.3", "--dt", "50",
+                 "--t-max", "1000", "--out", str(tmp_path)])
+    assert code == EXIT_BLOWUP
+    manifest = json.loads(read(tmp_path / "manifest.json"))
+    assert [entry["status"] for entry in manifest["cells"]] == ["blowup"]
 
 
 def test_sgd_blowup_maps_to_exit_code(tmp_path):

@@ -172,6 +172,19 @@ def test_blowup_detected_and_reported():
         )
 
 
+@pytest.mark.parametrize("act, dt", [
+    (LINEAR, 50.0),
+    # erf's series tail is above tolerance at the out-of-band stage states
+    pytest.param(ERF, 30.0, marks=pytest.mark.filterwarnings(
+        "ignore::searchphase.theory.SeriesConvergenceWarning")),
+])
+def test_stage_leaving_the_band_is_a_blowup(act, dt):
+    # the first RK4 stages of so large a step put m far outside [-1, 1]
+    cfg = ModelConfig(teacher=act, student=act, mu=0.3, k_max=25)
+    with pytest.raises(NumericalBlowupError, match=r"\|m\| <= 1"):
+        integrate_flow(cfg, OrderParameterState(1e-3, 1e-3), FlowSettings(dt=dt, t_max=1000.0))
+
+
 def test_descent_report_on_clean_run():
     cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.3, k_max=2)
     rec = integrate_flow(
