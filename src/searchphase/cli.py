@@ -24,6 +24,8 @@ import numbers
 import os
 import sys
 import time
+import warnings
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -608,23 +610,35 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
     """The one writer: table() gives (metadata, columns, rows, summary), which
     become name.csv, name.svg rendered from that text when the plan emits SVG,
     and the manifest entry (with the summary unless it is None).  An exception
-    sets the status: "blowup" for NumericalBlowupError, else "failed"."""
+    sets the status: "blowup" for NumericalBlowupError, else "failed".  Every
+    warning the cell raises is counted by category, and the counts go into
+    entry["warnings"] when there are any."""
     entry = {"name": name, "status": "ok", "files": [], "wall_time": 0.0, "error": None}
+    counts: Counter[str] = Counter()
+
+    def count(message, category, *where) -> None:
+        counts[category.__name__] += 1
+
     start = time.perf_counter()
-    try:
-        metadata, columns, rows, summary = table()
-        text = write_csv(os.path.join(plan.output_dir, name + ".csv"), metadata, columns, rows)
-        entry["files"].append(name + ".csv")
-        if plan.emit in ("svg", "both"):
-            with open(os.path.join(plan.output_dir, name + ".svg"), "w", newline="") as fh:
-                fh.write(render_svg(text))
-            entry["files"].append(name + ".svg")
-        if summary is not None:
-            entry["summary"] = summary
-    except Exception as exc:
-        entry["status"] = "blowup" if isinstance(exc, NumericalBlowupError) else "failed"
-        known = isinstance(exc, (NumericalBlowupError, AlignmentError, ValidationError))
-        entry["error"] = str(exc) if known else f"{type(exc).__name__}: {exc}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = count
+        try:
+            metadata, columns, rows, summary = table()
+            text = write_csv(os.path.join(plan.output_dir, name + ".csv"), metadata, columns, rows)
+            entry["files"].append(name + ".csv")
+            if plan.emit in ("svg", "both"):
+                with open(os.path.join(plan.output_dir, name + ".svg"), "w", newline="") as fh:
+                    fh.write(render_svg(text))
+                entry["files"].append(name + ".svg")
+            if summary is not None:
+                entry["summary"] = summary
+        except Exception as exc:
+            entry["status"] = "blowup" if isinstance(exc, NumericalBlowupError) else "failed"
+            known = isinstance(exc, (NumericalBlowupError, AlignmentError, ValidationError))
+            entry["error"] = str(exc) if known else f"{type(exc).__name__}: {exc}"
+    if counts:
+        entry["warnings"] = dict(counts)
     entry["wall_time"] = time.perf_counter() - start
     return entry
 
@@ -1018,6 +1032,8 @@ def main(argv=None) -> int:
         line = f"[{entry['status']}] {entry['name']} ({entry['wall_time']:.2f}s) {files}"
         if entry["error"]:
             line += f"  {entry['error']}"
+        if "warnings" in entry:
+            line += "  warnings: " + ", ".join(f"{k}={n}" for k, n in sorted(entry["warnings"].items()))
         print(line)
     print(f"manifest: {os.path.join(plan.output_dir, 'manifest.json')}")
     return code

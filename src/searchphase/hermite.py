@@ -10,9 +10,11 @@ extraction by Gauss-Hermite quadrature, the closed form for pure Hermite
 activations, conversion to the unit-variance basis, and the product
 expansion needed for squared labels.
 
-rescaled_coefficients is the reduced theory's one source of coefficients:
+CoefficientSource is the reduced theory's one source of coefficients:
+prepared once per (activation, k_max) and called per r, it gives
 sigma_k[r] / r^k and sigmabar_k[r] / r^k, by the closed form for a pure
-Hermite activation and by quadrature otherwise.
+Hermite activation and by project_activation's quadrature otherwise.
+rescaled_coefficients is the same source for a single r.
 
 Conventions
 -----------
@@ -27,6 +29,7 @@ so c_k = E[f(z) He_k(z)], z ~ N(0,1).  Scaled coefficients are
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, inf
@@ -143,15 +146,51 @@ class HermiteCoefficients:
         return len(self.sigma_k) - 1
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # read-only views, so a cached array cannot be changed through them
+    views = tuple(a.view() for a in arrays)
+    for v in views:
+        v.setflags(write=False)
+    return views
+
+
+@lru_cache(maxsize=64)
+def series_workspace(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (k, 1/k!) arrays for degrees 0..k_max (read-only)."""
+    ks = np.arange(k_max + 1, dtype=float)
+    inv_fact = np.ones(k_max + 1)
+    for k in range(1, k_max + 1):
+        inv_fact[k] = inv_fact[k - 1] / k
+    return _frozen(ks, inv_fact)
+
+
+def _check_variance(r: float) -> None:
+    if not (0.0 < r < inf):
+        raise ConfigurationError("variance must be positive and finite")
+
+
 @lru_cache(maxsize=64)
 def _projection_matrices(k_max: int):
+    # the nodes of the order 2*k_max + 10 rule, the projection matrices
     # row k of M:  weights * He_k(nodes)      -> sigma integrands
     # row k of Mb: weights * nodes * He_k(nodes) -> sigmabar integrands
+    # and the exponents ks, ks + 1 of sqrt(r) that scale them
     rule = gauss_hermite_rule(2 * k_max + 10)
     table = scaled_hermite_table(k_max, 1.0, rule.nodes)
     M = table * rule.weights
     Mb = M * rule.nodes
-    return rule, M, Mb
+    ks, _ = series_workspace(k_max)
+    return (*_frozen(rule.nodes, M, Mb), ks, *_frozen(ks + 1.0))
+
+
+def _project(f, r: float, projection) -> tuple[np.ndarray, np.ndarray]:
+    # (sigma_k[r], sigmabar_k[r]) by quadrature, for a checked r
+    nodes, M, Mb, ks, ks1 = projection
+    sr = math.sqrt(r)
+    z = sr * nodes
+    fv = np.asarray(f.evaluate(z), dtype=float)
+    fpv = np.asarray(f.slope(z), dtype=float)
+    return (M @ fv) * sr**ks, (Mb @ fpv) * sr**ks1
 
 
 def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
@@ -172,7 +211,7 @@ def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
         Needs ``evaluate`` and ``slope`` (the derivative, or its central
         difference when there is none).
     r : float
-        Variance, > 0.
+        Variance, positive and finite.
     k_max : int
         Highest retained degree.
 
@@ -180,73 +219,83 @@ def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
     -------
     HermiteCoefficients
     """
-    if r <= 0:
-        raise ConfigurationError("variance must be positive")
+    _check_variance(r)
     if k_max < 0:
         raise ConfigurationError("k_max must be >= 0")
-    rule, M, Mb = _projection_matrices(k_max)
-    sr = np.sqrt(r)
-    z = sr * rule.nodes
-    fv = np.asarray(f.evaluate(z), dtype=float)
-    fpv = np.asarray(f.slope(z), dtype=float)
-    ks = np.arange(k_max + 1)
-    sigma = (M @ fv) * sr**ks
-    sigma_bar = (Mb @ fpv) * sr ** (ks + 1)
+    sigma, sigma_bar = _project(f, r, _projection_matrices(k_max))
     return HermiteCoefficients(variance=r, sigma_k=sigma, sigma_bar_k=sigma_bar)
 
 
 @lru_cache(maxsize=64)
-def series_workspace(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (k, 1/k!) arrays for degrees 0..k_max (read-only)."""
-    ks = np.arange(k_max + 1, dtype=float)
-    inv_fact = np.ones(k_max + 1)
-    for k in range(1, k_max + 1):
-        inv_fact[k] = inv_fact[k - 1] / k
-    ks.setflags(write=False)
-    inv_fact.setflags(write=False)
-    return ks, inv_fact
-
-
-@lru_cache(maxsize=64)
 def _pure_layout(k_star: int):
-    # the same-parity degrees ks, their half-gaps js = (k_star - ks)/2, the
-    # degrees below k_star and their sigmabar half-gaps jb, with 1/j! of each
+    # k_star and k_star!; the degrees `low` below k_star of its parity; the
+    # half-gaps j of sigma there, (k_star - low)/2, then those of sigmabar,
+    # (k_star - 2 - low)/2, with 1/j! of each; and the gaps k_star - low
     _, inv_fact = series_workspace(k_star)
-    ks = np.arange(k_star % 2, k_star + 1, 2)
-    js = (k_star - ks) // 2
-    low = ks[:-1]
-    jb = (k_star - 2 - low) // 2
-    return float(factorial(k_star)), ks, js, inv_fact[js], low, jb, inv_fact[jb], k_star - low
+    low = np.arange(k_star % 2, k_star, 2)
+    exps = np.concatenate(((k_star - low) // 2, (k_star - 2 - low) // 2))
+    return (k_star, float(factorial(k_star)),
+            *_frozen(low, exps, inv_fact[exps], k_star - low))
 
 
-def _pure_rescaled(k_star: int, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # the closed form of pure_hermite_coefficients divided by r^k
-    fk, ks, js, inv_js, low, jb, inv_jb, gap = _pure_layout(k_star)
-    half = (r - 1.0) / 2.0
+def _pure_rescaled(layout, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # the closed form of pure_hermite_coefficients divided by r^k; at k_star
+    # its ((r-1)/2)^0 factor is 1, so sigma is k_star! and sigmabar
+    # k_star * k_star! whatever r is
+    k_star, fk, low, exps, inv, gap = layout
     sh = np.zeros(k_max + 1)
     sbh = np.zeros(k_max + 1)
-    sh[ks] = fk * half**js * inv_js
-    sbh[k_star] = k_star * sh[k_star]
-    sbh[low] = fk * half**jb * inv_jb * (k_star * r - low) / gap
+    sh[k_star] = fk
+    sbh[k_star] = k_star * fk
+    if len(low):
+        v = fk * ((r - 1.0) / 2.0) ** exps * inv
+        sh[low] = v[: len(low)]
+        sbh[low] = v[len(low):] * (k_star * r - low) / gap
     return sh, sbh
 
 
+class CoefficientSource:
+    """(sigma_k[r] / r^k, sigmabar_k[r] / r^k) for k = 0..k_max of one
+    activation, prepared once per (f, k_max) and called per r.
+
+    A pure Hermite activation (``f.pure_hermite_degree`` set, at most k_max)
+    holds the layout of its closed form and never touches quadrature; any
+    other activation holds project_activation's nodes, matrices and
+    exponents, and is projected by the same code.  A call refuses an r that
+    is not positive and finite, and returns new arrays; the prepared arrays
+    are read-only.
+    """
+
+    __slots__ = ("f", "k_max", "pure", "projection", "ks")
+
+    def __init__(self, f, k_max: int):
+        if k_max < 0:
+            raise ConfigurationError("k_max must be >= 0")
+        self.f, self.k_max = f, k_max
+        kp = f.pure_hermite_degree
+        self.pure = None if kp is None else _pure_layout(kp)
+        self.projection = _projection_matrices(k_max) if kp is None else None
+        self.ks, _ = series_workspace(k_max)
+
+    def __call__(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        _check_variance(r)
+        if self.pure is not None:
+            return _pure_rescaled(self.pure, r, self.k_max)
+        sigma, sigma_bar = _project(self.f, r, self.projection)
+        powers = r**self.ks
+        return sigma / powers, sigma_bar / powers
+
+
 def rescaled_coefficients(f, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_k[r] / r^k, sigmabar_k[r] / r^k) for k = 0..k_max.
+    """(sigma_k[r] / r^k, sigmabar_k[r] / r^k) for k = 0..k_max, from a
+    CoefficientSource prepared for this one call.
 
     The rescaled coefficients stay O(1) as r -> 0, which keeps every series
     built from them in range even at r ~ 1e-8.  A pure Hermite activation
-    (``f.pure_hermite_degree`` set, at most k_max) takes the closed form of
-    pure_hermite_coefficients and never touches quadrature; any other
-    activation is projected by project_activation.
+    takes the closed form of pure_hermite_coefficients; any other activation
+    is projected as by project_activation.
     """
-    kp = f.pure_hermite_degree
-    if kp is not None:
-        return _pure_rescaled(kp, r, k_max)
-    co = project_activation(f, r, k_max)
-    ks, _ = series_workspace(k_max)
-    powers = r**ks
-    return co.sigma_k / powers, co.sigma_bar_k / powers
+    return CoefficientSource(f, k_max)(r)
 
 
 def pure_hermite_coefficients(k_star: int, r: float, k: int) -> tuple[float, float]:
@@ -260,11 +309,10 @@ def pure_hermite_coefficients(k_star: int, r: float, k: int) -> tuple[float, flo
     sigmabar_{k_star}[r] = k_star * sigma_{k_star}[r].  Opposite-parity
     entries vanish identically.
     """
-    if r <= 0:
-        raise ValueError("variance must be positive")
+    _check_variance(r)
     if k < 0 or k > k_star:
         raise ValueError("need 0 <= k <= k_star")
-    sh, sbh = _pure_rescaled(k_star, r, k_star)
+    sh, sbh = _pure_rescaled(_pure_layout(k_star), r, k_star)
     scale = r**k
     return float(sh[k] * scale), float(sbh[k] * scale)
 

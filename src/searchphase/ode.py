@@ -21,11 +21,11 @@ from functools import partial
 import numpy as np
 
 from .theory import (
+    M_BAND,
     ModelConfig,
     OrderParameterState,
     SearchPhaseLinearization,
     effective_potential,
-    loss_gradients,
     population_loss,
 )
 
@@ -115,11 +115,13 @@ def _crossing_time(t0: float, width: float, g0: float, g1: float) -> float:
 
 def _flow_rhs(cfg: ModelConfig, y: np.ndarray) -> np.ndarray:
     u, m = y.tolist()
-    try:
-        state = OrderParameterState(u, m)
-    except ValueError:  # an RK4 stage of too large a step can leave the band
-        raise NumericalBlowupError(f"a flow stage left |m| <= 1 (m={m:.6g})") from None
-    du, dm = loss_gradients(cfg, state)
+    # an RK4 stage of too large a step can leave the band or the representable
+    # region; the negated comparisons also catch a NaN
+    if not abs(m) <= M_BAND:
+        raise NumericalBlowupError(f"a flow stage left |m| <= 1 (m={m:.6g})")
+    if not abs(u) <= BLOWUP_LIMIT:
+        raise NumericalBlowupError(f"a flow stage left |u| <= {BLOWUP_LIMIT:g} (u={u:.6g})")
+    du, dm = cfg.series.loss_gradients(u, m)
     return np.array([-cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm])
 
 
@@ -133,7 +135,8 @@ def integrate_flow(
     Fixed-step RK4 (or explicit Euler) by fixed_step.  m is clipped to
     [-1, 1] after each step: the (1 - m^2) factor makes the band invariant
     exactly, clipping only removes rounding excursions.  Raises NumericalBlowupError when the
-    state leaves the representable region or a stage's m leaves [-1, 1].
+    state, or the state of an RK4 stage, leaves the representable region
+    (|u| beyond BLOWUP_LIMIT, |m| beyond 1, or not finite).
     """
     dt = settings.dt
     n_steps = _n_steps(settings.t_max, dt)
@@ -155,7 +158,7 @@ def integrate_flow(
     rhs = partial(_flow_rhs, cfg)
     for step in range(1, n_steps + 1):
         u_new, m_new = fixed_step(rhs, np.array([u, m]), dt, settings.method).tolist()
-        if not (np.isfinite(u_new) and np.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
+        if not (math.isfinite(u_new) and math.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"flow diverged at t={step * dt:.6g}")
         m_new = min(1.0, max(-1.0, m_new))
         t = step * dt

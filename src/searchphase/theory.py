@@ -10,24 +10,39 @@ r = mu^2 + u^2 + 2*mu*u*m (pre-activation variance).  The student's scaled
 Hermite coefficients are re-evaluated at the instantaneous r; the teacher's
 live at variance 1.
 
-Numerical note: both units take their coefficients from
-hermite.rescaled_coefficients, the student at r and the teacher at r = 1.
-Series are computed with coefficients rescaled by r^{-k} (sigma_k / r^k
-stays O(1) as r -> 0) so that small-mu linearizations do not underflow.
-Pure Hermite units take the closed form there, which never touches
-quadrature.
+Numerical note: both units take their coefficients from the one source in
+hermite, the teacher at r = 1 (cached per teacher and k_max) and the
+student at r through a CoefficientSource.  Series are computed with
+coefficients rescaled by r^{-k} (sigma_k / r^k stays O(1) as r -> 0) so
+that small-mu linearizations do not underflow.  Pure Hermite units take the
+closed form there, which never touches quadrature.
+
+Each ModelConfig builds its SeriesKernel once, on first use (``cfg.series``):
+phi, the degrees and factorials, the state-independent leftmost factors of
+the sums and the student's CoefficientSource.  The loss, the gradients, the
+correlation objective, the linearization and the flow's right-hand side all
+evaluate through it, so a call does only the state-dependent arithmetic,
+in the same operations and order as the series written out in full.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, inf, isfinite
 
 import numpy as np
 
 from .activations import ActivationSpec, builtin
-from .hermite import pure_hermite_coefficients, rescaled_coefficients, series_workspace
+from .hermite import (
+    CoefficientSource,
+    pure_hermite_coefficients,
+    rescaled_coefficients,
+    series_workspace,
+)
+
+# largest admissible |m|: the band [-1, 1] plus rounding slack
+M_BAND = 1.0 + 1e-12
 
 # minimum admissible pre-activation variance before the state is declared
 # collapsed (the expansion measure degenerates)
@@ -82,6 +97,12 @@ class ModelConfig:
         elif self.delta <= 0:
             raise ValueError("delta must be positive")
 
+    @cached_property
+    def series(self) -> SeriesKernel:
+        """The config's SeriesKernel, built on first use and kept as long as
+        the config."""
+        return SeriesKernel(self)
+
 
 def default_delta(student: ActivationSpec) -> float:
     """1/(k*! * k*) for a pure Hermite student of degree k*, else 1."""
@@ -99,7 +120,7 @@ class OrderParameterState:
     m: float
 
     def __post_init__(self):
-        if abs(self.m) > 1.0 + 1e-12:
+        if abs(self.m) > M_BAND:
             raise ValueError("|m| must not exceed 1")
 
     def r(self, mu: float) -> float:
@@ -131,8 +152,9 @@ def _tail_ok(terms: np.ndarray, rtol: float = TAIL_RTOL) -> bool:
     terms = np.asarray(terms, dtype=float)
     if len(terms) < 4:
         return True
-    scale = max(abs(float(np.sum(terms))), float(np.max(np.abs(terms))), 1e-300)
-    return bool(np.all(np.abs(terms[-3:]) <= rtol * scale + 1e-300))
+    mag = np.abs(terms)
+    scale = max(abs(float(np.add.reduce(terms))), float(np.maximum.reduce(mag)), 1e-300)
+    return float(np.maximum.reduce(mag[-3:])) <= rtol * scale + 1e-300
 
 
 @lru_cache(maxsize=64)
@@ -151,13 +173,62 @@ def teacher_coefficients(cfg: ModelConfig) -> np.ndarray:
     return _teacher_coefficients_cached(cfg.teacher, cfg.k_max)
 
 
-def _expand(cfg: ModelConfig, r: float, floor: float = R_FLOOR):
-    """(phi, ks, inv_fact, sh, sbh) at variance r, from the caches; r below floor
-    raises DegenerateStateError (linearize_search_phase passes 0 to admit any mu)."""
-    if r < floor:
-        raise DegenerateStateError(f"pre-activation variance collapsed: r={r:.3e}")
-    return (teacher_coefficients(cfg), *series_workspace(cfg.k_max),
-            *rescaled_coefficients(cfg.student, r, cfg.k_max))
+class SeriesKernel:
+    """The state-independent part of a ModelConfig's series, built once per
+    config as ``cfg.series``.
+
+    It holds the teacher's phi_k, the degrees ks and 1/k!, ks - 1, the
+    leftmost factors of the gradient sums, (k/k!) phi_k for k >= 1 and
+    phi_k/k!, and the student's CoefficientSource.  Each cached factor is
+    the leftmost operand of the product it starts, so every product keeps
+    the operands and association, and therefore the bits, of writing it out
+    in full.  All held arrays are read-only.
+    """
+
+    __slots__ = ("mu", "phi", "ks", "inv_fact", "ks_m1", "half_phi_sq", "lead_k", "lead_0",
+                 "student")
+
+    def __init__(self, cfg: ModelConfig):
+        self.mu = cfg.mu
+        self.phi = teacher_coefficients(cfg)
+        self.ks, self.inv_fact = series_workspace(cfg.k_max)
+        self.ks_m1 = self.ks - 1.0
+        self.half_phi_sq = 0.5 * self.phi**2
+        self.lead_k = (self.inv_fact * self.ks)[1:] * self.phi[1:]
+        self.lead_0 = self.inv_fact * self.phi
+        for a in (self.ks_m1, self.half_phi_sq, self.lead_k, self.lead_0):
+            a.setflags(write=False)
+        self.student = CoefficientSource(cfg.student, cfg.k_max)
+
+    def coefficients(self, r: float, floor: float = R_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+        """The student's (sigma_k[r], sigmabar_k[r]) / r^k; r below floor raises
+        DegenerateStateError (linearize_search_phase passes 0 to admit any mu)."""
+        if r < floor:
+            raise DegenerateStateError(f"pre-activation variance collapsed: r={r:.3e}")
+        return self.student(r)
+
+    def gradient_sums(self, u: float, m: float) -> tuple[float, float, float, float]:
+        """(C1, Sa, Sb, Sc) at the state (u, m)."""
+        mu = self.mu
+        r = mu * mu + u * u + 2.0 * mu * u * m  # as OrderParameterState.r
+        sh, sbh = self.coefficients(r)
+        me_pow = (mu + u * m) ** self.ks  # m_eff as OrderParameterState.m_eff
+        # C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
+        c1 = float(np.add.reduce(self.inv_fact * sh * sbh * r**self.ks_m1))
+        # Sa = sum_{k>=1} phi_k m_eff^{k-1} sigma_k / ((k-1)! r^k)
+        sa = float(np.add.reduce(self.lead_k * me_pow[:-1] * sh[1:]))
+        # Sb = sum_{k>=1} phi_k m_eff^k sigma_k / ((k-1)! r^{k+1})
+        sb = float(np.add.reduce(self.lead_k * me_pow[1:] * sh[1:] / r))
+        # Sc = sum_{k>=0} phi_k m_eff^k sigmabar_k / (k! r^{k+1})
+        sc = float(np.add.reduce(self.lead_0 * me_pow * sbh / r))
+        return c1, sa, sb, sc
+
+    def loss_gradients(self, u: float, m: float) -> tuple[float, float]:
+        """(dL/du, dL/dm) at the state (u, m)."""
+        c1, sa, sb, sc = self.gradient_sums(u, m)
+        g = c1 + sb - sc
+        drive = u + self.mu * m
+        return drive * g - m * sa, u * self.mu * g - u * sa
 
 
 def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
@@ -167,44 +238,27 @@ def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
 
     Emits SeriesConvergenceWarning when the truncation tail is not negligible.
     """
+    ser = cfg.series
     r, me = s.r(cfg.mu), s.m_eff(cfg.mu)
-    phi, ks, inv_fact, sh, _ = _expand(cfg, r)
+    sh, _ = ser.coefficients(r)
+    ks = ser.ks
     # sigma_k^2/r^k = sh^2 * r^k ; sigma_k/r^k = sh
-    terms = inv_fact * (0.5 * phi**2 + 0.5 * sh * sh * r**ks - sh * phi * me**ks)
+    terms = ser.inv_fact * (ser.half_phi_sq + 0.5 * sh * sh * r**ks - sh * ser.phi * me**ks)
     if not _tail_ok(terms, LOSS_TAIL_RTOL):
         warnings.warn("population loss series tail above tolerance", SeriesConvergenceWarning)
-    return float(terms.sum())
-
-
-def _gradient_sums(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float, float, float]:
-    r = s.r(cfg.mu)
-    phi, ks, inv_fact, sh, sbh = _expand(cfg, r)
-    me_pow = s.m_eff(cfg.mu) ** ks
-    # C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
-    c1 = float((inv_fact * sh * sbh * r ** (ks - 1.0)).sum())
-    # Sa = sum_{k>=1} phi_k m_eff^{k-1} sigma_k / ((k-1)! r^k)
-    sa = float(((inv_fact * ks)[1:] * phi[1:] * me_pow[:-1] * sh[1:]).sum())
-    # Sb = sum_{k>=1} phi_k m_eff^k sigma_k / ((k-1)! r^{k+1})
-    sb = float(((inv_fact * ks)[1:] * phi[1:] * me_pow[1:] * sh[1:] / r).sum())
-    # Sc = sum_{k>=0} phi_k m_eff^k sigmabar_k / (k! r^{k+1})
-    sc = float((inv_fact * phi * me_pow * sbh / r).sum())
-    return c1, sa, sb, sc
+    return float(np.add.reduce(terms))
 
 
 def loss_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
     """(dL/du, dL/dm) of the population loss, by the exact coefficient series."""
-    c1, sa, sb, sc = _gradient_sums(cfg, s)
-    g = c1 + sb - sc
-    drive = s.u + cfg.mu * s.m
-    dldu = drive * g - s.m * sa
-    dldm = s.u * cfg.mu * g - s.u * sa
-    return dldu, dldm
+    return cfg.series.loss_gradients(s.u, s.m)
 
 
 def correlation_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
     """Correlation objective 1 - E[y yhat] in series form."""
-    phi, ks, inv_fact, sh, _ = _expand(cfg, s.r(cfg.mu))
-    return 1.0 - float((inv_fact * phi * sh * s.m_eff(cfg.mu) ** ks).sum())
+    ser = cfg.series
+    sh, _ = ser.coefficients(s.r(cfg.mu))
+    return 1.0 - float((ser.lead_0 * sh * s.m_eff(cfg.mu) ** ser.ks).sum())
 
 
 def correlation_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
@@ -213,7 +267,7 @@ def correlation_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[flo
     For linear matching activations this is exactly (-m, -u), independent
     of mu.
     """
-    _, sa, sb, sc = _gradient_sums(cfg, s)
+    _, sa, sb, sc = cfg.series.gradient_sums(s.u, s.m)
     drive = s.u + cfg.mu * s.m
     dldu = -(drive * (sc - sb) + s.m * sa)
     dldm = -(s.u * cfg.mu * (sc - sb) + s.u * sa)
@@ -232,17 +286,17 @@ def linearize_search_phase(cfg: ModelConfig) -> SearchPhaseLinearization:
     delta * phi_0 * sigmabar_0 / mu^2, which is nonzero for relu.
     """
     mu = cfg.mu
-    phi, ks, inv_fact, sh, sbh = _expand(cfg, mu * mu, floor=0.0)
+    ser = cfg.series
+    phi, ks, inv_fact = ser.phi, ser.ks, ser.inv_fact
+    sh, sbh = ser.coefficients(mu * mu, floor=0.0)
     mu_pow = mu**ks
     # sigmabar_k/mu^{k+1} = sbh mu^{k-1};  sigma_k/mu^k = sh mu^k
     a_terms = -inv_fact * (sbh * mu_pow / mu) * (-phi + sh * mu_pow)
     # sigmabar_k sigma_k/mu^{2k+2} = sbh sh mu^{2k-2}
     b1_terms = inv_fact * sbh * sh * mu_pow * mu_pow / (mu * mu)
     # phi_k (sigma_k - sigmabar_k/k)/((k-1)! mu^{k+2}) with sigma/mu^{2k} rescaling
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = sh - np.where(ks > 0, sbh / np.where(ks > 0, ks, 1.0), 0.0)
     b2_terms = np.zeros_like(b1_terms)
-    b2_terms[1:] = (inv_fact * ks)[1:] * phi[1:] * diff[1:] * mu_pow[1:] / (mu * mu)
+    b2_terms[1:] = ser.lead_k * (sh[1:] - sbh[1:] / ks[1:]) * mu_pow[1:] / (mu * mu)
     b_terms = -(b1_terms + b2_terms)
     A = cfg.delta * float(a_terms.sum())
     B = cfg.delta * float(b_terms.sum())

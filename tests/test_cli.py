@@ -475,3 +475,21 @@ def test_top_seed_runs_its_own_stream(tmp_path):
     _, _, high = parse_csv_text(read(tmp_path / f"sgd_linear_mu0.3_s{top}.csv"))
     assert "u" in cols
     assert not np.array_equal(zero["u"], high["u"])
+
+
+def test_cell_warnings_are_counted_in_the_manifest(tmp_path, capsys):
+    # erf's loss series tail is above tolerance at every record of this run
+    code = main(["ode", "--activation", "erf", "--mu", "0.3", "--dt", "0.05", "--t-max", "20",
+                 "--out", str(tmp_path / "erf")])
+    assert code == EXIT_OK
+    [cell] = json.loads(read(tmp_path / "erf" / "manifest.json"))["cells"]
+    _, _, data = parse_csv_text(read(tmp_path / "erf" / cell["files"][0]))
+    assert cell["status"] == "ok"
+    assert cell["warnings"] == {"SeriesConvergenceWarning": len(data["t"])}
+    assert f"SeriesConvergenceWarning={len(data['t'])}" in capsys.readouterr().out
+    code = main(["ode", "--activation", "linear", "--mu", "0.3", "--dt", "0.05", "--t-max", "20",
+                 "--out", str(tmp_path / "linear")])
+    assert code == EXIT_OK
+    [cell] = json.loads(read(tmp_path / "linear" / "manifest.json"))["cells"]
+    assert "warnings" not in cell
+    assert "Warning=" not in capsys.readouterr().out

@@ -228,3 +228,44 @@ def test_recurrence_matches_zeros_ones_reference_bit_for_bit():
     for r in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             eval_scaled_hermite(2, r, z)
+
+
+NONFINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+def test_project_activation_refuses_a_nonfinite_variance():
+    for r in NONFINITE:
+        with pytest.raises(ConfigurationError):
+            project_activation(builtin("erf"), r, 10)
+
+
+def test_pure_hermite_coefficients_refuse_a_nonfinite_variance():
+    for r in NONFINITE:
+        with pytest.raises(ValueError):
+            pure_hermite_coefficients(2, r, 0)
+
+
+def test_coefficient_source_refuses_a_nonfinite_variance():
+    from searchphase.hermite import CoefficientSource
+
+    for act in (builtin("erf"), builtin("hermite2"), builtin("linear")):
+        source = CoefficientSource(act, 10)
+        for r in NONFINITE + (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                source(r)
+
+
+def test_rescaled_coefficients_never_share_their_arrays():
+    # a caller that writes into one result cannot change the next
+    from searchphase.hermite import CoefficientSource, rescaled_coefficients
+
+    for act in (builtin("erf"), builtin("hermite3"), builtin("linear")):
+        want = [a.copy() for a in rescaled_coefficients(act, 0.5, 12)]
+        for got in rescaled_coefficients(act, 0.5, 12), CoefficientSource(act, 12)(0.5):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+                a[...] = 7.0
+        source = CoefficientSource(act, 12)
+        first = source(0.5)
+        second = source(0.5)
+        assert not any(np.shares_memory(a, b) for a in first for b in second)

@@ -267,3 +267,21 @@ def test_fixed_step_order_against_matrix_exponential(method, dt, order):
 
     ratio = error(dt) / error(dt / 2)
     assert ratio == pytest.approx(2.0**order, rel=0.05)
+
+
+def test_nonfinite_stage_is_a_blowup():
+    from searchphase.ode import _flow_rhs
+
+    cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.3, k_max=2)
+    for y in ([math.nan, 0.1], [0.1, math.nan], [math.inf, 0.1], [0.1, -math.inf]):
+        with pytest.raises(NumericalBlowupError):
+            _flow_rhs(cfg, np.array(y))
+
+
+@pytest.mark.parametrize("act", [LINEAR, builtin("hermite2")])
+def test_stage_whose_variance_overflows_is_a_blowup(act):
+    # m = 1 stays in the band, but the stages of so large a step put u near
+    # 1e154, where u^2, and so r, is infinite
+    cfg = ModelConfig(teacher=act, student=act, mu=0.3, k_max=25)
+    with pytest.raises(NumericalBlowupError, match=r"\|u\| <= 1e\+06"):
+        integrate_flow(cfg, OrderParameterState(1e5, 1.0), FlowSettings(dt=1e150, t_max=1e150))

@@ -432,3 +432,145 @@ def test_linearization_accepts_mu_below_the_state_floor():
     for act in (LINEAR, HE3):
         lin = linearize_search_phase(model(act, 1e-7))
         assert math.isfinite(lin.A) and math.isfinite(lin.B)
+
+
+# ---------------------------------------------------------------------------
+# the per-config series kernel keeps every bit of the expressions written out
+# ---------------------------------------------------------------------------
+
+
+def _reference_rescaled(act, r, k_max):
+    # the closed form as first written (zeros, then every same-parity degree
+    # from ((r-1)/2)^j), or quadrature coefficients divided by r^k
+    k_star = act.pure_hermite_degree
+    if k_star is None:
+        from searchphase.hermite import rescaled_coefficients
+
+        return rescaled_coefficients(act, r, k_max)
+    inv = np.array([1.0 / math.factorial(j) for j in range(k_star + 1)])
+    fk = float(math.factorial(k_star))
+    ks = np.arange(k_star % 2, k_star + 1, 2)
+    js = (k_star - ks) // 2
+    low = ks[:-1]
+    jb = (k_star - 2 - low) // 2
+    half = (r - 1.0) / 2.0
+    sh, sbh = np.zeros(k_max + 1), np.zeros(k_max + 1)
+    sh[ks] = fk * half**js * inv[js]
+    sbh[k_star] = k_star * sh[k_star]
+    sbh[low] = fk * half**jb * inv[jb] * (k_star * r - low) / (k_star - low)
+    return sh, sbh
+
+
+def _reference_expand(cfg, r):
+    # (phi, ks, 1/k!, sh, sbh) rebuilt in full on every call
+    ks = np.arange(cfg.k_max + 1, dtype=float)
+    inv_fact = np.ones(cfg.k_max + 1)
+    for k in range(1, cfg.k_max + 1):
+        inv_fact[k] = inv_fact[k - 1] / k
+    phi, _ = _reference_rescaled(cfg.teacher, 1.0, cfg.k_max)
+    return (phi, ks, inv_fact, *_reference_rescaled(cfg.student, r, cfg.k_max))
+
+
+def _reference_sums(cfg, s):
+    r = s.r(cfg.mu)
+    phi, ks, inv_fact, sh, sbh = _reference_expand(cfg, r)
+    me_pow = s.m_eff(cfg.mu) ** ks
+    c1 = float((inv_fact * sh * sbh * r ** (ks - 1.0)).sum())
+    sa = float(((inv_fact * ks)[1:] * phi[1:] * me_pow[:-1] * sh[1:]).sum())
+    sb = float(((inv_fact * ks)[1:] * phi[1:] * me_pow[1:] * sh[1:] / r).sum())
+    sc = float((inv_fact * phi * me_pow * sbh / r).sum())
+    return c1, sa, sb, sc
+
+
+def _reference_values(cfg, s):
+    """population_loss, loss_gradients, correlation_loss, correlation_gradients."""
+    r, me = s.r(cfg.mu), s.m_eff(cfg.mu)
+    phi, ks, inv_fact, sh, _ = _reference_expand(cfg, r)
+    loss = float((inv_fact * (0.5 * phi**2 + 0.5 * sh * sh * r**ks - sh * phi * me**ks)).sum())
+    c1, sa, sb, sc = _reference_sums(cfg, s)
+    g = c1 + sb - sc
+    drive = s.u + cfg.mu * s.m
+    grads = (drive * g - s.m * sa, s.u * cfg.mu * g - s.u * sa)
+    corr = 1.0 - float((inv_fact * phi * sh * me**ks).sum())
+    corr_grads = (-(drive * (sc - sb) + s.m * sa), -(s.u * cfg.mu * (sc - sb) + s.u * sa))
+    return loss, grads, corr, corr_grads
+
+
+def _reference_linearization(cfg):
+    mu = cfg.mu
+    phi, ks, inv_fact, sh, sbh = _reference_expand(cfg, mu * mu)
+    mu_pow = mu**ks
+    a_terms = -inv_fact * (sbh * mu_pow / mu) * (-phi + sh * mu_pow)
+    b1_terms = inv_fact * sbh * sh * mu_pow * mu_pow / (mu * mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = sh - np.where(ks > 0, sbh / np.where(ks > 0, ks, 1.0), 0.0)
+    b2_terms = np.zeros_like(b1_terms)
+    b2_terms[1:] = (inv_fact * ks)[1:] * phi[1:] * diff[1:] * mu_pow[1:] / (mu * mu)
+    b_terms = -(b1_terms + b2_terms)
+    return cfg.delta * float(a_terms.sum()), cfg.delta * float(b_terms.sum())
+
+
+def _kernel_pairs():
+    acts = {n: builtin(n) for n in ("linear", "erf", "sigmoid", "relu", "hermite2", "hermite3")}
+    pairs = [(a, a) for a in acts.values()]
+    return pairs + [(transform_teacher(acts["erf"], LabelTransform("square")), acts["erf"])]
+
+
+def test_series_kernel_matches_the_written_out_series_bit_for_bit():
+    states = [OrderParameterState(u, m) for u in (1e-3, 0.05, 0.4, 0.9) for m in (-0.95, 1e-3, 0.3, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeriesConvergenceWarning)
+        for teacher, student in _kernel_pairs():
+            for k_max in (2, 25, 40):
+                if (student.pure_hermite_degree or 0) > k_max:
+                    continue
+                for mu in (1e-7, 0.2, 0.5, 0.8):
+                    if mu < 0.1 and student.pure_hermite_degree is None:
+                        continue  # quadrature coefficients over r^k are 0/0 at r = 1e-14
+                    cfg = ModelConfig(teacher=teacher, student=student, mu=mu, k_max=k_max)
+                    lin = linearize_search_phase(cfg)
+                    assert (lin.A, lin.B) == _reference_linearization(cfg), (student.name, k_max, mu)
+                    if mu < 0.1:
+                        continue
+                    for s in states:
+                        got = (population_loss(cfg, s), loss_gradients(cfg, s),
+                               correlation_loss(cfg, s), correlation_gradients(cfg, s))
+                        assert got == _reference_values(cfg, s), (student.name, k_max, mu, s)
+
+
+def test_rescaled_coefficients_are_the_projection_over_r_to_the_k_bit_for_bit():
+    from searchphase.hermite import project_activation, rescaled_coefficients
+
+    squared = transform_teacher(ERF, LabelTransform("square"))
+    plain_he3 = dataclasses.replace(HE3, pure_hermite_degree=None)
+    for act in (ERF, builtin("sigmoid"), builtin("relu"), squared, plain_he3):
+        for k_max in (2, 25, 40):
+            for r in (1e-8, 0.09, 0.5, 1.0, 2.3):
+                co = project_activation(act, r, k_max)
+                powers = r ** np.arange(k_max + 1, dtype=float)
+                sh, sbh = rescaled_coefficients(act, r, k_max)
+                assert sh.tobytes() == (co.sigma_k / powers).tobytes()
+                assert sbh.tobytes() == (co.sigma_bar_k / powers).tobytes()
+    for k_star in range(1, 8):
+        act = builtin(f"hermite{k_star}")
+        for r in (1e-8, 0.09, 0.5, 1.0, 2.3):
+            want = _reference_rescaled(act, r, k_star + 3)
+            got = rescaled_coefficients(act, r, k_star + 3)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_series_kernel_is_built_once_per_config_and_read_only():
+    for act in (LINEAR, ERF, HE3):
+        cfg = model(act, 0.4)
+        kernel = cfg.series
+        assert cfg.series is kernel
+        assert model(act, 0.4).series is not kernel
+        source = kernel.student
+        held = [getattr(kernel, name) for name in kernel.__slots__]
+        held += list(source.projection or ()) + list(source.pure or ()) + [source.ks]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 7
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
