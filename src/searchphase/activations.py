@@ -1,4 +1,9 @@
-"""Catalog of scalar activations with analytic metadata, plus label transforms."""
+"""Catalog of scalar activations with analytic metadata, plus label transforms.
+
+SciPy is imported only by builtin("erf") and builtin("sigmoid"), whose
+specs call scipy.special's ufuncs; the other activations, and so a linear
+or Hermite run, never load it.
+"""
 from __future__ import annotations
 
 import re
@@ -6,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf as _erf, expit as _expit
 
 from .hermite import eval_scaled_hermite
 
@@ -68,11 +72,6 @@ def _relu_prime(z):
     return np.where(z > 0, 1.0, 0.0) + 0.5 * (z == 0)
 
 
-def _sigmoid_prime(z):
-    s = _expit(z)
-    return s * (1.0 - s)
-
-
 def builtin(name: str) -> ActivationSpec:
     """Look up a builtin activation by name.
 
@@ -94,17 +93,25 @@ def builtin(name: str) -> ActivationSpec:
             pure_hermite_degree=1,
         )
     if name == "erf":
+        from scipy.special import erf  # here, not at module scope: see the module docstring
+
         return ActivationSpec(
             name="erf",
-            evaluate=lambda z: _erf(z),
+            evaluate=lambda z: erf(z),
             derivative=lambda z: 2.0 / np.sqrt(np.pi) * np.exp(-np.asarray(z, float) ** 2),
             parity="odd",
         )
     if name == "relu":
         return ActivationSpec(name="relu", evaluate=_relu, derivative=_relu_prime, parity="none")
     if name == "sigmoid":
+        from scipy.special import expit
+
+        def sigmoid_prime(z):
+            s = expit(z)
+            return s * (1.0 - s)
+
         return ActivationSpec(
-            name="sigmoid", evaluate=lambda z: _expit(z), derivative=_sigmoid_prime, parity="none"
+            name="sigmoid", evaluate=lambda z: expit(z), derivative=sigmoid_prime, parity="none"
         )
     m = _HERMITE_NAME.match(name)
     if m:

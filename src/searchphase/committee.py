@@ -282,6 +282,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     adapters = core + sqrt(max(1.0 - n_a / d, 0.0)) * residuals
     frame[:K] = teachers
     adapters = np.array([a / np.linalg.norm(a) for a in adapters])
+    buf = np.empty((R, d))  # scratch of each step's adapter update and row norms
 
     u = np.zeros((K, R))
     u[adapted] = 1.0 / sqrt(d)
@@ -326,8 +327,13 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
         scale = sqrt(eps @ eps) / cfg.batch_size
         w = frame_gradient(F, (eps @ coords) / cfg.batch_size, scale, g_res, grad)
         u[adapted] += du_row[None, :]
-        adapters += (cfg.learning_rate * 2.0 / sqK) * np.outer(U_col, w)
-        adapters /= np.linalg.norm(adapters, axis=1, keepdims=True)
+        # np.outer's and np.linalg.norm's operations (the norm is
+        # sqrt(add.reduce(a * a))) in their order, so every bit is kept
+        np.multiply.outer(U_col, w, out=buf)
+        buf *= cfg.learning_rate * 2.0 / sqK
+        adapters += buf
+        np.multiply(adapters, adapters, out=buf)
+        adapters /= np.sqrt(np.add.reduce(buf, axis=1, keepdims=True))
 
         m, q = overlaps()
         # false for NaN as well as for magnitudes beyond the limit

@@ -262,8 +262,9 @@ class CoefficientSource:
     holds the layout of its closed form and never touches quadrature; any
     other activation holds project_activation's nodes, matrices and
     exponents, and is projected by the same code.  A call refuses an r that
-    is not positive and finite, and returns new arrays; the prepared arrays
-    are read-only.
+    is not positive and finite, and, for a projected activation, an r so small
+    that r^k_max underflows to 0; it returns new arrays, and the prepared
+    arrays are read-only.
     """
 
     __slots__ = ("f", "k_max", "pure", "projection", "ks")
@@ -283,6 +284,12 @@ class CoefficientSource:
             return _pure_rescaled(self.pure, r, self.k_max)
         sigma, sigma_bar = _project(self.f, r, self.projection)
         powers = r**self.ks
+        # r^k falls with k when r < 1, so the top power is the first to underflow
+        if powers[-1] == 0.0:
+            raise ConfigurationError(
+                f"variance r = {r!r} is too small for k_max = {self.k_max}: "
+                f"r**{self.k_max} underflows to 0, so sigma_k[r] / r^k is not finite"
+            )
         return sigma / powers, sigma_bar / powers
 
 

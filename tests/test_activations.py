@@ -93,3 +93,16 @@ def test_transform_teacher_identity_is_noop():
 def test_activation_spec_validates_parity():
     with pytest.raises(ValueError):
         ActivationSpec(name="bad", evaluate=lambda z: z, derivative=None, parity="mixed")
+
+
+def test_erf_and_sigmoid_are_scipy_special_bit_for_bit():
+    from scipy.special import expit
+
+    grid = np.linspace(-40.0, 40.0, 801)
+    z = np.concatenate([grid, [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324]])
+    s = expit(z)
+    for got, want in ((builtin("erf").evaluate(z), scipy_erf(z)),
+                      (builtin("sigmoid").evaluate(z), s),
+                      (builtin("sigmoid").slope(z), s * (1.0 - s))):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -213,6 +213,52 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_linear_and_hermite_runs_never_import_scipy(tmp_path):
+    # SciPy loads only when an erf or sigmoid spec is built (and in compare)
+    code = f"""
+import sys
+import searchphase, searchphase.cli
+from searchphase.activations import builtin
+from searchphase.sgd import SimConfig, run_simulation
+
+out = {str(tmp_path)!r}
+assert searchphase.cli.main(["sgd", "--activation", "linear", "--mu", "0.3", "--seeds", "0",
+                             "--d", "100", "--batch-size", "20", "--n-steps", "5",
+                             "--out", out + "/sgd"]) == 0
+assert searchphase.cli.main(["tau", "--activations", "linear", "--out", out + "/tau"]) == 0
+he3 = builtin("hermite3")
+run_simulation(SimConfig(teacher=he3, student=he3, mu=0.3, d=100, batch_size=20,
+                         learning_rate=0.05, n_steps=2))
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+builtin("erf")
+assert "scipy.special" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(searchphase.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    code = "import sys; from searchphase.activations import builtin; builtin('sigmoid'); " \
+           "assert 'scipy.special' in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_tau_cell_fails_where_the_coefficients_underflow(tmp_path, capsys):
+    # erf at mu = 1e-5 has r = 1e-10, where r**40 is 0.0: the cell fails, not a nan row
+    code = main(["tau", "--activations", "erf", "--mu", "0.00001,0.5", "--k-max", "40",
+                 "--out", str(tmp_path / "small")])
+    assert code == EXIT_PARTIAL
+    assert "[failed] tau_erf" in capsys.readouterr().out
+    [cell] = json.loads(read(tmp_path / "small" / "manifest.json"))["cells"]
+    assert cell["status"] == "failed" and cell["files"] == []
+    assert "k_max = 40" in cell["error"] and "warnings" not in cell
+    # the mu = 0.5 row keeps every digit it had before the check
+    code = main(["tau", "--activations", "erf", "--mu", "0.5", "--k-max", "40",
+                 "--out", str(tmp_path / "half")])
+    assert code == EXIT_OK
+    row = read(tmp_path / "half" / "tau_erf.csv").splitlines()[-1]
+    assert row == "0.5,0.153611337252,-1.05392765341,0.0219326276357,45.5941721443,1"
+
+
 def test_singularity_scan_finds_cubic_root(tmp_path):
     code = main(["singularity", "--activations", "hermite3", "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -269,3 +269,21 @@ def test_rescaled_coefficients_never_share_their_arrays():
         first = source(0.5)
         second = source(0.5)
         assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_coefficient_source_refuses_a_variance_whose_top_power_underflows():
+    # at r = 1e-10, r**k is 0.0 for k >= 33, and sigma_k[r] / r^k would be x / 0
+    from searchphase.hermite import CoefficientSource, rescaled_coefficients
+    from searchphase.theory import ModelConfig, linearize_search_phase
+
+    erf = builtin("erf")
+    with pytest.raises(ConfigurationError, match=r"r = 1\.0000000000000002e-10 .*k_max = 40"):
+        CoefficientSource(erf, 40)(1e-5 * 1e-5)
+    with pytest.raises(ConfigurationError, match="k_max = 33"):
+        rescaled_coefficients(erf, 1e-10, 33)
+    with pytest.raises(ConfigurationError, match="underflows"):
+        linearize_search_phase(ModelConfig(teacher=erf, student=erf, mu=1e-5, k_max=40))
+    # k_max = 32 keeps r**32 a subnormal, and a pure activation has no powers to divide by
+    for act, k_max in ((erf, 32), (builtin("hermite3"), 40), (builtin("linear"), 40)):
+        for a in CoefficientSource(act, k_max)(1e-10):
+            assert np.all(np.isfinite(a))
