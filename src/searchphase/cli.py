@@ -1,15 +1,15 @@
 """Experiment runner: sweeps, CSV/SVG artifacts, and comparison reports.
 
 Each subcommand is one entry of :data:`SUBCOMMANDS`: its fields (parser,
-default, check, scalar setting or sweep axis), how its cells are named and
-its cell runner.  The argparse flags, the INI config sections, plan
-validation and the cell expansion are all generated from that table.  A
-plan expands into independent sweep cells, which run one after another.
-Cell runners return a table and touch no path; :func:`_execute`, the one
-writer, turns each table into one CSV artifact and one entry of the
-``manifest.json`` that indexes them.  SVG line plots are optional
-companions rendered purely from the CSV text, so regenerating a plot from
-its CSV reproduces it byte for byte.
+default, check, scalar setting or sweep axis), how its cells are named,
+its CSV header (kind, title and the plan values it copies) and its cell
+runner.  The argparse flags, the INI config sections, plan validation, the
+cell expansion and the headers are all generated from that table.  A plan
+expands into independent sweep cells, which run one after another.  Cell
+runners return a table of what they computed and touch no path;
+:func:`_execute`, the one writer, turns each table into one CSV artifact
+and one entry of the ``manifest.json`` that indexes them.  Optional SVG
+line plots are a pure function of the CSV text.
 """
 
 from __future__ import annotations
@@ -307,10 +307,6 @@ def render_svg(csv_text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mu_tag(mu: float) -> str:
-    return f"mu{mu:.4g}"
-
-
 def build_cells(plan: ExperimentPlan) -> list[Cell]:
     """One cell per combination of the subcommand's cell axes, in order."""
     spec = SPECS[plan.kind]
@@ -320,6 +316,16 @@ def build_cells(plan: ExperimentPlan) -> list[Cell]:
         params = dict(zip(keys, combo))
         cells.append(Cell(name=spec.cell_name.format(**{**plan.settings, **params}), params=params))
     return cells
+
+
+def _headed(plan: ExperimentPlan, cell: Cell) -> tuple:
+    """The cell's table, with the header its subcommand row declares put
+    before the metadata the run computed."""
+    spec = SPECS[plan.kind]
+    values = {**plan.settings, **cell.params}
+    header = {"kind": plan.kind, "title": spec.title.format(**values)}
+    metadata, columns, rows, summary = spec.run(plan, cell)
+    return {**header, **{k: values[k] for k in spec.meta}, **metadata}, columns, rows, summary
 
 
 def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
@@ -332,34 +338,19 @@ def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
 
 
 def _run_tau_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    cfg = plan.settings
     act = builtin(cell.params["activation"])
-    curve = tau_curve(act, act, np.asarray(plan.sweep["mu"]), k_max=cfg["k_max"])
-    metadata = {
-        "kind": "tau_curve",
-        "activation": cell.params["activation"],
-        "k_max": cfg["k_max"],
-        "title": f"escape time, {cell.params['activation']}",
-    }
+    curve = tau_curve(act, act, np.asarray(plan.sweep["mu"]), k_max=plan.settings["k_max"])
     rows = zip(curve.mu, curve.A, curve.B, curve.lambda_plus, curve.tau, curve.converged)
-    return metadata, ["mu", "A", "B", "lambda_plus", "tau", "converged"], rows, {}
+    return {}, ["mu", "A", "B", "lambda_plus", "tau", "converged"], rows, {}
 
 
 def _run_singularity_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    cfg = plan.settings
-    name = cell.params["activation"]
-    act = builtin(name)
-    roots = find_singularities(act, act, k_max=cfg["k_max"])
+    act = builtin(cell.params["activation"])
+    roots = find_singularities(act, act, k_max=plan.settings["k_max"])
     degree = act.pure_hermite_degree if act.pure_hermite_degree is not None else -1
-    metadata = {
-        "kind": "singularity_scan",
-        "activation": name,
-        "k_max": cfg["k_max"],
-        "n_roots": len(roots),
-        "title": f"drift-coefficient roots, {name}",
-    }
     rows = [(degree, r) for r in roots]
-    return metadata, ["degree", "root_mu"], rows, {"roots": [float(r) for r in roots]}
+    summary = {"roots": [float(r) for r in roots]}
+    return {"n_roots": len(roots)}, ["degree", "root_mu"], rows, summary
 
 
 def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple[ModelConfig, FlowSettings]:
@@ -379,21 +370,9 @@ def _run_ode_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     model, settings = _ode_configs(plan, cell)
     rec = integrate_flow(model, OrderParameterState(u=cfg["u0"], m=cfg["m0"]), settings)
-    metadata = {
-        "kind": "ode_run",
-        "activation": cfg["activation"],
-        "mu": cell.params["mu"],
-        "dt": cfg["dt"],
-        "method": cfg["method"],
-        "u0": cfg["u0"],
-        "m0": cfg["m0"],
-        "t_exit": rec.t_exit,
-        "exited": rec.exited,
-        "title": f"flow, {cfg['activation']}, {_mu_tag(cell.params['mu'])}",
-    }
-    rows = zip(rec.t, rec.u, rec.m, rec.m_eff, rec.r, rec.loss)
     summary = {"t_exit": rec.t_exit, "exited": rec.exited}
-    return metadata, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
+    rows = zip(rec.t, rec.u, rec.m, rec.m_eff, rec.r, rec.loss)
+    return summary, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
 
 
 def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
@@ -425,27 +404,10 @@ def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
 
 
 def _run_sgd_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    cfg = plan.settings
     sim = _sim_config(plan, cell)
     result = run_simulation(sim)
-    metadata = {
-        "kind": plan.kind,
-        "activation": cfg["activation"],
-        "mu": cell.params["mu"],
-        "seed": cell.params["seed"],
-        "d": sim.d,
-        "batch_size": sim.batch_size,
-        "learning_rate": sim.learning_rate,
-        "n_steps": sim.n_steps,
-        "frozen_mode": sim.frozen_mode,
-        "objective": sim.objective,
-        "exit_step": result.exit_step,
-        "aligned_step": result.aligned_step,
-        "title": (
-            f"{'curriculum' if plan.kind == 'curriculum_run' else 'sgd'}, "
-            f"{cfg['activation']}, {_mu_tag(cell.params['mu'])}, seed {cell.params['seed']}"
-        ),
-    }
+    metadata = {"learning_rate": sim.learning_rate, "exit_step": result.exit_step,
+                "aligned_step": result.aligned_step}
     columns = ["t_epoch", "u", "m", "m_eff", "r", "train_mse", "test_mse"]
     values = [result.t_epoch, result.u, result.m, result.m_eff, result.r,
               result.train_mse, result.test_mse]
@@ -479,25 +441,12 @@ def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
 
 
 def _run_committee_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    cfg = plan.settings
-    n_dir = cfg["n_directions"]
+    n_dir = plan.settings["n_directions"]
     committee = _committee_config(plan, cell)
     rates = committee_linear_rates(committee)
     result = committee_sgd(committee)
     rank = cell.params["rank"]
-    metadata = {
-        "kind": "committee_run",
-        "mu": cell.params["mu"],
-        "rank": rank,
-        "n_directions": n_dir,
-        "d": cfg["d"],
-        "batch_size": cfg["batch_size"],
-        "learning_rate": cfg["learning_rate"],
-        "onset_threshold": cfg["onset_threshold"],
-        "onset_step": result.onset_step,
-        "tau_theory": rates.tau[0],
-        "title": f"committee, {_mu_tag(cell.params['mu'])}, rank {rank}",
-    }
+    metadata = {"onset_step": result.onset_step, "tau_theory": rates.tau[0]}
     columns = (
         ["t_epoch"]
         + [f"rho_{r + 1}" for r in range(rank)]
@@ -585,15 +534,8 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
 def _run_compare_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     cfg = plan.settings
     report = compare_theory_experiment(cfg["theory_csv"], cfg["experiment_csv"])
-    metadata = {
-        "kind": "compare",
-        "spearman": report["spearman"],
-        "scale": report["scale"],
-        "offset": report["offset"],
-        "n_points": report["n_points"],
-        "max_abs_relative_residual": report["max_abs_relative_residual"],
-        "title": "exit epochs vs predicted escape times",
-    }
+    keys = ("spearman", "scale", "offset", "n_points", "max_abs_relative_residual")
+    metadata = {key: report[key] for key in keys}
     columns = ["mu", "tau", "predicted_epoch", "exit_epoch", "fitted_epoch", "relative_residual"]
     return metadata, columns, zip(*(report[c] for c in columns)), {
         "spearman": report["spearman"],
@@ -673,14 +615,24 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
 
     Returns (manifest, exit_code) with exit codes 0 = success,
     2 = partial failure, 3 = numerical blowup; raises ValidationError
-    (exit code 1) before touching any cell when the plan is invalid.
+    (exit code 1) before touching any cell when the plan is invalid or
+    the output directory holds another plan's (or an unreadable) manifest.
     """
     problems = validate_plan(plan)
     if problems:
         raise ValidationError(problems)
+    manifest_path = os.path.join(plan.output_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        try:
+            with open(manifest_path) as fh:
+                found = json.load(fh)["plan_hash"]
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ValidationError([("out", f"cannot read {manifest_path}: {exc!r}")]) from None
+        if found != plan_hash(plan):
+            raise ValidationError([("out", f"{manifest_path} indexes plan {found}, not this one")])
     os.makedirs(plan.output_dir, exist_ok=True)
     spec = SPECS[plan.kind]
-    entries = [_execute(plan, c.name, partial(spec.run, plan, c)) for c in build_cells(plan)]
+    entries = [_execute(plan, c.name, partial(_headed, plan, c)) for c in build_cells(plan)]
     summary = spec.summarize(plan, entries) if spec.summarize is not None else None
     if summary is not None:
         entries.append(_execute(plan, *summary))
@@ -691,7 +643,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
         "emit": plan.emit,
         "cells": entries,
     }
-    with open(os.path.join(plan.output_dir, "manifest.json"), "w", newline="") as fh:
+    with open(manifest_path, "w", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     statuses = {e["status"] for e in entries}
@@ -790,12 +742,14 @@ class Field:
 
 @dataclass(frozen=True)
 class Subcommand:
-    """One subcommand: its plan kind, fields, cell naming and cell runner.
+    """One subcommand: its plan kind, fields, cells, CSV header and cell runner.
 
     cells maps each cell parameter to the sweep axis it runs over; a plan
-    has one cell per combination, and cell_name is formatted with the
-    settings and the cell parameters.  run returns a cell's table,
-    (metadata, columns, rows, summary), for _execute to write.  summarize,
+    has one cell per combination, and cell_name and title are formatted
+    with the settings and the cell parameters.  A cell's CSV header holds
+    the kind, the title, the meta values taken from the same dict, and the
+    metadata of the table run returns, (metadata, columns, rows, summary),
+    for _execute to write; that metadata is what the run computed.  summarize,
     when set, returns one more artifact from the finished cells' entries as
     (name, table), table a callable giving such a table, or None.  configs, when
     set, builds the config(s) a cell runs with, for validate_plan to check.
@@ -807,7 +761,9 @@ class Subcommand:
     fields: tuple[Field, ...]
     cells: dict[str, str]
     cell_name: str
+    title: str
     run: Callable[[ExperimentPlan, Cell], tuple]
+    meta: tuple[str, ...] = ()
     summarize: Callable[[ExperimentPlan, list], tuple | None] | None = None
     configs: Callable[[ExperimentPlan, Cell], object] | None = None
 
@@ -848,6 +804,7 @@ _SGD_FIELDS = (
           flag=False),
     _RECORD_EVERY, _K_MAX,
 )
+_SGD_META = ("activation", "mu", "seed", "d", "batch_size", "n_steps", "frozen_mode", "objective")
 
 SUBCOMMANDS = (
     Subcommand(
@@ -859,7 +816,8 @@ SUBCOMMANDS = (
                     help="comma list or lo:hi:n grid"),
             _K_MAX,
         ),
-        cells={"activation": "activations"}, cell_name="tau_{activation}", run=_run_tau_cell,
+        cells={"activation": "activations"}, cell_name="tau_{activation}",
+        title="escape time, {activation}", meta=("activation", "k_max"), run=_run_tau_cell,
         configs=_model_configs,
     ),
     Subcommand(
@@ -870,6 +828,7 @@ SUBCOMMANDS = (
             _K_MAX,
         ),
         cells={"activation": "activations"}, cell_name="sing_{activation}",
+        title="drift-coefficient roots, {activation}", meta=("activation", "k_max"),
         run=_run_singularity_cell, configs=_model_configs,
     ),
     Subcommand(
@@ -884,14 +843,17 @@ SUBCOMMANDS = (
             Field("method", str, "rk4", choices=("rk4", "euler")),
             _RECORD_EVERY, _K_MAX,
         ), mu=(0.3,), record_every=10),
-        cells={"mu": "mu"}, cell_name="ode_{activation}_mu{mu:.4g}", run=_run_ode_cell,
-        configs=_ode_configs,
+        cells={"mu": "mu"}, cell_name="ode_{activation}_mu{mu:.4g}",
+        title="flow, {activation}, mu{mu:.4g}",
+        meta=("activation", "mu", "dt", "method", "u0", "m0"),
+        run=_run_ode_cell, configs=_ode_configs,
     ),
     Subcommand(
         name="sgd", kind="sgd_run", help="one-pass spherical SGD in dimension d",
         fields=_with_defaults(
             _SGD_FIELDS, mu=(0.5,), learning_rate=0.2, n_steps=2000, record_every=1),
         cells={"mu": "mu", "seed": "seeds"}, cell_name="sgd_{activation}_mu{mu:.4g}_s{seed}",
+        title="sgd, {activation}, mu{mu:.4g}, seed {seed}", meta=_SGD_META,
         run=_run_sgd_cell, summarize=_sgd_summary, configs=_sim_config,
     ),
     Subcommand(
@@ -902,6 +864,7 @@ SUBCOMMANDS = (
         ) + (Field("switch_threshold", float, 0.5, _open_unit),),
         cells={"mu": "mu", "seed": "seeds"},
         cell_name="curriculum_{activation}_mu{mu:.4g}_s{seed}",
+        title="curriculum, {activation}, mu{mu:.4g}, seed {seed}", meta=_SGD_META,
         run=_run_sgd_cell, summarize=_sgd_summary, configs=_sim_config,
     ),
     Subcommand(
@@ -915,6 +878,8 @@ SUBCOMMANDS = (
             _RECORD_EVERY,
         ), mu=(0.5,), ranks=(1, 2, 3), learning_rate=0.1, n_steps=8000, record_every=10),
         cells={"mu": "mu", "rank": "ranks"}, cell_name="committee_mu{mu:.4g}_r{rank}",
+        title="committee, mu{mu:.4g}, rank {rank}",
+        meta=("mu", "rank", "n_directions", "d", "batch_size", "learning_rate", "onset_threshold"),
         run=_run_committee_cell, configs=_committee_config,
     ),
     Subcommand(
@@ -925,7 +890,8 @@ SUBCOMMANDS = (
             Field("experiment_csv", str, None, _existing_file, flag="--experiment",
                   help="sgd_summary CSV artifact"),
         ),
-        cells={}, cell_name="compare_report", run=_run_compare_cell,
+        cells={}, cell_name="compare_report", title="exit epochs vs predicted escape times",
+        run=_run_compare_cell,
     ),
 )
 

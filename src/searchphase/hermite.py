@@ -115,16 +115,10 @@ def eval_scaled_hermite(k: int, r: float, z):
     return cur if cur.ndim else float(cur)
 
 
-def scaled_hermite_table(k_max: int, r: float, z: np.ndarray) -> np.ndarray:
-    """Rows 0..k_max of He_k^[r] evaluated at z, shape (k_max+1, len(z))."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty((k_max + 1,) + z.shape)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = z
-    for j in range(1, k_max):
-        out[j + 1] = z * out[j] - j * r * out[j - 1]
-    return out
+def scaled_hermite_table(k_max: int, r: float, z) -> np.ndarray:
+    """Rows 0..k_max of He_k^[r] evaluated at z, shape (k_max+1,) + z.shape;
+    row k is eval_scaled_hermite(k, r, z), bit for bit, at O(k_max**2) cost."""
+    return np.stack([eval_scaled_hermite(k, r, z) for k in range(k_max + 1)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -539,3 +540,119 @@ def test_cell_warnings_are_counted_in_the_manifest(tmp_path, capsys):
     [cell] = json.loads(read(tmp_path / "linear" / "manifest.json"))["cells"]
     assert "warnings" not in cell
     assert "Warning=" not in capsys.readouterr().out
+
+
+def test_an_output_directory_refuses_a_second_plan(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tau = ["tau", "--activations", "linear", "--mu", "0.1,0.5", "--out", "o"]
+    assert main(tau) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+    assert sorted(before) == ["manifest.json", "tau_linear.csv"]
+    capsys.readouterr()
+    assert main(["singularity", "--activations", "hermite3", "--out", "o"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "out: o/manifest.json indexes plan" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()} == before
+    # a rerun of the same plan rewrites its own files
+    assert main(tau) == EXIT_OK
+    assert (tmp_path / "o" / "tau_linear.csv").read_bytes() == before["tau_linear.csv"]
+    # a manifest that cannot be read is refused too, with no traceback
+    for text in ("{not json", "[1, 2]", "{}", "\xff"):
+        (tmp_path / "o" / "manifest.json").write_text(text, encoding="latin-1")
+        capsys.readouterr()
+        assert main(tau) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "out: cannot read o/manifest.json" in err and "Traceback" not in err
+
+
+# every CSV of a small plan of each subcommand: its sorted `# key` names,
+# its kind and its title, as the hand-built headers wrote them
+_HEADERS = {
+    "tau": (["--activations", "linear", "--mu", "0.3,0.6"], {
+        "tau_linear.csv": (["activation", "k_max", "kind", "title"],
+                           "tau_curve", "escape time, linear"),
+    }),
+    "singularity": (["--activations", "hermite3"], {
+        "sing_hermite3.csv": (["activation", "k_max", "kind", "n_roots", "title"],
+                              "singularity_scan", "drift-coefficient roots, hermite3"),
+    }),
+    "ode": (["--activation", "linear", "--mu", "0.3", "--dt", "0.05", "--t-max", "1"], {
+        "ode_linear_mu0.3.csv": (["activation", "dt", "exited", "kind", "m0", "method", "mu",
+                                  "t_exit", "title", "u0"], "ode_run", "flow, linear, mu0.3"),
+    }),
+    "sgd": (["--mu", "0.3", "--d", "100", "--batch-size", "20", "--n-steps", "5",
+             "--k-max", "2"], {
+        "sgd_linear_mu0.3_s0.csv": (["activation", "aligned_step", "batch_size", "d",
+                                     "exit_step", "frozen_mode", "kind", "learning_rate", "mu",
+                                     "n_steps", "objective", "seed", "title"],
+                                    "sgd_run", "sgd, linear, mu0.3, seed 0"),
+        "sgd_summary.csv": (["activation", "batch_size", "d", "kind", "title"],
+                            "sgd_summary", "exit epochs, linear"),
+    }),
+    "curriculum": (["--d", "100", "--batch-size", "20", "--n-steps", "5",
+                    "--record-every", "5"], {
+        "curriculum_hermite3_mu0.325_s0.csv": (
+            ["activation", "aligned_step", "batch_size", "d", "exit_step", "frozen_mode", "kind",
+             "learning_rate", "mu", "n_steps", "objective", "seed", "switch_step", "title"],
+            "curriculum_run", "curriculum, hermite3, mu0.325, seed 0"),
+        "sgd_summary.csv": (["activation", "batch_size", "d", "kind", "title"],
+                            "sgd_summary", "exit epochs, hermite3"),
+    }),
+    "committee": (["--ranks", "2", "--d", "50", "--n-steps", "5", "--record-every", "5"], {
+        "committee_mu0.5_r2.csv": (["batch_size", "d", "kind", "learning_rate", "mu",
+                                    "n_directions", "onset_step", "onset_threshold", "rank",
+                                    "tau_theory", "title"],
+                                   "committee_run", "committee, mu0.5, rank 2"),
+    }),
+    "compare": (None, {
+        "compare_report.csv": (["kind", "max_abs_relative_residual", "n_points", "offset",
+                                "scale", "spearman", "title"],
+                               "compare", "exit epochs vs predicted escape times"),
+    }),
+}
+
+
+def test_every_subcommand_keeps_its_csv_header():
+    assert sorted(_HEADERS) == sorted(spec.name for spec in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(_HEADERS))
+def test_csv_headers_are_pinned(tmp_path, name):
+    argv, want = _HEADERS[name]
+    if argv is None:
+        theory, exper = synthetic_compare_inputs(tmp_path, [0.1, 0.3, 0.5])
+        argv = ["--theory", theory, "--experiment", exper]
+    out = tmp_path / "out"
+    assert main([name] + argv + ["--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(want)
+    for csv_name, (keys, kind, title) in want.items():
+        text = read(out / csv_name)
+        meta, _, _ = parse_csv_text(text)
+        assert sorted(meta) == keys
+        assert meta["kind"] == kind
+        assert f"# title = {title}\n" in text
+
+
+def _readme_commands():
+    """The `searchphase ...` lines of README's command-line block, with the
+    backslash continuations joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    block = read(readme).split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    text = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in text.splitlines() if line.startswith("searchphase ")]
+
+
+def test_readme_examples_parse_and_validate(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {spec.name for spec in SUBCOMMANDS}
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        for path in (getattr(args, "theory_csv", None), getattr(args, "experiment_csv", None)):
+            if path:  # compare's inputs: stub files, for the existence check
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                open(path, "w").close()
+        plan = plan_from_args(args.kind, args)
+        assert validate_plan(plan) == [], " ".join(argv)
+    assert not os.path.exists(tmp_path / "out" / "tau")  # nothing ran

@@ -287,3 +287,22 @@ def test_coefficient_source_refuses_a_variance_whose_top_power_underflows():
     for act, k_max in ((erf, 32), (builtin("hermite3"), 40), (builtin("linear"), 40)):
         for a in CoefficientSource(act, k_max)(1e-10):
             assert np.all(np.isfinite(a))
+
+
+def test_table_rows_are_the_recurrence_bit_for_bit():
+    rng = np.random.default_rng(3)
+    grids = (1.5, rng.standard_normal(7) * 3, rng.standard_normal((3, 4)) * 2)
+    for r in (1e-8, 0.3, 1.0, 2.5, 7.0):
+        for z in grids:
+            table = scaled_hermite_table(40, r, z)
+            assert table.shape == (41,) + np.shape(z)
+            for k in range(41):
+                want = np.asarray(eval_scaled_hermite(k, r, z), dtype=float)
+                assert table[k].tobytes() == want.tobytes()
+
+
+def test_table_refuses_a_variance_that_is_not_positive_and_finite():
+    z = np.linspace(-1.0, 1.0, 5)
+    for r in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="variance"):
+            scaled_hermite_table(4, r, z)
