@@ -2,14 +2,15 @@
 
 Each subcommand is one entry of :data:`SUBCOMMANDS`: its fields (parser,
 default, check, scalar setting or sweep axis), how its cells are named,
-its CSV header (kind, title and the plan values it copies) and its cell
-runner.  The argparse flags, the INI config sections, plan validation, the
-cell expansion and the headers are all generated from that table.  A plan
-expands into independent sweep cells, which run one after another.  Cell
-runners return a table of what they computed and touch no path;
-:func:`_execute`, the one writer, turns each table into one CSV artifact
-and one entry of the ``manifest.json`` that indexes them.  Optional SVG
-line plots are a pure function of the CSV text.
+its CSV header (kind, title and the plan values it copies), the builder of
+a cell's config and its cell runner.  The argparse flags, the INI config
+sections, plan validation, the cell expansion and the headers are all
+generated from that table.  A plan expands into independent sweep cells,
+which run one after another.  validate_plan builds and so checks every
+cell's config; a runner takes only that config, returns a table of what it
+computed and touches no path.  :func:`_execute`, the one writer, turns each
+table into one CSV artifact and one entry of the ``manifest.json`` that
+indexes them.  Optional SVG line plots are a pure function of the CSV text.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .activations import ActivationSpec, builtin
 from .committee import CommitteeConfig, committee_linear_rates, committee_sgd
 from .ode import FlowSettings, NumericalBlowupError, integrate_flow
 from .sgd import Curriculum, SimConfig, run_simulation, scaled_learning_rate
-from .theory import ModelConfig, OrderParameterState, find_singularities, tau_curve
+from .theory import ModelConfig, OrderParameterState, find_singularities, linearize_search_phase
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -101,7 +102,7 @@ def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
     Every field of the plan's subcommand is checked (each element of a sweep
     axis on its own), the cells must have distinct names, and each cell's
-    configs must build, so that their cross-field checks fail here.
+    config must build, so that its cross-field checks fail here.
     """
     spec = SPECS.get(plan.kind)
     if spec is None:
@@ -129,11 +130,10 @@ def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
     params_by_name: dict[str, list[dict]] = {}
     for cell in build_cells(plan):
         params_by_name.setdefault(cell.name, []).append(cell.params)
-        if spec.configs is not None:
-            try:
-                spec.configs(plan, cell)
-            except ValueError as exc:
-                problems.append((cell.name, str(exc)))
+        try:
+            spec.build(plan, cell)
+        except ValueError as exc:
+            problems.append((cell.name, str(exc)))
     for name, params in params_by_name.items():
         if len(params) > 1:
             uses = " and ".join(", ".join(f"{k}={v}" for k, v in p.items()) for p in params)
@@ -319,12 +319,12 @@ def build_cells(plan: ExperimentPlan) -> list[Cell]:
 
 
 def _headed(plan: ExperimentPlan, cell: Cell) -> tuple:
-    """The cell's table, with the header its subcommand row declares put
-    before the metadata the run computed."""
+    """The table of the cell's run on the config its subcommand builds, with the
+    header its subcommand row declares put before the metadata the run computed."""
     spec = SPECS[plan.kind]
     values = {**plan.settings, **cell.params}
     header = {"kind": plan.kind, "title": spec.title.format(**values)}
-    metadata, columns, rows, summary = spec.run(plan, cell)
+    metadata, columns, rows, summary = spec.run(spec.build(plan, cell))
     return {**header, **{k: values[k] for k in spec.meta}, **metadata}, columns, rows, summary
 
 
@@ -337,24 +337,23 @@ def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
     return [ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max) for mu in mus]
 
 
-def _run_tau_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    act = builtin(cell.params["activation"])
-    curve = tau_curve(act, act, np.asarray(plan.sweep["mu"]), k_max=plan.settings["k_max"])
-    rows = zip(curve.mu, curve.A, curve.B, curve.lambda_plus, curve.tau, curve.converged)
+def _run_tau_cell(models: list[ModelConfig]) -> tuple:
+    rows = [(model.mu, x.A, x.B, x.lambda_plus, x.tau, x.converged)
+            for model, x in zip(models, map(linearize_search_phase, models))]
     return {}, ["mu", "A", "B", "lambda_plus", "tau", "converged"], rows, {}
 
 
-def _run_singularity_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    act = builtin(cell.params["activation"])
-    roots = find_singularities(act, act, k_max=plan.settings["k_max"])
-    degree = act.pure_hermite_degree if act.pure_hermite_degree is not None else -1
-    rows = [(degree, r) for r in roots]
+def _run_singularity_cell(models: list[ModelConfig]) -> tuple:
+    [model] = models
+    roots = find_singularities(model.teacher, model.student, k_max=model.k_max)
+    degree = model.student.pure_hermite_degree
+    rows = [(-1 if degree is None else degree, r) for r in roots]
     summary = {"roots": [float(r) for r in roots]}
     return {"n_roots": len(roots)}, ["degree", "root_mu"], rows, summary
 
 
-def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple[ModelConfig, FlowSettings]:
-    """The reduced model and the integration controls of an ode cell."""
+def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple:
+    """The reduced model, initial state and integration controls of an ode cell."""
     cfg = plan.settings
     settings = FlowSettings(
         dt=cfg["dt"],
@@ -363,13 +362,11 @@ def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple[ModelConfig, FlowSet
         method=cfg["method"],
         record_every=cfg["record_every"],
     )
-    return _model_configs(plan, cell)[0], settings
+    return _model_configs(plan, cell)[0], OrderParameterState(u=cfg["u0"], m=cfg["m0"]), settings
 
 
-def _run_ode_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    cfg = plan.settings
-    model, settings = _ode_configs(plan, cell)
-    rec = integrate_flow(model, OrderParameterState(u=cfg["u0"], m=cfg["m0"]), settings)
+def _run_ode_cell(configs: tuple[ModelConfig, OrderParameterState, FlowSettings]) -> tuple:
+    rec = integrate_flow(*configs)
     summary = {"t_exit": rec.t_exit, "exited": rec.exited}
     rows = zip(rec.t, rec.u, rec.m, rec.m_eff, rec.r, rec.loss)
     return summary, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
@@ -403,15 +400,14 @@ def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
     )
 
 
-def _run_sgd_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    sim = _sim_config(plan, cell)
+def _run_sgd_cell(sim: SimConfig) -> tuple:
     result = run_simulation(sim)
     metadata = {"learning_rate": sim.learning_rate, "exit_step": result.exit_step,
                 "aligned_step": result.aligned_step}
     columns = ["t_epoch", "u", "m", "m_eff", "r", "train_mse", "test_mse"]
     values = [result.t_epoch, result.u, result.m, result.m_eff, result.r,
               result.train_mse, result.test_mse]
-    if plan.kind == "curriculum_run":
+    if sim.curriculum is not None:
         switch = result.switch_step
         metadata["switch_step"] = switch
         columns.append("stage")
@@ -420,8 +416,8 @@ def _run_sgd_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
     return metadata, columns, zip(*values), {
         "exit_epoch": None if result.exit_step is None else float(result.exit_step),
         "aligned_epoch": None if result.aligned_step is None else float(result.aligned_step),
-        "mu": cell.params["mu"],
-        "seed": cell.params["seed"],
+        "mu": sim.mu,
+        "seed": sim.seed,
     }
 
 
@@ -440,24 +436,21 @@ def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
     )
 
 
-def _run_committee_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    n_dir = plan.settings["n_directions"]
-    committee = _committee_config(plan, cell)
+def _run_committee_cell(committee: CommitteeConfig) -> tuple:
     rates = committee_linear_rates(committee)
     result = committee_sgd(committee)
-    rank = cell.params["rank"]
     metadata = {"onset_step": result.onset_step, "tau_theory": rates.tau[0]}
     columns = (
         ["t_epoch"]
-        + [f"rho_{r + 1}" for r in range(rank)]
-        + [f"m_eff_{k + 1}" for k in range(n_dir)]
+        + [f"rho_{r + 1}" for r in range(committee.rank)]
+        + [f"m_eff_{k + 1}" for k in range(committee.n_directions)]
         + ["test_mse"]
     )
     rows = np.column_stack((result.t_epoch, result.rho, result.m_eff, result.test_mse))
     return metadata, columns, rows, {
         "onset_epoch": None if result.onset_step is None else float(result.onset_step),
-        "mu": cell.params["mu"],
-        "rank": rank,
+        "mu": committee.mu[0],
+        "rank": committee.rank,
     }
 
 
@@ -531,9 +524,12 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     }
 
 
-def _run_compare_cell(plan: ExperimentPlan, cell: Cell) -> tuple:
-    cfg = plan.settings
-    report = compare_theory_experiment(cfg["theory_csv"], cfg["experiment_csv"])
+def _compare_inputs(plan: ExperimentPlan, cell: Cell) -> tuple[str, str]:
+    return plan.settings["theory_csv"], plan.settings["experiment_csv"]
+
+
+def _run_compare_cell(paths: tuple[str, str]) -> tuple:
+    report = compare_theory_experiment(*paths)
     keys = ("spearman", "scale", "offset", "n_points", "max_abs_relative_residual")
     metadata = {key: report[key] for key in keys}
     columns = ["mu", "tau", "predicted_epoch", "exit_epoch", "fitted_epoch", "relative_residual"]
@@ -615,8 +611,9 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
 
     Returns (manifest, exit_code) with exit codes 0 = success,
     2 = partial failure, 3 = numerical blowup; raises ValidationError
-    (exit code 1) before touching any cell when the plan is invalid or
-    the output directory holds another plan's (or an unreadable) manifest.
+    (exit code 1) before touching any cell when the plan is invalid or the
+    output directory holds another plan's (or an unreadable) manifest or
+    cannot be made (say, where a path names a regular file).
     """
     problems = validate_plan(plan)
     if problems:
@@ -630,7 +627,10 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
             raise ValidationError([("out", f"cannot read {manifest_path}: {exc!r}")]) from None
         if found != plan_hash(plan):
             raise ValidationError([("out", f"{manifest_path} indexes plan {found}, not this one")])
-    os.makedirs(plan.output_dir, exist_ok=True)
+    try:
+        os.makedirs(plan.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError([("out", f"cannot make the directory: {exc}")]) from None
     spec = SPECS[plan.kind]
     entries = [_execute(plan, c.name, partial(_headed, plan, c)) for c in build_cells(plan)]
     summary = spec.summarize(plan, entries) if spec.summarize is not None else None
@@ -742,17 +742,19 @@ class Field:
 
 @dataclass(frozen=True)
 class Subcommand:
-    """One subcommand: its plan kind, fields, cells, CSV header and cell runner.
+    """One subcommand: its plan kind, fields, cells, CSV header, config builder and runner.
 
     cells maps each cell parameter to the sweep axis it runs over; a plan
     has one cell per combination, and cell_name and title are formatted
-    with the settings and the cell parameters.  A cell's CSV header holds
-    the kind, the title, the meta values taken from the same dict, and the
-    metadata of the table run returns, (metadata, columns, rows, summary),
-    for _execute to write; that metadata is what the run computed.  summarize,
-    when set, returns one more artifact from the finished cells' entries as
-    (name, table), table a callable giving such a table, or None.  configs, when
-    set, builds the config(s) a cell runs with, for validate_plan to check.
+    with the settings and the cell parameters.  build(plan, cell) makes a
+    cell's config, raising ValueError where plan values conflict;
+    validate_plan builds every cell's to check it, and run takes it alone.
+    A cell's CSV header holds the kind, the title, the meta values taken
+    from the same dict, and the metadata of the table run returns,
+    (metadata, columns, rows, summary), for _execute to write; that metadata
+    is what the run computed.  summarize, when set, returns one more artifact
+    from the finished cells' entries as (name, table), table a callable
+    giving such a table, or None.
     """
 
     name: str
@@ -762,10 +764,10 @@ class Subcommand:
     cells: dict[str, str]
     cell_name: str
     title: str
-    run: Callable[[ExperimentPlan, Cell], tuple]
+    build: Callable[[ExperimentPlan, Cell], object]
+    run: Callable[[object], tuple]
     meta: tuple[str, ...] = ()
     summarize: Callable[[ExperimentPlan, list], tuple | None] | None = None
-    configs: Callable[[ExperimentPlan, Cell], object] | None = None
 
 
 def _with_defaults(fields: tuple[Field, ...], **defaults) -> tuple[Field, ...]:
@@ -817,8 +819,8 @@ SUBCOMMANDS = (
             _K_MAX,
         ),
         cells={"activation": "activations"}, cell_name="tau_{activation}",
-        title="escape time, {activation}", meta=("activation", "k_max"), run=_run_tau_cell,
-        configs=_model_configs,
+        title="escape time, {activation}", meta=("activation", "k_max"),
+        build=_model_configs, run=_run_tau_cell,
     ),
     Subcommand(
         name="singularity", kind="singularity_scan", help="roots of the drift coefficient on (0,1)",
@@ -829,7 +831,7 @@ SUBCOMMANDS = (
         ),
         cells={"activation": "activations"}, cell_name="sing_{activation}",
         title="drift-coefficient roots, {activation}", meta=("activation", "k_max"),
-        run=_run_singularity_cell, configs=_model_configs,
+        build=_model_configs, run=_run_singularity_cell,
     ),
     Subcommand(
         name="ode", kind="ode_run", help="reduced two-variable flow",
@@ -846,7 +848,7 @@ SUBCOMMANDS = (
         cells={"mu": "mu"}, cell_name="ode_{activation}_mu{mu:.4g}",
         title="flow, {activation}, mu{mu:.4g}",
         meta=("activation", "mu", "dt", "method", "u0", "m0"),
-        run=_run_ode_cell, configs=_ode_configs,
+        build=_ode_configs, run=_run_ode_cell,
     ),
     Subcommand(
         name="sgd", kind="sgd_run", help="one-pass spherical SGD in dimension d",
@@ -854,7 +856,7 @@ SUBCOMMANDS = (
             _SGD_FIELDS, mu=(0.5,), learning_rate=0.2, n_steps=2000, record_every=1),
         cells={"mu": "mu", "seed": "seeds"}, cell_name="sgd_{activation}_mu{mu:.4g}_s{seed}",
         title="sgd, {activation}, mu{mu:.4g}, seed {seed}", meta=_SGD_META,
-        run=_run_sgd_cell, summarize=_sgd_summary, configs=_sim_config,
+        build=_sim_config, run=_run_sgd_cell, summarize=_sgd_summary,
     ),
     Subcommand(
         name="curriculum", kind="curriculum_run",
@@ -865,7 +867,7 @@ SUBCOMMANDS = (
         cells={"mu": "mu", "seed": "seeds"},
         cell_name="curriculum_{activation}_mu{mu:.4g}_s{seed}",
         title="curriculum, {activation}, mu{mu:.4g}, seed {seed}", meta=_SGD_META,
-        run=_run_sgd_cell, summarize=_sgd_summary, configs=_sim_config,
+        build=_sim_config, run=_run_sgd_cell, summarize=_sgd_summary,
     ),
     Subcommand(
         name="committee", kind="committee_run", help="multi-direction teacher with rank-R adapters",
@@ -880,7 +882,7 @@ SUBCOMMANDS = (
         cells={"mu": "mu", "rank": "ranks"}, cell_name="committee_mu{mu:.4g}_r{rank}",
         title="committee, mu{mu:.4g}, rank {rank}",
         meta=("mu", "rank", "n_directions", "d", "batch_size", "learning_rate", "onset_threshold"),
-        run=_run_committee_cell, configs=_committee_config,
+        build=_committee_config, run=_run_committee_cell,
     ),
     Subcommand(
         name="compare", kind="compare", help="align exit epochs with predicted escape times",
@@ -891,7 +893,7 @@ SUBCOMMANDS = (
                   help="sgd_summary CSV artifact"),
         ),
         cells={}, cell_name="compare_report", title="exit epochs vs predicted escape times",
-        run=_run_compare_cell,
+        build=_compare_inputs, run=_run_compare_cell,
     ),
 )
 

@@ -90,7 +90,6 @@ class SimConfig:
     frozen_mode: str = "aligned"
     objective: str = "mse"
     sampler: str = "subspace"
-    exit_fraction: float = 1.0
     align_threshold: float = 0.98
     record_every: int = 1
     init_magnitude: float | None = None
@@ -289,23 +288,14 @@ def _step(
     training error."""
     rng = ws.train(state.step)
     B = cfg.batch_size
-    # lift(mean(c_i x_i), c) is the batch-mean gradient as a d-vector
     if literal:
         x = rng.standard_normal((B, cfg.d))
         a_star, a_w, a_tilde = x @ state.omega_star, x @ state.omega, x @ state.omega_tilde
-
-        def lift(in_batch, c):
-            return in_batch
-
     else:
         F, w_coords, tilde_coords = ws.frame(state)
         x = rng.standard_normal((B, F.shape[0]))
         g_res = rng.standard_normal(out=ws.g)
         a_star, a_w, a_tilde = x[:, 0], x @ w_coords, x @ tilde_coords
-
-        def lift(in_batch, c):
-            return frame_gradient(F, in_batch, math.sqrt(c @ c) / B, g_res, np.empty(cfg.d))
-
     y = teacher.evaluate(a_star)
     pre = a_tilde + state.u * a_w
     eps = y - cfg.student.evaluate(pre)
@@ -313,8 +303,11 @@ def _step(
     # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
     c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
     u_new = state.u + cfg.learning_rate * float((c * a_w).sum() / B)
-    # the fresh gradient array becomes the new w in place
-    w_new = lift((c @ x) / B, c)
+    # mean(c_i x_i), lifted to the batch-mean gradient as a d-vector on the
+    # subspace path; the fresh gradient array becomes the new w in place
+    w_new = (c @ x) / B
+    if not literal:
+        w_new = frame_gradient(F, w_new, math.sqrt(c @ c) / B, g_res, np.empty(cfg.d))
     w_new *= cfg.learning_rate * state.u
     np.add(state.omega, w_new, out=w_new)
     w_new /= math.sqrt(w_new @ w_new)
@@ -393,8 +386,8 @@ def measure_test_mse(
 class RunResult:
     """Recorded trajectory and exit statistics of one SGD run.
 
-    exit_step is the first step index with max(|u|, |m|) >= exit_fraction*mu
-    (the reduced-theory escape convention); aligned_step the first with
+    exit_step is the first step index with max(|u|, |m|) >= mu (the
+    reduced-theory escape convention); aligned_step the first with
     m >= align_threshold (the empirical convention); switch_step the
     curriculum stage boundary.  Any of them is None when never reached.
     t_epoch counts SGD steps; multiply by epoch_time_scale(cfg) for flow
@@ -430,7 +423,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     ws = _Workspace(cfg, state)
     literal = cfg.sampler == "literal"
     mu = cfg.mu
-    exit_level = cfg.exit_fraction * mu
 
     rows: list[tuple[float, ...]] = []  # one per record, in RunResult's field order
 
@@ -463,7 +455,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             # training error of the batch this step consumed, paired with
             # the post-update state
             record(step, state, eps)
-        if exit_step is None and max(abs(state.u), abs(m)) >= exit_level:
+        if exit_step is None and max(abs(state.u), abs(m)) >= mu:
             exit_step = step
         if stage == 1 and m >= cfg.curriculum.switch_threshold:
             stage = 2

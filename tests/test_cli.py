@@ -1,6 +1,7 @@
 """Command-line driver: plans, artifacts, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -565,49 +566,70 @@ def test_an_output_directory_refuses_a_second_plan(tmp_path, monkeypatch, capsys
         assert "out: cannot read o/manifest.json" in err and "Traceback" not in err
 
 
+def test_an_output_path_through_a_regular_file_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"kept")
+    for out in ("afile", "afile/sub"):
+        assert main(["tau", "--activations", "linear", "--mu", "0.5", "--out", out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:\n  out: cannot make the directory")
+        assert "Traceback" not in err
+    assert (tmp_path / "afile").read_bytes() == b"kept"
+    assert os.listdir(tmp_path) == ["afile"]  # no cell ran
+
+
 # every CSV of a small plan of each subcommand: its sorted `# key` names,
-# its kind and its title, as the hand-built headers wrote them
+# its kind, its title and the SHA-256 of its full text (data rows included)
 _HEADERS = {
     "tau": (["--activations", "linear", "--mu", "0.3,0.6"], {
         "tau_linear.csv": (["activation", "k_max", "kind", "title"],
-                           "tau_curve", "escape time, linear"),
+                           "tau_curve", "escape time, linear",
+                           "87a8f56fac9156cd2fc71ca4f59e9f896e23de077d6b3ddc4f7146857e3594bb"),
     }),
     "singularity": (["--activations", "hermite3"], {
         "sing_hermite3.csv": (["activation", "k_max", "kind", "n_roots", "title"],
-                              "singularity_scan", "drift-coefficient roots, hermite3"),
+                              "singularity_scan", "drift-coefficient roots, hermite3",
+                              "03d3ab79818f17c67fb92a8725019ccf5e1822a18810efc31ed10c7e4de53104"),
     }),
     "ode": (["--activation", "linear", "--mu", "0.3", "--dt", "0.05", "--t-max", "1"], {
         "ode_linear_mu0.3.csv": (["activation", "dt", "exited", "kind", "m0", "method", "mu",
-                                  "t_exit", "title", "u0"], "ode_run", "flow, linear, mu0.3"),
+                                  "t_exit", "title", "u0"], "ode_run", "flow, linear, mu0.3",
+                                  "b8c85a1a92897dc2dfc31b4353182f9b8c4ef922efe5b9bd566ff4adc39a2ec7"),
     }),
     "sgd": (["--mu", "0.3", "--d", "100", "--batch-size", "20", "--n-steps", "5",
              "--k-max", "2"], {
         "sgd_linear_mu0.3_s0.csv": (["activation", "aligned_step", "batch_size", "d",
                                      "exit_step", "frozen_mode", "kind", "learning_rate", "mu",
                                      "n_steps", "objective", "seed", "title"],
-                                    "sgd_run", "sgd, linear, mu0.3, seed 0"),
+                                    "sgd_run", "sgd, linear, mu0.3, seed 0",
+                                    "731d7a270b2f8f6533ea1419f6487427b1c1a42d7130a88b877900f9ff6de7a2"),
         "sgd_summary.csv": (["activation", "batch_size", "d", "kind", "title"],
-                            "sgd_summary", "exit epochs, linear"),
+                            "sgd_summary", "exit epochs, linear",
+                            "6d8ceff003eca439960086f5fb26243941b38874e854837fb30d0269ba47c461"),
     }),
     "curriculum": (["--d", "100", "--batch-size", "20", "--n-steps", "5",
                     "--record-every", "5"], {
         "curriculum_hermite3_mu0.325_s0.csv": (
             ["activation", "aligned_step", "batch_size", "d", "exit_step", "frozen_mode", "kind",
              "learning_rate", "mu", "n_steps", "objective", "seed", "switch_step", "title"],
-            "curriculum_run", "curriculum, hermite3, mu0.325, seed 0"),
+            "curriculum_run", "curriculum, hermite3, mu0.325, seed 0",
+            "67d96e35aad811bb3389c70e2287f432ab2ef1b8ef5652b99bd5226724d6b372"),
         "sgd_summary.csv": (["activation", "batch_size", "d", "kind", "title"],
-                            "sgd_summary", "exit epochs, hermite3"),
+                            "sgd_summary", "exit epochs, hermite3",
+                            "1de9ca9c392da5660844881f35b12bd0b735e99d6447d73671675a71a4f61bd0"),
     }),
     "committee": (["--ranks", "2", "--d", "50", "--n-steps", "5", "--record-every", "5"], {
         "committee_mu0.5_r2.csv": (["batch_size", "d", "kind", "learning_rate", "mu",
                                     "n_directions", "onset_step", "onset_threshold", "rank",
                                     "tau_theory", "title"],
-                                   "committee_run", "committee, mu0.5, rank 2"),
+                                   "committee_run", "committee, mu0.5, rank 2",
+                                   "cf791bde091394bac8ff3909e6b0005fff9cb55ae7b907a52a118c310f0908e3"),
     }),
     "compare": (None, {
         "compare_report.csv": (["kind", "max_abs_relative_residual", "n_points", "offset",
                                 "scale", "spearman", "title"],
-                               "compare", "exit epochs vs predicted escape times"),
+                               "compare", "exit epochs vs predicted escape times",
+                               "e6e57ca63a3d233683a6772c93fef6f134d8a86fc6d319bfe386cdc4726281b8"),
     }),
 }
 
@@ -625,12 +647,13 @@ def test_csv_headers_are_pinned(tmp_path, name):
     out = tmp_path / "out"
     assert main([name] + argv + ["--out", str(out)]) == EXIT_OK
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(want)
-    for csv_name, (keys, kind, title) in want.items():
+    for csv_name, (keys, kind, title, sha256) in want.items():
         text = read(out / csv_name)
         meta, _, _ = parse_csv_text(text)
         assert sorted(meta) == keys
         assert meta["kind"] == kind
         assert f"# title = {title}\n" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256, csv_name
 
 
 def _readme_commands():
