@@ -154,12 +154,7 @@ def _fmt(value) -> str:
         return str(int(value))
     if value is None:
         return "nan"
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+    return f"{float(value):.12g}"  # also nan, inf and -inf
 
 
 def write_csv(path: str, metadata: dict, columns, rows) -> str:
@@ -318,14 +313,18 @@ def build_cells(plan: ExperimentPlan) -> list[Cell]:
     return cells
 
 
+def _header(kind: str, title: str, meta, values: dict) -> dict:
+    """A CSV header: the kind, the title formatted with values, and the meta values."""
+    return {"kind": kind, "title": title.format(**values), **{k: values[k] for k in meta}}
+
+
 def _headed(plan: ExperimentPlan, cell: Cell) -> tuple:
     """The table of the cell's run on the config its subcommand builds, with the
     header its subcommand row declares put before the metadata the run computed."""
     spec = SPECS[plan.kind]
-    values = {**plan.settings, **cell.params}
-    header = {"kind": plan.kind, "title": spec.title.format(**values)}
+    header = _header(plan.kind, spec.title, spec.meta, {**plan.settings, **cell.params})
     metadata, columns, rows, summary = spec.run(spec.build(plan, cell))
-    return {**header, **{k: values[k] for k in spec.meta}, **metadata}, columns, rows, summary
+    return {**header, **metadata}, columns, rows, summary
 
 
 def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
@@ -396,7 +395,6 @@ def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
         align_threshold=cfg["align_threshold"],
         record_every=cfg["record_every"],
         curriculum=curriculum,
-        k_max=cfg["k_max"],
     )
 
 
@@ -589,14 +587,8 @@ def _sgd_summary(plan: ExperimentPlan, entries: list[dict]) -> tuple | None:
         return None
 
     def table():
-        cfg = plan.settings
-        metadata = {
-            "kind": "sgd_summary",
-            "activation": cfg["activation"],
-            "d": cfg["d"],
-            "batch_size": cfg["batch_size"],
-            "title": f"exit epochs, {cfg['activation']}",
-        }
+        metadata = _header("sgd_summary", "exit epochs, {activation}",
+                           ("activation", "d", "batch_size"), plan.settings)
         rows = [
             (p["mu"], p["seed"], p["exit_epoch"], p["aligned_epoch"])
             for p in sorted(points, key=lambda p: (p["mu"], p["seed"]))
@@ -775,7 +767,6 @@ def _with_defaults(fields: tuple[Field, ...], **defaults) -> tuple[Field, ...]:
 
 
 _OUTPUT_FIELDS = (
-    Field("seed", int, 0, _seed, section="output", help="base seed recorded in the manifest"),
     Field("out", str, None, _require(bool, "a nonempty path"), section="output",
           help="output directory"),
     Field("format", str, "csv", choices=("csv", "svg", "both"), section="output",
@@ -804,7 +795,7 @@ _SGD_FIELDS = (
     Field("sampler", str, "subspace", choices=("subspace", "literal")),
     Field("align_threshold", float, 0.98, _require(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
           flag=False),
-    _RECORD_EVERY, _K_MAX,
+    _RECORD_EVERY,
 )
 _SGD_META = ("activation", "mu", "seed", "d", "batch_size", "n_steps", "frozen_mode", "objective")
 
@@ -878,6 +869,8 @@ SUBCOMMANDS = (
             _D, _BATCH_SIZE, _LEARNING_RATE, _N_STEPS,
             Field("onset_threshold", float, 0.3, _open_unit),
             _RECORD_EVERY,
+            # an [output] value, which the plan keeps as ExperimentPlan.seed
+            Field("seed", int, 0, _seed, section="output", help="seed of every committee run"),
         ), mu=(0.5,), ranks=(1, 2, 3), learning_rate=0.1, n_steps=8000, record_every=10),
         cells={"mu": "mu", "rank": "ranks"}, cell_name="committee_mu{mu:.4g}_r{rank}",
         title="committee, mu{mu:.4g}, rank {rank}",
@@ -906,7 +899,7 @@ SPECS = {spec.kind: spec for spec in SUBCOMMANDS}
 
 
 def load_config(path: str) -> dict[str, dict[str, str]]:
-    """Read an INI config: [run] scalars, [sweep] axes, [output] out/format/seed."""
+    """Read an INI config: [run] scalars, [sweep] axes, [output] values."""
     if not os.path.isfile(path):
         raise ValidationError([("config", f"file not found: {path!r}")])
     parser = configparser.ConfigParser(interpolation=None)
@@ -954,7 +947,7 @@ def plan_from_args(kind: str, args: argparse.Namespace) -> ExperimentPlan:
         sweep={name: list(values[name]) for name, f in fields.items() if f.section == "sweep"},
         output_dir=values["out"] or os.path.join("searchphase-out", kind),
         emit=values["format"],
-        seed=values["seed"],
+        seed=values.get("seed", 0),
     )
 
 
@@ -967,14 +960,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Flags of every subcommand, as raw strings; plan_from_args parses them."""
+    """Flags of every subcommand, as raw strings; plan_from_args parses them.
+    Only whole flags are taken: sgd's --seed would otherwise abbreviate --seeds."""
     parser = _ArgumentParser(
         prog="searchphase",
         description="Escape-time theory and one-pass SGD experiments for low-rank adapters.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for spec in SUBCOMMANDS:
-        p = sub.add_parser(spec.name, help=spec.help)
+        p = sub.add_parser(spec.name, help=spec.help, allow_abbrev=False)
         p.set_defaults(kind=spec.kind)
         p.add_argument("--config", help="INI config file ([run]/[sweep]/[output] sections)")
         for f in _OUTPUT_FIELDS + spec.fields:

@@ -16,6 +16,11 @@ search problem coupled only through q and through C = U^T U:
 
 with D_k = 1 - mu_k.  Its per-direction escape rate is
 lambda_k = (-1 + sqrt(1 + 4 D_k^2)) / (2K), independent of the rank R.
+
+The SGD counterpart, committee_sgd, draws its batches and lifts its
+batch-mean gradient through the frame sampler of the single-index
+simulator (sgd._Workspace), with the teachers as the frame's fixed rows and
+the adapters as its free ones.
 """
 from __future__ import annotations
 
@@ -26,10 +31,7 @@ from math import inf, isfinite, sqrt
 import numpy as np
 
 from .ode import BLOWUP_LIMIT, NumericalBlowupError, _n_steps, fixed_step
-from .sgd import counter_stream, frame_gradient, orthonormal_frame, step_rng
-
-_INIT_STREAM = 0
-_TRAIN_STREAM = 1
+from .sgd import _INIT_STREAM, _Workspace, orthonormal_frame, step_rng
 
 
 @dataclass(frozen=True)
@@ -253,13 +255,11 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     adapted pair the pinned initial overlap 1/sqrt(d); adapted magnitudes
     start at 1/sqrt(d).  Updates are batch means of per-sample gradients of
     (y - yhat)^2; adapters are renormalized to unit length each step.  The
-    batch is sampled through its exact frame law with the helpers of the
-    SGD step kernel: coordinates along the frame of (teachers, adapters),
-    which sgd.orthonormal_frame rebuilds in place in one preallocated array
-    each step, and the batch-mean gradient assembled by sgd.frame_gradient
-    from one residual d-vector, so the cost per step is O(batch + d).  Each
-    step's draws come from one sgd.counter_stream reset to the step's
-    counter, the same draws as sgd.step_rng.
+    batch is sampled through its exact frame law by the SGD simulator's
+    frame sampler, sgd._Workspace: coordinates along the frame of
+    (teachers, adapters), rebuilt in place each step, and the batch-mean
+    gradient lifted from one residual d-vector, so the cost per step is
+    O(batch + d).  Step t draws from counter t - 1 of the training stream.
     Raises NumericalBlowupError when a magnitude or overlap stops being
     finite or a magnitude exceeds BLOWUP_LIMIT.
     """
@@ -269,19 +269,16 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     adapted = np.array(cfg.adapted, dtype=int)
     n_a = len(adapted)
     core = np.sum(teachers[adapted], axis=0) / sqrt(d) if n_a else np.zeros(d)
-    # the (K + R, d) frame: K teacher rows, then the adapters, Gram-Schmidted
-    # in place each step; at init its adapter rows orthonormalize the draws
-    frame = np.empty((K + R, d))
-    # the residual draw, and the gradient (also the Gram-Schmidt's scratch)
-    g_res, grad = np.empty(d), np.empty(d)
-    for g in frame[K:]:
-        rng.standard_normal(out=g)
-    for g in frame[K:]:
+    # the frame sampler: the K teachers are its fixed rows, the R adapters
+    # its free ones; its residual d-vector is the init's scratch
+    ws = _Workspace(cfg.seed, teachers, R, d)
+    draws = rng.standard_normal((R, d))
+    for g in draws:
         g -= teachers.T @ (teachers @ g)
-    residuals = orthonormal_frame(frame[K:], [], grad)
+    residuals = orthonormal_frame(draws, [], ws.res)
     adapters = core + sqrt(max(1.0 - n_a / d, 0.0)) * residuals
-    frame[:K] = teachers
     adapters = np.array([a / np.linalg.norm(a) for a in adapters])
+    grad = np.empty(d)  # each step's batch-mean gradient
     buf = np.empty((R, d))  # scratch of each step's adapter update and row norms
 
     u = np.zeros((K, R))
@@ -305,14 +302,10 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     init_m = m.copy()
     record(0, m, q)
 
-    train = counter_stream(cfg.seed, _TRAIN_STREAM)
     for step in range(1, cfg.n_steps + 1):
-        srng = train(step - 1)
         # frame: K teacher rows (already orthonormal) + adapter residuals
-        frame[K:] = adapters
-        F = orthonormal_frame(frame, teachers, grad)
-        coords = srng.standard_normal((cfg.batch_size, F.shape[0]))
-        srng.standard_normal(out=g_res)
+        F = ws.frame(adapters)
+        coords = ws.batch(ws.train, step - 1, cfg.batch_size)
 
         lam_star = coords[:, :K]  # teacher pre-activations
         adapter_coords = F @ adapters.T  # (f, R)
@@ -325,7 +318,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
         du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
         # shared mean-gradient direction: w = mean(eps_i x_i)
         scale = sqrt(eps @ eps) / cfg.batch_size
-        w = frame_gradient(F, (eps @ coords) / cfg.batch_size, scale, g_res, grad)
+        w = ws.lift((eps @ coords) / cfg.batch_size, scale, grad)
         u[adapted] += du_row[None, :]
         # np.outer's and np.linalg.norm's operations (the norm is
         # sqrt(add.reduce(a * a))) in their order, so every bit is kept

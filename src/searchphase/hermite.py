@@ -101,8 +101,7 @@ def eval_scaled_hermite(k: int, r: float, z):
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if not (0.0 < r < inf):
-        raise ValueError("variance must be positive and finite")
+    _check_variance(r)
     z = np.asarray(z, dtype=float)
     if k == 0:
         cur = np.ones_like(z)

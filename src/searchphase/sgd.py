@@ -20,25 +20,26 @@ step_rng builds that generator; a run keeps one Philox per stream
 same draws bit for bit.
 
 Every step runs through one kernel, _step, which also returns the residuals
-y - yhat of the batch it consumed.  It works in a per-run _Workspace (the
-reset generators, a preallocated frame, one d-vector of scratch) and runs
-its d-vector passes in place, in the order of the plain expressions, so
-every bit is kept.  Its two samplers differ only in how the batch is
-drawn, and produce identical process laws:
+y - yhat of the batch it consumed.  It draws through the run's frame
+sampler, _Workspace (the reset generators, a preallocated frame, one
+d-vector of scratch), and runs its d-vector passes in place, in the order
+of the plain expressions, so every bit is kept.  Its two samplers differ
+only in how the batch is drawn, and produce identical process laws:
 
 * "literal"   materializes the full (batch, d) Gaussian matrix;
 * "subspace"  draws only the coordinates along the active frame
   (w_star, [xi,] w), built by orthonormal_frame, plus a single d-vector
   for the orthogonal remainder of the batch-mean gradient, which has the
   exact conditional law N(0, |c|^2 (I - F F^T)) given the frame
-  coordinates (frame_gradient).
+  coordinates (_Workspace.lift).
 
 The subspace sampler is the default; it makes the cost per step
 O(batch + d) instead of O(batch * d).  Held-out test errors, of records and
-of measure_test_mse alike, come from one sampler that draws frame
-coordinates in the same way.  init_state builds xi and the off-w_star part
-of w with orthonormal_frame, and the committee simulator shares
-orthonormal_frame and frame_gradient.
+of measure_test_mse alike, draw frame coordinates through the same sampler.
+init_state builds xi and the off-w_star part of w with orthonormal_frame.
+The committee simulator draws its batches and lifts its gradient through
+_Workspace too, with the teachers as fixed rows and the adapters as free
+ones.
 """
 from __future__ import annotations
 
@@ -239,43 +240,50 @@ def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
     return F[:len(basis)]
 
 
-def frame_gradient(
-    F: np.ndarray, in_frame: np.ndarray, scale: float, g_res: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Batch-mean gradient mean(c_i x_i) as a d-vector, from its frame part
-    in_frame = mean(c_i F x_i) (exact) and scale = |c| / batch: the rest has
-    the law N(0, scale^2 (I - F^T F)) given the frame coordinates, drawn as
-    scale times the standard normal g_res projected off the frame.  The
-    gradient is written to out; g_res is overwritten."""
-    np.matmul(F.T, F @ g_res, out=out)
-    res = np.subtract(g_res, out, out=g_res)
-    res *= scale
-    return np.add(np.matmul(F.T, in_frame, out=out), res, out=out)
-
-
 class _Workspace:
-    """What one run's steps and records reuse: a counter_stream per random
-    stream, the (f, d) frame whose fixed rows w_star[, xi] are copied in
-    once, and one d-vector g of scratch, which the Gram-Schmidt residuals, a
-    step's residual draw and a record's combined vector pass through in
-    turn.  Built from a state, it serves every state that shares that
-    state's w_star and xi; no state holds any of it."""
+    """The frame sampler of one run, which both SGD simulators draw through:
+    a counter_stream per random stream, the (f, d) frame whose fixed rows
+    (the non-None entries of fixed) are copied in once, and one d-vector
+    res.  frame() Gram-Schmidts the free rows against the fixed ones, with
+    res as scratch; batch() draws a batch's frame coordinates and then, for
+    a step, the residual into res; lift() uses that residual up.  No state
+    holds any of it."""
 
-    def __init__(self, cfg: SimConfig, state: SimState):
-        self.train = counter_stream(cfg.seed, _TRAIN_STREAM)
-        self.measure = counter_stream(cfg.seed, _MEASURE_STREAM)
-        self.fixed = [state.omega_star] if state.xi is None else [state.omega_star, state.xi]
-        self.F = np.empty((len(self.fixed) + 1, cfg.d))
-        self.F[:-1] = self.fixed
-        self.g = np.empty(cfg.d)
+    def __init__(self, seed: int, fixed, n_free: int, d: int):
+        self.train = counter_stream(seed, _TRAIN_STREAM)
+        self.measure = counter_stream(seed, _MEASURE_STREAM)
+        self.fixed = [row for row in fixed if row is not None]
+        self.rows = np.empty((len(self.fixed) + n_free, d))
+        self.rows[:len(self.fixed)] = self.fixed
+        self.res = np.empty(d)
 
-    def frame(self, state: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(F, w_coords, tilde_coords): the frame of (w_star, [xi,] w) and
-        the frame coordinates of w (which may leave the frame only by
-        rounding) and of the frozen part."""
-        self.F[-1] = state.omega
-        F = orthonormal_frame(self.F, self.fixed, self.g)
-        return F, F @ state.omega, F @ state.omega_tilde
+    def frame(self, free_rows) -> np.ndarray:
+        """The orthonormal frame of the fixed rows and free_rows, kept for
+        batch and lift; residuals are taken against the fixed rows' memory."""
+        self.rows[len(self.fixed):] = free_rows
+        self.F = orthonormal_frame(self.rows, self.fixed, self.res)
+        return self.F
+
+    def batch(self, stream, step: int, n: int, residual: bool = True) -> np.ndarray:
+        """(n, f) standard normal frame coordinates from counter step of
+        stream, then (when residual) the standard normal residual in res."""
+        rng = stream(step)
+        coords = rng.standard_normal((n, self.F.shape[0]))
+        if residual:
+            rng.standard_normal(out=self.res)
+        return coords
+
+    def lift(self, in_frame: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+        """Batch-mean gradient mean(c_i x_i) as a d-vector, from its frame
+        part in_frame = mean(c_i F x_i) (exact) and scale = |c| / batch: the
+        rest has the law N(0, scale^2 (I - F^T F)) given the frame
+        coordinates, drawn as scale times the residual projected off the
+        frame.  The gradient is written to out; the residual is used up."""
+        F = self.F
+        np.matmul(F.T, F @ self.res, out=out)
+        res = np.subtract(self.res, out, out=self.res)
+        res *= scale
+        return np.add(np.matmul(F.T, in_frame, out=out), res, out=out)
 
 
 def _step(
@@ -286,16 +294,16 @@ def _step(
     the run's workspace.  Returns the updated state and the residuals
     y - yhat of that batch at state, from which a record takes the batch's
     training error."""
-    rng = ws.train(state.step)
     B = cfg.batch_size
     if literal:
-        x = rng.standard_normal((B, cfg.d))
+        x = ws.train(state.step).standard_normal((B, cfg.d))
         a_star, a_w, a_tilde = x @ state.omega_star, x @ state.omega, x @ state.omega_tilde
     else:
-        F, w_coords, tilde_coords = ws.frame(state)
-        x = rng.standard_normal((B, F.shape[0]))
-        g_res = rng.standard_normal(out=ws.g)
-        a_star, a_w, a_tilde = x[:, 0], x @ w_coords, x @ tilde_coords
+        # a_w and a_tilde through the frame coordinates of w (which may leave
+        # the frame only by rounding) and of the frozen part
+        F = ws.frame(state.omega)
+        x = ws.batch(ws.train, state.step, B)
+        a_star, a_w, a_tilde = x[:, 0], x @ (F @ state.omega), x @ (F @ state.omega_tilde)
     y = teacher.evaluate(a_star)
     pre = a_tilde + state.u * a_w
     eps = y - cfg.student.evaluate(pre)
@@ -307,7 +315,7 @@ def _step(
     # subspace path; the fresh gradient array becomes the new w in place
     w_new = (c @ x) / B
     if not literal:
-        w_new = frame_gradient(F, w_new, math.sqrt(c @ c) / B, g_res, np.empty(cfg.d))
+        w_new = ws.lift(w_new, math.sqrt(c @ c) / B, np.empty(cfg.d))
     w_new *= cfg.learning_rate * state.u
     np.add(state.omega, w_new, out=w_new)
     w_new /= math.sqrt(w_new @ w_new)
@@ -321,7 +329,8 @@ def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = N
     This is the reference implementation of the update contract; the
     subspace sampler reproduces its law at O(batch + d) cost.
     """
-    return _step(cfg, state, teacher or cfg.teacher, True, _Workspace(cfg, state))[0]
+    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
+    return _step(cfg, state, teacher or cfg.teacher, True, ws)[0]
 
 
 _TEST_SAMPLES_PER_RECORD = 10_000
@@ -338,9 +347,9 @@ def _held_out_errors(
     both frozen modes.  Labels always come from the task teacher,
     independent of any curriculum stage.
     """
-    rng = ws.measure(block)
-    F, w_coords, tilde_coords = ws.frame(state)
-    coords = rng.standard_normal((n, F.shape[0]))
+    F = ws.frame(state.omega)
+    w_coords, tilde_coords = F @ state.omega, F @ state.omega_tilde
+    coords = ws.batch(ws.measure, block, n, residual=False)
     y = cfg.teacher.evaluate(coords[:, 0])
     yhat = cfg.student.evaluate(coords @ tilde_coords + state.u * (coords @ w_coords))
     return (y - yhat) ** 2
@@ -375,7 +384,8 @@ def measure_test_mse(
     (u, m); in mixed mode it is the aligned-theory prediction, so the gap
     between the two columns is itself the concentration statement.
     """
-    sq = _held_out_errors(cfg, state, int(n_samples), block, _Workspace(cfg, state))
+    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
+    sq = _held_out_errors(cfg, state, int(n_samples), block, ws)
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
     series = 2.0 * population_loss(_theory_config(cfg), reduced_state(cfg, state))
@@ -420,7 +430,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     BLOWUP_LIMIT.
     """
     state = init_state(cfg)
-    ws = _Workspace(cfg, state)
+    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
     literal = cfg.sampler == "literal"
     mu = cfg.mu
 
@@ -428,7 +438,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 
     def record(step: int, s: SimState, eps: np.ndarray) -> None:
         # combined = omega_tilde + u * omega, in the workspace's scratch
-        combined = np.add(s.omega_tilde, np.multiply(s.omega, s.u, out=ws.g), out=ws.g)
+        combined = np.add(s.omega_tilde, np.multiply(s.omega, s.u, out=ws.res), out=ws.res)
         m_eff, r = float(combined @ s.omega_star), float(combined @ combined)
         test = _held_out_errors(cfg, s, _TEST_SAMPLES_PER_RECORD, step, ws)
         rows.append((
@@ -498,7 +508,7 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m
-    ws = _Workspace(cfg, state)
+    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
     for j in range(n_batches):
         nxt, _ = _step(cfg, replace(state, step=j), cfg.teacher, cfg.sampler == "literal", ws)
         du[j] = nxt.u - state.u

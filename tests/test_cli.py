@@ -33,6 +33,7 @@ from searchphase.cli import (
     plan_from_args,
     plan_hash,
     render_svg,
+    run_plan,
     validate_plan,
     write_csv,
     _fmt,
@@ -165,7 +166,7 @@ def test_svg_is_a_pure_function_of_the_csv(tmp_path):
 
 def test_sgd_manifest_indexes_every_artifact_and_svg(tmp_path):
     code = main(["sgd", "--mu", "0.3,0.6", "--seeds", "0,1", "--d", "100",
-                 "--batch-size", "50", "--n-steps", "30", "--k-max", "2",
+                 "--batch-size", "50", "--n-steps", "30",
                  "--format", "both", "--out", str(tmp_path)])
     assert code == EXIT_OK
     manifest = json.loads(read(tmp_path / "manifest.json"))
@@ -272,7 +273,7 @@ def test_singularity_scan_finds_cubic_root(tmp_path):
 
 def test_sgd_run_writes_summary(tmp_path):
     code = main(["sgd", "--mu", "0.3,0.6", "--seeds", "0,1", "--d", "400",
-                 "--batch-size", "100", "--n-steps", "300", "--k-max", "2",
+                 "--batch-size", "100", "--n-steps", "300",
                  "--record-every", "10", "--out", str(tmp_path)])
     assert code == EXIT_OK
     meta, cols, data = parse_csv_text(read(tmp_path / "sgd_summary.csv"))
@@ -309,12 +310,12 @@ def test_sgd_blowup_maps_to_exit_code(tmp_path):
     assert not os.path.exists(tmp_path / "sgd_linear_mu0.5_s0.csv")
 
 
-def synthetic_compare_inputs(tmp_path, mu_values, d=1000, exact=True):
+def synthetic_compare_inputs(tmp_path, mu_values, d=1000, exact=True, theory_factor=1.0):
     a = 1.0 - np.asarray(mu_values)
     tau = (1.0 + np.sqrt(1.0 + 4.0 * a * a)) / (2.0 * a * a)
     theory = tmp_path / "theory.csv"
     write_csv(str(theory), {"activation": "linear"}, ["mu", "tau"],
-              list(zip(mu_values, tau)))
+              list(zip(mu_values, theory_factor * tau)))
     exper = tmp_path / "exper.csv"
     factor = 1.0 if exact else 1.07
     rows = [(mu, 0, factor * t * math.log(d) / 2.0, float("nan"))
@@ -367,7 +368,7 @@ def test_compare_cell_failure_sets_partial_exit(tmp_path):
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
-        "[run]\nd = 400\nbatch_size = 100\nn_steps = 200\nk_max = 2\n"
+        "[run]\nd = 400\nbatch_size = 100\nn_steps = 200\n"
         "record_every = 20\n"
         "[sweep]\nmu = 0.4\nseeds = 0\n"
         "[output]\nout = {}\n".format(tmp_path / "from_ini")
@@ -397,8 +398,19 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
     ["tau", "--format", "png"],
     ["tau", "--warp-speed", "9"],
     [],
+    # only committee runs take a seed, and no SGD run reads k_max
+    ["tau", "--seed", "3"],
+    ["sgd", "--seed", "3"],
+    ["sgd", "--k-max", "5"],
+    ["curriculum", "--k-max", "5"],
+    ["sgd", "--config", "[run]\nk_max = 2\n"],  # the text of the config file
+    ["curriculum", "--config", "[output]\nseed = 3\n"],
 ])
 def test_usage_errors_exit_validation(tmp_path, capsys, argv):
+    if "--config" in argv:
+        ini = tmp_path / "run.ini"
+        ini.write_text(argv[-1])
+        argv = argv[:-1] + [str(ini)]
     code = main(argv + ["--out", str(tmp_path)] if argv else argv)
     assert code == EXIT_VALIDATION
     assert "invalid configuration" in capsys.readouterr().err
@@ -516,7 +528,7 @@ def test_cross_field_config_errors_exit_validation(tmp_path, capsys, argv, messa
 def test_top_seed_runs_its_own_stream(tmp_path):
     top = 2**64 - 1
     code = main(["sgd", "--mu", "0.3", "--seeds", f"0,{top}", "--d", "100",
-                 "--batch-size", "50", "--n-steps", "20", "--k-max", "2",
+                 "--batch-size", "50", "--n-steps", "20",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     _, cols, zero = parse_csv_text(read(tmp_path / "sgd_linear_mu0.3_s0.csv"))
@@ -596,8 +608,7 @@ _HEADERS = {
                                   "t_exit", "title", "u0"], "ode_run", "flow, linear, mu0.3",
                                   "b8c85a1a92897dc2dfc31b4353182f9b8c4ef922efe5b9bd566ff4adc39a2ec7"),
     }),
-    "sgd": (["--mu", "0.3", "--d", "100", "--batch-size", "20", "--n-steps", "5",
-             "--k-max", "2"], {
+    "sgd": (["--mu", "0.3", "--d", "100", "--batch-size", "20", "--n-steps", "5"], {
         "sgd_linear_mu0.3_s0.csv": (["activation", "aligned_step", "batch_size", "d",
                                      "exit_step", "frozen_mode", "kind", "learning_rate", "mu",
                                      "n_steps", "objective", "seed", "title"],
@@ -618,12 +629,16 @@ _HEADERS = {
                             "sgd_summary", "exit epochs, hermite3",
                             "1de9ca9c392da5660844881f35b12bd0b735e99d6447d73671675a71a4f61bd0"),
     }),
-    "committee": (["--ranks", "2", "--d", "50", "--n-steps", "5", "--record-every", "5"], {
-        "committee_mu0.5_r2.csv": (["batch_size", "d", "kind", "learning_rate", "mu",
-                                    "n_directions", "onset_step", "onset_threshold", "rank",
-                                    "tau_theory", "title"],
-                                   "committee_run", "committee, mu0.5, rank 2",
-                                   "cf791bde091394bac8ff3909e6b0005fff9cb55ae7b907a52a118c310f0908e3"),
+    "committee": (["--ranks", "1,2,3", "--d", "50", "--n-steps", "5", "--record-every", "5"], {
+        f"committee_mu0.5_r{rank}.csv": (["batch_size", "d", "kind", "learning_rate", "mu",
+                                          "n_directions", "onset_step", "onset_threshold", "rank",
+                                          "tau_theory", "title"],
+                                         "committee_run", f"committee, mu0.5, rank {rank}", sha256)
+        for rank, sha256 in (
+            (1, "931057cbb12a578fe7358e0af52068b404baf237efabec31f4d7843cef6dcda7"),
+            (2, "cf791bde091394bac8ff3909e6b0005fff9cb55ae7b907a52a118c310f0908e3"),
+            (3, "e75ca34d4c3295f9931e9a90c2ff0938004ddaac34b73b138e602742331796b9"),
+        )
     }),
     "compare": (None, {
         "compare_report.csv": (["kind", "max_abs_relative_residual", "n_points", "offset",
@@ -654,6 +669,64 @@ def test_csv_headers_are_pinned(tmp_path, name):
         assert meta["kind"] == kind
         assert f"# title = {title}\n" in text
         assert hashlib.sha256(text.encode()).hexdigest() == sha256, csv_name
+
+
+# one other value of each field of each _HEADERS plan, bar out and format
+_OTHER_SGD = {"activation": "erf", "mu": "0.4", "seeds": "1", "d": "120", "batch_size": "30",
+              "learning_rate": "0.1", "n_steps": "6", "frozen_mode": "mixed",
+              "objective": "correlation", "sampler": "literal", "align_threshold": "0.05",
+              "record_every": "2"}
+_OTHER = {
+    "tau": {"activations": "erf", "mu": "0.4", "k_max": "5"},
+    "singularity": {"activations": "hermite5", "k_max": "5"},
+    "ode": {"activation": "erf", "mu": "0.4", "u0": "0.002", "m0": "0.002", "dt": "0.1",
+            "t_max": "2", "exit_fraction": "0.004", "method": "euler", "record_every": "3",
+            "k_max": "5"},
+    "sgd": _OTHER_SGD,
+    "curriculum": {**_OTHER_SGD, "activation": "linear", "learning_rate": "0.001",
+                   "switch_threshold": "0.05"},
+    "committee": {"mu": "0.6", "ranks": "4", "n_directions": "3", "d": "60", "batch_size": "100",
+                  "learning_rate": "0.2", "n_steps": "6", "onset_threshold": "0.1",
+                  "record_every": "1", "seed": "3"},
+    "compare": {"theory_csv": None, "experiment_csv": None},  # set by the test
+}
+# linear's series terminates, so its k_max changes no computed value; erf's does not
+_BASE = {("tau", "k_max"): {"activations": "erf"}, ("ode", "k_max"): {"activation": "erf"}}
+# reaches find_singularities, but moves no root of a builtin activation: pure
+# Hermite series terminate, and erf, sigmoid and relu have no root at any k_max
+_HEADER_ONLY = {("singularity", "k_max")}
+
+
+@pytest.mark.parametrize("name", sorted(_HEADERS))
+def test_no_flag_is_inert(tmp_path, name):
+    spec = next(s for s in SUBCOMMANDS if s.name == name)
+    fields = [f.name for f in _OUTPUT_FIELDS + spec.fields if f.name not in ("out", "format")]
+    other = dict(_OTHER[name])
+    assert sorted(other) == sorted(fields)
+    argv = _HEADERS[name][0]
+    if argv is None:
+        theory, exper = synthetic_compare_inputs(tmp_path, [0.1, 0.3, 0.5])
+        argv = ["--theory", theory, "--experiment", exper]
+        alt = tmp_path / "alt"
+        alt.mkdir()
+        other["theory_csv"], other["experiment_csv"] = synthetic_compare_inputs(
+            alt, [0.1, 0.3, 0.5], exact=False, theory_factor=2.0)
+
+    def csvs(values, copied):
+        # values set as parsed flags would be, so fields with no flag take them too
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        args = build_parser().parse_args([name] + argv + ["--out", str(out)])
+        for key, text in values.items():
+            setattr(args, key, text)
+        assert run_plan(plan_from_args(args.kind, args))[1] == EXIT_OK
+        # what the runs computed: every line but the header's copies of plan values
+        return [[line for line in read(p).splitlines() if line.split(" = ")[0][2:] not in copied]
+                for p in sorted(out.glob("*.csv"))]
+
+    for field in fields:
+        base = _BASE.get((name, field), {})
+        copied = set() if (name, field) in _HEADER_ONLY else {*fields, "kind", "title"}
+        assert csvs(base, copied) != csvs({**base, field: other[field]}, copied), field
 
 
 def _readme_commands():

@@ -372,7 +372,8 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
     later = run_simulation(replace(cfg, seed=1, n_steps=9))
     assert _state_bytes(first.final_state) == kept
     s0 = init_state(cfg)
-    ws = _Workspace(cfg, s0)
+    ws = _Workspace(cfg.seed, (s0.omega_star, s0.xi), 1, cfg.d)
+    assert ws.rows.shape == (2 + (frozen_mode == "mixed"), cfg.d)  # w_star, [xi,] w
     s1, _ = _step(cfg, s0, ERF, False, ws)
     kept = _state_bytes(s1)
     s2, _ = _step(cfg, s1, ERF, False, ws)
@@ -382,7 +383,7 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
         return [a for a in (s.omega, s.omega_star, s.omega_tilde, s.xi) if a is not None]
 
     runs = [fields(first.final_state), fields(later.final_state), fields(s0) + [s1.omega, s2.omega]]
-    buffers = [ws.F, ws.g]
+    buffers = [ws.rows, ws.res]
     for i, run in enumerate(runs):
         others = [a for other in runs[i + 1:] for a in other] + buffers
         assert not any(np.shares_memory(a, b) for a in run for b in others)
