@@ -20,20 +20,15 @@ class ActivationSpec:
     """A named scalar function z -> sigma(z).
 
     derivative is a callable when analytic, or None (slope then falls back
-    to a central difference).  parity is one of 'odd', 'even', 'none'.
-    pure_hermite_degree is set when the function IS a probabilists' Hermite
-    polynomial of unit variance, enabling closed-form coefficients.
+    to a central difference).  pure_hermite_degree is set when the function
+    IS a probabilists' Hermite polynomial of unit variance, enabling
+    closed-form coefficients.
     """
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]]
-    parity: str = "none"
     pure_hermite_degree: Optional[int] = None
-
-    def __post_init__(self):
-        if self.parity not in ("odd", "even", "none"):
-            raise ValueError("parity must be 'odd', 'even' or 'none'")
 
     def slope(self, z):
         """sigma'(z): the analytic derivative, or a central difference with h = 1e-6."""
@@ -89,7 +84,6 @@ def builtin(name: str) -> ActivationSpec:
             name="linear",
             evaluate=lambda z: np.asarray(z, dtype=float),
             derivative=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            parity="odd",
             pure_hermite_degree=1,
         )
     if name == "erf":
@@ -99,10 +93,9 @@ def builtin(name: str) -> ActivationSpec:
             name="erf",
             evaluate=lambda z: erf(z),
             derivative=lambda z: 2.0 / np.sqrt(np.pi) * np.exp(-np.asarray(z, float) ** 2),
-            parity="odd",
         )
     if name == "relu":
-        return ActivationSpec(name="relu", evaluate=_relu, derivative=_relu_prime, parity="none")
+        return ActivationSpec(name="relu", evaluate=_relu, derivative=_relu_prime)
     if name == "sigmoid":
         from scipy.special import expit
 
@@ -110,9 +103,7 @@ def builtin(name: str) -> ActivationSpec:
             s = expit(z)
             return s * (1.0 - s)
 
-        return ActivationSpec(
-            name="sigmoid", evaluate=lambda z: expit(z), derivative=sigmoid_prime, parity="none"
-        )
+        return ActivationSpec(name="sigmoid", evaluate=lambda z: expit(z), derivative=sigmoid_prime)
     m = _HERMITE_NAME.match(name)
     if m:
         k = int(m.group(1) or m.group(2))
@@ -122,7 +113,6 @@ def builtin(name: str) -> ActivationSpec:
             name=name,
             evaluate=lambda z, k=k: eval_scaled_hermite(k, 1.0, z),
             derivative=lambda z, k=k: k * eval_scaled_hermite(k - 1, 1.0, z),
-            parity="odd" if k % 2 else "even",
             pure_hermite_degree=k,
         )
     raise KeyError(f"unknown activation {name!r}")
@@ -138,7 +128,5 @@ def transform_teacher(spec: ActivationSpec, t: LabelTransform) -> ActivationSpec
         evaluate=lambda z: ev(z) ** 2,
         # without an analytic derivative the square's slope is a central difference too
         derivative=None if dv is None else lambda z: 2.0 * ev(z) * dv(z),
-        # squaring an odd or even function gives an even one; unknown stays unknown
-        parity="even" if spec.parity in ("odd", "even") else "none",
         pure_hermite_degree=None,
     )

@@ -563,7 +563,7 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
             metadata, columns, rows, summary = table()
             text = write_csv(os.path.join(plan.output_dir, name + ".csv"), metadata, columns, rows)
             entry["files"].append(name + ".csv")
-            if plan.emit in ("svg", "both"):
+            if plan.emit == "both":
                 with open(os.path.join(plan.output_dir, name + ".svg"), "w", newline="") as fh:
                     fh.write(render_svg(text))
                 entry["files"].append(name + ".svg")
@@ -769,7 +769,7 @@ def _with_defaults(fields: tuple[Field, ...], **defaults) -> tuple[Field, ...]:
 _OUTPUT_FIELDS = (
     Field("out", str, None, _require(bool, "a nonempty path"), section="output",
           help="output directory"),
-    Field("format", str, "csv", choices=("csv", "svg", "both"), section="output",
+    Field("format", str, "csv", choices=("csv", "both"), section="output",
           help="artifact format"),
 )
 
@@ -986,9 +986,6 @@ def main(argv=None) -> int:
         manifest, code = run_plan(plan)
     except ValidationError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except AlignmentError as exc:
-        print(f"alignment error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     for entry in manifest["cells"]:
         files = ", ".join(entry["files"]) if entry["files"] else "-"

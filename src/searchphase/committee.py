@@ -60,8 +60,8 @@ class CommitteeConfig:
             raise ValueError("d too small for the requested directions")
         if self.batch_size < 1 or self.n_steps < 1:
             raise ValueError("batch_size and n_steps must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < inf):
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 < self.onset_threshold < 1.0):
             raise ValueError("onset_threshold must lie in (0, 1)")
         if not (0 <= self.seed < 2**64):

@@ -32,10 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf
+from math import factorial, inf
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.hermite_e import hermemul
 
 
 class ConfigurationError(ValueError):
@@ -56,16 +57,15 @@ class QuadratureRule:
         Quadrature abscissas on the standard-normal scale.
     weights : ndarray
         Positive weights summing to 1 (probabilists' normalization).
-    order : int
-        Number of nodes; exact for polynomials of degree <= 2*order - 1.
+
+    A rule of n nodes is exact for polynomials of degree <= 2n - 1.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self):
-        if self.order < 1 or len(self.nodes) != self.order or len(self.weights) != self.order:
+        if len(self.nodes) < 1 or len(self.nodes) != len(self.weights):
             raise ValueError("inconsistent quadrature arrays")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
@@ -78,7 +78,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
         raise ValueError("order must be >= 1")
     x, w = hermgauss(order)
     # physicists' weights integrate against exp(-x^2); rescale to N(0,1)
-    return QuadratureRule(nodes=x * np.sqrt(2.0), weights=w / np.sqrt(np.pi), order=order)
+    return QuadratureRule(nodes=x * np.sqrt(2.0), weights=w / np.sqrt(np.pi))
 
 
 def eval_scaled_hermite(k: int, r: float, z):
@@ -344,30 +344,24 @@ def to_standard_basis(coeffs: HermiteCoefficients) -> np.ndarray:
 def square_expansion(c: np.ndarray) -> np.ndarray:
     """Unit-variance coefficients of f(z)^2 from those of f(z).
 
-    Products of Hermite polynomials linearize as
+    With b_k = c_k / k!, f = sum_k b_k He_k is a HermiteE series, and NumPy's
+    hermemul squares it by the linearization
 
         He_k He_k' = sum_j j! C(k,j) C(k',j) He_{k+k'-2j},
 
-    so an input truncated at degree K yields an exact output truncated at 2K.
+    so an input truncated at degree K yields an exact output truncated at 2K
+    (zero-padded to 2K + 1 entries).
     """
     c = np.asarray(c, dtype=float)
-    K = len(c) - 1
-    b = np.array([c[k] / factorial(k) for k in range(K + 1)])
-    bsq = np.zeros(2 * K + 1)
-    for k in range(K + 1):
-        if b[k] == 0.0:
-            continue
-        for kp in range(k, K + 1):
-            if b[kp] == 0.0:
-                continue
-            mult = 1.0 if kp == k else 2.0
-            for j in range(0, k + 1):
-                bsq[k + kp - 2 * j] += mult * b[k] * b[kp] * factorial(j) * comb(k, j) * comb(kp, j)
-    return np.array([bsq[n] * factorial(n) for n in range(2 * K + 1)])
+    n = 2 * len(c) - 1
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, n))))  # 0!, 1!, ..., (n-1)!
+    b = c / fact[: len(c)]
+    sq = hermemul(b, b)  # trailing zeros trimmed
+    return np.pad(sq, (0, n - len(sq))) * fact
 
 
-def information_exponent(c: np.ndarray, tol: float = 1e-10) -> int:
-    """Smallest degree k >= 1 with |c_k| > tol.
+def information_exponent(c: np.ndarray) -> int:
+    """Smallest degree k >= 1 with |c_k| > 1e-10.
 
     Raises
     ------
@@ -376,6 +370,6 @@ def information_exponent(c: np.ndarray, tol: float = 1e-10) -> int:
     """
     c = np.asarray(c, dtype=float)
     for k in range(1, len(c)):
-        if abs(c[k]) > tol:
+        if abs(c[k]) > 1e-10:
             return k
     raise DegenerateFunctionError("no Hermite coefficient of degree >= 1 above tolerance")

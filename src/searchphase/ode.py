@@ -39,10 +39,10 @@ class NumericalBlowupError(RuntimeError):
 
 def _n_steps(t_max: float, dt: float) -> int:
     """Number of fixed steps of size dt to t_max; ValueError when t_max / dt
-    is not a finite number."""
+    is not a finite number or rounds to no step at all."""
     n = t_max / dt
-    if not math.isfinite(n):
-        raise ValueError("t_max / dt must be a finite number of steps")
+    if not math.isfinite(n) or round(n) < 1:
+        raise ValueError("t_max / dt must be a finite number of steps, at least 1")
     return int(round(n))
 
 
@@ -66,8 +66,8 @@ class FlowSettings:
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
         _n_steps(self.t_max, self.dt)
-        if self.exit_fraction <= 0:
-            raise ValueError("exit_fraction must be positive")
+        if not (0.0 < self.exit_fraction < math.inf):
+            raise ValueError("exit_fraction must be positive and finite")
         if self.method not in ("rk4", "euler"):
             raise ValueError("method must be 'rk4' or 'euler'")
         if self.record_every < 1:
@@ -191,14 +191,14 @@ def integrate_linearized(
     m0: float,
     t_grid,
     mu: float | None = None,
-    exit_fraction: float = 1.0,
 ) -> LinearizedTrajectory:
     """Exact solution of du/dt = B u + A m, dm/dt = A u on a time grid.
 
     The quadratic form -(B u^2/2 + A u m) is reported in the loss channel;
     it is a local Lyapunov function of the linearized flow (zero at the
     origin).  When mu is given, t_exit is the interpolated first time
-    max(|u|, |m|) >= exit_fraction * mu.
+    max(|u|, |m|) >= mu, the escape threshold that integrate_flow uses at
+    FlowSettings' default exit_fraction and SGD uses for its exit step.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) == 0:
@@ -220,7 +220,7 @@ def integrate_linearized(
     loss = -(0.5 * B * u * u + A * u * m)
     t_exit = None
     if mu is not None:
-        gap = np.maximum(np.abs(u), np.abs(m)) - exit_fraction * mu
+        gap = np.maximum(np.abs(u), np.abs(m)) - mu
         above = np.nonzero(gap >= 0.0)[0]
         if len(above) > 0:
             i = int(above[0])
@@ -243,24 +243,19 @@ class DescentReport:
     n_fit_points: int
 
 
-def verify_descent(
-    record: TrajectoryRecord,
-    fit_threshold: float = 0.9,
-    loss_slack: float = 1e-10,
-    saturation_floor: float = 1e-11,
-) -> DescentReport:
-    """Fit log(1 - |m|) ~ -rate * t past the alignment threshold.
+def verify_descent(record: TrajectoryRecord) -> DescentReport:
+    """Fit log(1 - |m|) ~ -rate * t past the alignment threshold |m| = 0.9.
 
-    Uses the samples with |m| > fit_threshold and 1 - |m| > saturation_floor;
-    below that floor 1 - |m| is dominated by double-precision rounding of m
-    near 1, so those samples measure the float format rather than the decay.
-    Reports the least-squares rate, its R^2, whether sign(m) stays constant
-    after the threshold, whether the loss is nonincreasing along the whole
-    record (within loss_slack per step, relative to 1 + |loss|), and
-    |1 - |m_eff|| at the final sample.
+    Uses the samples with |m| > 0.9 and 1 - |m| > 1e-11; below that floor
+    1 - |m| is dominated by double-precision rounding of m near 1, so those
+    samples measure the float format rather than the decay.  Reports the
+    least-squares rate, its R^2, whether sign(m) stays constant after the
+    threshold, whether the loss is nonincreasing along the whole record
+    (within 1e-10 per step, relative to 1 + |loss|), and |1 - |m_eff|| at the
+    final sample.
     """
     absm = np.abs(record.m)
-    mask = (absm > fit_threshold) & (1.0 - absm > saturation_floor)
+    mask = (absm > 0.9) & (1.0 - absm > 1e-11)
     n_fit = int(np.sum(mask))
     if n_fit >= 3:
         tt = record.t[mask]
@@ -272,10 +267,10 @@ def verify_descent(
         rate = -float(slope)
     else:
         rate, r_squared = float("nan"), float("nan")
-    post = record.m[absm > fit_threshold]
+    post = record.m[absm > 0.9]
     sign_constant = bool(len(post) == 0 or np.all(post > 0) or np.all(post < 0))
     dl = np.diff(record.loss)
-    slack = loss_slack * (1.0 + np.abs(record.loss[:-1]))
+    slack = 1e-10 * (1.0 + np.abs(record.loss[:-1]))
     loss_monotone = bool(np.all(dl <= slack))
     terminal_gap = abs(1.0 - abs(float(record.m_eff[-1])))
     return DescentReport(

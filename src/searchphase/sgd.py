@@ -60,18 +60,16 @@ _MEASURE_STREAM = 2
 
 @dataclass(frozen=True)
 class Curriculum:
-    """Two-stage label schedule: train on transformed labels, then raw ones.
+    """Two-stage label schedule: train on squared labels, then raw ones.
 
-    Stage 1 presents transform(label_kind) of the teacher output and ends at
-    the first step with m >= switch_threshold; stage 2 resumes with the raw
-    teacher.  Test error is always measured against the raw teacher.
+    Stage 1 presents the square of the teacher output and ends at the first
+    step with m >= switch_threshold; stage 2 resumes with the raw teacher.
+    Test error is always measured against the raw teacher.
     """
 
-    label_kind: str = "square"
     switch_threshold: float = 0.5
 
     def __post_init__(self):
-        LabelTransform(kind=self.label_kind)  # validates the kind
         if not (0.0 < self.switch_threshold < 1.0):
             raise ValueError("switch_threshold must lie in (0, 1)")
 
@@ -106,8 +104,10 @@ class SimConfig:
             raise ValueError("d must be at least 4")
         if self.batch_size < 1 or self.n_steps < 1:
             raise ValueError("batch_size and n_steps must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
+        if self.init_magnitude is not None and not math.isfinite(self.init_magnitude):
+            raise ValueError("init_magnitude must be finite")
         if self.frozen_mode not in ("aligned", "mixed"):
             raise ValueError("frozen_mode must be 'aligned' or 'mixed'")
         if self.objective not in ("mse", "correlation"):
@@ -219,7 +219,7 @@ def init_state(cfg: SimConfig) -> SimState:
 
 def _teacher_for_stage(cfg: SimConfig, stage: int) -> ActivationSpec:
     if cfg.curriculum is not None and stage == 1:
-        return transform_teacher(cfg.teacher, LabelTransform(kind=cfg.curriculum.label_kind))
+        return transform_teacher(cfg.teacher, LabelTransform("square"))
     return cfg.teacher
 
 

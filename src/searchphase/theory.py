@@ -94,8 +94,8 @@ class ModelConfig:
                 raise ValueError("k_max must cover the pure Hermite degree")
         if self.delta is None:
             object.__setattr__(self, "delta", default_delta(self.student))
-        elif self.delta <= 0:
-            raise ValueError("delta must be positive")
+        elif not (0.0 < self.delta < inf):
+            raise ValueError("delta must be positive and finite")
 
     @cached_property
     def series(self) -> SeriesKernel:
@@ -353,13 +353,12 @@ def tau_curve(
     student: ActivationSpec,
     mu_grid,
     k_max: int = 25,
-    delta: float | None = None,
 ) -> TauCurve:
-    """linearize_search_phase evaluated along a mu grid."""
+    """linearize_search_phase evaluated along a mu grid, at default_delta(student)."""
     grid = _grid_array(mu_grid)
     rows = [
         linearize_search_phase(
-            ModelConfig(teacher=teacher, student=student, mu=float(mu), k_max=k_max, delta=delta)
+            ModelConfig(teacher=teacher, student=student, mu=float(mu), k_max=k_max)
         )
         for mu in grid
     ]
@@ -378,7 +377,6 @@ def find_singularities(
     student: ActivationSpec,
     mu_grid=None,
     k_max: int = 25,
-    delta: float | None = None,
 ) -> list[float]:
     """Roots of A(mu) on (0,1): bracket sign changes, refine by bisection.
 
@@ -393,7 +391,7 @@ def find_singularities(
 
     def a_of(mu: float) -> float:
         return linearize_search_phase(
-            ModelConfig(teacher=teacher, student=student, mu=mu, k_max=k_max, delta=delta)
+            ModelConfig(teacher=teacher, student=student, mu=mu, k_max=k_max)
         ).A
 
     vals = np.array([a_of(float(mu)) for mu in grid])

@@ -1,10 +1,10 @@
-"""Builtin activation registry, derivatives, parity, label transforms."""
+"""Builtin activation registry, derivatives, label transforms."""
 
 import numpy as np
 import pytest
 from scipy.special import erf as scipy_erf
 
-from searchphase.activations import ActivationSpec, LabelTransform, builtin, transform_teacher
+from searchphase.activations import LabelTransform, builtin, transform_teacher
 
 
 def test_known_names_resolve():
@@ -23,15 +23,6 @@ def test_unknown_name_raises_key_error():
         builtin("gelu")
     with pytest.raises(KeyError):
         builtin("hermite(0)")
-
-
-def test_parity_tags():
-    assert builtin("linear").parity == "odd"
-    assert builtin("erf").parity == "odd"
-    assert builtin("relu").parity == "none"
-    assert builtin("sigmoid").parity == "none"
-    assert builtin("hermite(4)").parity == "even"
-    assert builtin("hermite(5)").parity == "odd"
 
 
 def test_pure_degrees():
@@ -77,7 +68,6 @@ def test_transform_teacher_squares_outputs():
     sq = transform_teacher(he3, LabelTransform("square"))
     z = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(sq.evaluate(z), he3.evaluate(z) ** 2)
-    assert sq.parity == "even"
     assert sq.pure_hermite_degree is None
     # chain rule for the composed derivative
     h = 1e-6
@@ -88,11 +78,6 @@ def test_transform_teacher_squares_outputs():
 def test_transform_teacher_identity_is_noop():
     he3 = builtin("hermite(3)")
     assert transform_teacher(he3, LabelTransform("identity")) is he3
-
-
-def test_activation_spec_validates_parity():
-    with pytest.raises(ValueError):
-        ActivationSpec(name="bad", evaluate=lambda z: z, derivative=None, parity="mixed")
 
 
 def test_erf_and_sigmoid_are_scipy_special_bit_for_bit():

@@ -405,6 +405,7 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
     ["curriculum", "--k-max", "5"],
     ["sgd", "--config", "[run]\nk_max = 2\n"],  # the text of the config file
     ["curriculum", "--config", "[output]\nseed = 3\n"],
+    ["tau", "--format", "svg"],  # csv or both
 ])
 def test_usage_errors_exit_validation(tmp_path, capsys, argv):
     if "--config" in argv:
@@ -516,6 +517,7 @@ def test_raw_values_give_a_runnable_plan_or_a_validation_error(data):
     (["committee", "--d", "5", "--ranks", "2"], "d too small"),
     (["sgd", "--d", "3"], "d must be at least 4"),
     (["ode", "--dt", "1e-9", "--t-max", "1e300"], "finite number of steps"),
+    (["ode", "--dt", "10", "--t-max", "1"], "at least 1"),
 ])
 def test_cross_field_config_errors_exit_validation(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])

@@ -71,6 +71,19 @@ def test_overflowing_step_count_is_a_value_error():
         integrate_committee(cfg, committee_reduced_init(cfg), dt=1e-9, t_max=1e300)
 
 
+def test_a_flow_of_no_step_is_a_value_error():
+    # t_max / dt rounds to 0: the run would silently return only t = 0
+    cfg = single_adapted(1)
+    with pytest.raises(ValueError, match="at least 1"):
+        integrate_committee(cfg, committee_reduced_init(cfg), dt=10.0, t_max=1.0)
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+def test_a_non_finite_learning_rate_is_refused(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        CommitteeConfig(mu=(0.5,), rank=1, learning_rate=learning_rate)
+
+
 def test_reduced_flow_escapes_at_the_linear_rate():
     for rank in (1, 2):
         cfg = single_adapted(rank)

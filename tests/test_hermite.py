@@ -96,9 +96,9 @@ def test_low_degree_closed_forms():
 
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.zeros(3), weights=np.ones(3), order=3)  # weights sum to 3
+        QuadratureRule(nodes=np.zeros(3), weights=np.ones(3))  # weights sum to 3
     with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.zeros(2), weights=np.full(3, 1 / 3), order=3)
+        QuadratureRule(nodes=np.zeros(2), weights=np.full(3, 1 / 3))
 
 
 def test_closed_form_matches_quadrature_projection():
@@ -129,6 +129,17 @@ def test_standard_basis_round_trip_at_unit_variance():
     coeffs = project_activation(act, 1.0, k_max=12)
     converted = to_standard_basis(coeffs)
     np.testing.assert_allclose(converted, coeffs.sigma_k, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.3, 2.0])
+@pytest.mark.parametrize("k_star", [3, 4, 5])
+def test_standard_basis_of_a_pure_hermite_away_from_unit_variance(k_star, r):
+    # He_{k_star} is k_star! e_{k_star} in the unit-variance basis, whatever r it was scaled at
+    sig, sig_bar = np.array([pure_hermite_coefficients(k_star, r, k) for k in range(k_star + 1)]).T
+    converted = to_standard_basis(HermiteCoefficients(variance=r, sigma_k=sig, sigma_bar_k=sig_bar))
+    want = np.zeros(k_star + 1)
+    want[k_star] = factorial(k_star)
+    np.testing.assert_allclose(converted, want, rtol=0, atol=1e-12)
 
 
 def test_parseval_for_smooth_activations():

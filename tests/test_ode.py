@@ -68,6 +68,25 @@ def test_overflowing_step_count_is_a_value_error(entry):
             oscillator_trajectory(linearize_search_phase(cubic_config()), g0=0.1, **bad)
 
 
+@pytest.mark.parametrize("dt, t_max", [(10.0, 1.0), (math.inf, 1.0)])
+def test_a_flow_of_no_step_is_a_value_error(dt, t_max):
+    # t_max / dt rounds to 0: a run would silently return only t = 0
+    cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.5, k_max=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        FlowSettings(dt=dt, t_max=t_max)
+    with pytest.raises(ValueError, match="at least 1"):
+        integrate_flow(cfg, OrderParameterState(1e-3, 1e-3), _unchecked_settings(dt=dt, t_max=t_max))
+    with pytest.raises(ValueError, match="at least 1"):
+        oscillator_trajectory(linearize_search_phase(cubic_config()), g0=0.1, dt=dt, t_max=t_max)
+
+
+@pytest.mark.parametrize("exit_fraction", [math.nan, math.inf])
+def test_a_non_finite_exit_fraction_is_refused(exit_fraction):
+    # a NaN or infinite threshold is never crossed, so the flow would never exit
+    with pytest.raises(ValueError, match="exit_fraction"):
+        FlowSettings(exit_fraction=exit_fraction)
+
+
 def test_exit_time_stable_under_step_halving():
     cfg = cubic_config()
     x0 = 1.0 / math.sqrt(1000.0)

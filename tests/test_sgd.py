@@ -53,7 +53,20 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SimConfig(**bad)
     with pytest.raises(ValueError):
-        Curriculum(label_kind="cube")
+        Curriculum(switch_threshold=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("init_magnitude", math.nan),
+    ("init_magnitude", math.inf),
+])
+def test_a_non_finite_rate_or_magnitude_is_refused(field, value):
+    # these used to end in NumericalBlowupError at step 1
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{**dict(teacher=LINEAR, student=LINEAR, mu=0.5, d=100, batch_size=10,
+                            learning_rate=0.1, n_steps=5), field: value})
 
 
 def test_counter_rng_is_deterministic_and_separated():

@@ -57,6 +57,13 @@ def test_model_config_validation():
         ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.5, delta=-1.0)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_a_non_finite_delta_is_refused(delta):
+    # an infinite delta used to give tau = nan
+    with pytest.raises(ValueError, match="delta"):
+        model(LINEAR, 0.5, delta=delta)
+
+
 def test_default_delta_values():
     assert default_delta(LINEAR) == 1.0
     assert default_delta(ERF) == 1.0
