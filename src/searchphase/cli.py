@@ -68,14 +68,11 @@ class AlignmentError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
-    """One experiment: a kind, scalar settings, sweep axes, and output spec."""
+    """One experiment: a kind and the value of each field of its subcommand,
+    keyed by field name (out and format included)."""
 
     kind: str
-    settings: dict
-    sweep: dict
-    output_dir: str
-    emit: str = "csv"
-    seed: int = 0
+    values: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +83,13 @@ class Cell:
 
 def plan_hash(plan: ExperimentPlan) -> str:
     """Stable hash of the plan content (not of the output location)."""
+    values, fields = plan.values, SPECS[plan.kind].fields
     payload = {
         "kind": plan.kind,
-        "settings": plan.settings,
-        "sweep": plan.sweep,
-        "emit": plan.emit,
-        "seed": plan.seed,
+        "settings": {f.name: values[f.name] for f in fields if f.section == "run"},
+        "sweep": {f.name: values[f.name] for f in fields if f.section == "sweep"},
+        "emit": values["format"],
+        "seed": values.get("seed", 0),
     }
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -107,16 +105,9 @@ def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
     spec = SPECS.get(plan.kind)
     if spec is None:
         return [("kind", f"unknown kind {plan.kind!r}")]
-    values = {
-        **plan.settings,
-        **plan.sweep,
-        "seed": plan.seed,
-        "out": plan.output_dir,
-        "format": plan.emit,
-    }
     problems: list[tuple[str, str]] = []
     for f in _OUTPUT_FIELDS + spec.fields:
-        value = values.get(f.name)
+        value = plan.values.get(f.name)
         items = [value] if f.section != "sweep" else value or []
         if f.section == "sweep" and not items:
             problems.append((f.name, "sweep axis is empty"))
@@ -307,9 +298,9 @@ def build_cells(plan: ExperimentPlan) -> list[Cell]:
     spec = SPECS[plan.kind]
     keys = list(spec.cells)
     cells = []
-    for combo in itertools.product(*(plan.sweep[spec.cells[k]] for k in keys)):
+    for combo in itertools.product(*(plan.values[spec.cells[k]] for k in keys)):
         params = dict(zip(keys, combo))
-        cells.append(Cell(name=spec.cell_name.format(**{**plan.settings, **params}), params=params))
+        cells.append(Cell(name=spec.cell_name.format(**{**plan.values, **params}), params=params))
     return cells
 
 
@@ -322,7 +313,7 @@ def _headed(plan: ExperimentPlan, cell: Cell) -> tuple:
     """The table of the cell's run on the config its subcommand builds, with the
     header its subcommand row declares put before the metadata the run computed."""
     spec = SPECS[plan.kind]
-    header = _header(plan.kind, spec.title, spec.meta, {**plan.settings, **cell.params})
+    header = _header(plan.kind, spec.title, spec.meta, {**plan.values, **cell.params})
     metadata, columns, rows, summary = spec.run(spec.build(plan, cell))
     return {**header, **metadata}, columns, rows, summary
 
@@ -330,9 +321,9 @@ def _headed(plan: ExperimentPlan, cell: Cell) -> tuple:
 def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
     """The reduced model of a tau, singularity or ode cell at each mu it
     evaluates; a singularity scan's grid, inside (0, 1), is stood for by 0.5."""
-    act = builtin(cell.params.get("activation") or plan.settings["activation"])
-    k_max = plan.settings["k_max"]
-    mus = [cell.params["mu"]] if "mu" in cell.params else plan.sweep.get("mu", [0.5])
+    act = builtin(cell.params.get("activation") or plan.values["activation"])
+    k_max = plan.values["k_max"]
+    mus = [cell.params["mu"]] if "mu" in cell.params else plan.values.get("mu", [0.5])
     return [ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max) for mu in mus]
 
 
@@ -353,7 +344,7 @@ def _run_singularity_cell(models: list[ModelConfig]) -> tuple:
 
 def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple:
     """The reduced model, initial state and integration controls of an ode cell."""
-    cfg = plan.settings
+    cfg = plan.values
     settings = FlowSettings(
         dt=cfg["dt"],
         t_max=cfg["t_max"],
@@ -372,7 +363,7 @@ def _run_ode_cell(configs: tuple[ModelConfig, OrderParameterState, FlowSettings]
 
 
 def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
-    cfg = plan.settings
+    cfg = plan.values
     curriculum = None
     if plan.kind == "curriculum_run":
         curriculum = Curriculum(switch_threshold=cfg["switch_threshold"])
@@ -420,7 +411,7 @@ def _run_sgd_cell(sim: SimConfig) -> tuple:
 
 
 def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
-    cfg = plan.settings
+    cfg = plan.values
     return CommitteeConfig(
         mu=(cell.params["mu"],) + (1.0,) * (cfg["n_directions"] - 1),
         rank=cell.params["rank"],
@@ -428,7 +419,7 @@ def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
         batch_size=cfg["batch_size"],
         learning_rate=cfg["learning_rate"],
         n_steps=cfg["n_steps"],
-        seed=plan.seed,
+        seed=cfg["seed"],
         record_every=cfg["record_every"],
         onset_threshold=cfg["onset_threshold"],
     )
@@ -523,7 +514,7 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
 
 
 def _compare_inputs(plan: ExperimentPlan, cell: Cell) -> tuple[str, str]:
-    return plan.settings["theory_csv"], plan.settings["experiment_csv"]
+    return plan.values["theory_csv"], plan.values["experiment_csv"]
 
 
 def _run_compare_cell(paths: tuple[str, str]) -> tuple:
@@ -561,10 +552,11 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
         warnings.showwarning = count
         try:
             metadata, columns, rows, summary = table()
-            text = write_csv(os.path.join(plan.output_dir, name + ".csv"), metadata, columns, rows)
+            path = os.path.join(plan.values["out"], name)
+            text = write_csv(path + ".csv", metadata, columns, rows)
             entry["files"].append(name + ".csv")
-            if plan.emit == "both":
-                with open(os.path.join(plan.output_dir, name + ".svg"), "w", newline="") as fh:
+            if plan.values["format"] == "both":
+                with open(path + ".svg", "w", newline="") as fh:
                     fh.write(render_svg(text))
                 entry["files"].append(name + ".svg")
             if summary is not None:
@@ -588,7 +580,7 @@ def _sgd_summary(plan: ExperimentPlan, entries: list[dict]) -> tuple | None:
 
     def table():
         metadata = _header("sgd_summary", "exit epochs, {activation}",
-                           ("activation", "d", "batch_size"), plan.settings)
+                           ("activation", "d", "batch_size"), plan.values)
         rows = [
             (p["mu"], p["seed"], p["exit_epoch"], p["aligned_epoch"])
             for p in sorted(points, key=lambda p: (p["mu"], p["seed"]))
@@ -610,7 +602,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     problems = validate_plan(plan)
     if problems:
         raise ValidationError(problems)
-    manifest_path = os.path.join(plan.output_dir, "manifest.json")
+    manifest_path = os.path.join(plan.values["out"], "manifest.json")
     if os.path.exists(manifest_path):
         try:
             with open(manifest_path) as fh:
@@ -620,7 +612,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
         if found != plan_hash(plan):
             raise ValidationError([("out", f"{manifest_path} indexes plan {found}, not this one")])
     try:
-        os.makedirs(plan.output_dir, exist_ok=True)
+        os.makedirs(plan.values["out"], exist_ok=True)
     except OSError as exc:
         raise ValidationError([("out", f"cannot make the directory: {exc}")]) from None
     spec = SPECS[plan.kind]
@@ -631,8 +623,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     manifest = {
         "plan_hash": plan_hash(plan),
         "kind": plan.kind,
-        "seed": plan.seed,
-        "emit": plan.emit,
+        "seed": plan.values.get("seed", 0),
+        "emit": plan.values["format"],
         "cells": entries,
     }
     with open(manifest_path, "w", newline="") as fh:
@@ -706,11 +698,11 @@ _existing_file = _require(lambda v: isinstance(v, str) and os.path.isfile(v), "a
 class Field:
     """One plan value: the parser of its raw text, its default and its check.
 
-    section is where the value lives and its INI section: "run" (a scalar
-    setting), "sweep" (an axis, checked element by element) or "output"
-    (where and how artifacts are written).  flag is True for the flag
-    spelled after the name, a string for another flag, or False for a value
-    only a config file sets.
+    section is the value's INI section: "run" (a scalar setting), "sweep"
+    (an axis, checked element by element) or "output" (where and how
+    artifacts are written, and the committee's seed).  flag is True for
+    the flag spelled after the name, a string for another flag, or False
+    for a value only a config file sets.
     """
 
     name: str
@@ -738,7 +730,7 @@ class Subcommand:
 
     cells maps each cell parameter to the sweep axis it runs over; a plan
     has one cell per combination, and cell_name and title are formatted
-    with the settings and the cell parameters.  build(plan, cell) makes a
+    with the plan values and the cell parameters.  build(plan, cell) makes a
     cell's config, raising ValueError where plan values conflict;
     validate_plan builds every cell's to check it, and run takes it alone.
     A cell's CSV header holds the kind, the title, the meta values taken
@@ -869,7 +861,7 @@ SUBCOMMANDS = (
             _D, _BATCH_SIZE, _LEARNING_RATE, _N_STEPS,
             Field("onset_threshold", float, 0.3, _open_unit),
             _RECORD_EVERY,
-            # an [output] value, which the plan keeps as ExperimentPlan.seed
+            # in [output], where existing INI files give it
             Field("seed", int, 0, _seed, section="output", help="seed of every committee run"),
         ), mu=(0.5,), ranks=(1, 2, 3), learning_rate=0.1, n_steps=8000, record_every=10),
         cells={"mu": "mu", "rank": "ranks"}, cell_name="committee_mu{mu:.4g}_r{rank}",
@@ -940,15 +932,8 @@ def plan_from_args(kind: str, args: argparse.Namespace) -> ExperimentPlan:
             problems.append((where, f"cannot parse {text!r}"))
     if problems:
         raise ValidationError(problems)
-
-    return ExperimentPlan(
-        kind=kind,
-        settings={name: values[name] for name, f in fields.items() if f.section == "run"},
-        sweep={name: list(values[name]) for name, f in fields.items() if f.section == "sweep"},
-        output_dir=values["out"] or os.path.join("searchphase-out", kind),
-        emit=values["format"],
-        seed=values.get("seed", 0),
-    )
+    values["out"] = values["out"] or os.path.join("searchphase-out", kind)
+    return ExperimentPlan(kind, values)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -995,7 +980,7 @@ def main(argv=None) -> int:
         if "warnings" in entry:
             line += "  warnings: " + ", ".join(f"{k}={n}" for k, n in sorted(entry["warnings"].items()))
         print(line)
-    print(f"manifest: {os.path.join(plan.output_dir, 'manifest.json')}")
+    print(f"manifest: {os.path.join(plan.values['out'], 'manifest.json')}")
     return code
 
 

@@ -183,10 +183,11 @@ def integrate_committee(
     include_coupling: bool = True,
     record_every: int = 1,
 ) -> CommitteeTrajectory:
-    """Fixed-step RK4 integration of the reduced committee flow; raises
-    NumericalBlowupError when a magnitude stops being finite or exceeds BLOWUP_LIMIT."""
-    if dt <= 0 or t_max <= 0 or record_every < 1:
-        raise ValueError("dt, t_max and record_every must be positive")
+    """Fixed-step RK4 integration of the reduced committee flow, recording t = 0,
+    every record_every-th step and the last; raises NumericalBlowupError when
+    a magnitude stops being finite or exceeds BLOWUP_LIMIT."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     n_steps = _n_steps(t_max, dt)
     state = state0
     rows = [(0.0, state.u, state.m, committee_loss(cfg, state))]  # np.array copies each row
@@ -195,7 +196,7 @@ def integrate_committee(
         # false for NaN as well as for magnitudes beyond the limit
         if not float(np.max(np.abs(state.u))) <= BLOWUP_LIMIT:
             raise NumericalBlowupError(f"committee flow diverged at t={i * dt:.6g}")
-        if i % record_every == 0:
+        if i % record_every == 0 or i == n_steps:
             rows.append((i * dt, state.u, state.m, committee_loss(cfg, state)))
     return CommitteeTrajectory(*map(np.array, zip(*rows)))
 

@@ -38,8 +38,11 @@ class NumericalBlowupError(RuntimeError):
 
 
 def _n_steps(t_max: float, dt: float) -> int:
-    """Number of fixed steps of size dt to t_max; ValueError when t_max / dt
-    is not a finite number or rounds to no step at all."""
+    """Number of fixed steps of size dt to t_max; ValueError when dt or t_max
+    is not positive, or t_max / dt is not a finite number or rounds to no
+    step at all."""
+    if not (dt > 0 and t_max > 0):
+        raise ValueError("dt and t_max must be positive")
     n = t_max / dt
     if not math.isfinite(n) or round(n) < 1:
         raise ValueError("t_max / dt must be a finite number of steps, at least 1")
@@ -63,8 +66,6 @@ class FlowSettings:
     stop_at_exit: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
         _n_steps(self.t_max, self.dt)
         if not (0.0 < self.exit_fraction < math.inf):
             raise ValueError("exit_fraction must be positive and finite")
@@ -132,7 +133,8 @@ def integrate_flow(
 ) -> TrajectoryRecord:
     """Integrate the full gradient flow from state0.
 
-    Fixed-step RK4 (or explicit Euler) by fixed_step.  m is clipped to
+    Fixed-step RK4 (or explicit Euler) by fixed_step, recording t = 0, every
+    record_every-th step and the step that reaches t_max.  m is clipped to
     [-1, 1] after each step: the (1 - m^2) factor makes the band invariant
     exactly, clipping only removes rounding excursions.  Raises NumericalBlowupError when the
     state, or the state of an RK4 stage, leaves the representable region
@@ -167,7 +169,7 @@ def integrate_flow(
             t_exit = _crossing_time(t - dt, dt, prev_gap, gap)
         prev_gap = gap
         u, m = u_new, m_new
-        if step % settings.record_every == 0:
+        if step % settings.record_every == 0 or step == n_steps:
             record(t, u, m)
         if settings.stop_at_exit and t_exit is not None:
             break
@@ -307,8 +309,6 @@ def oscillator_trajectory(
     V(g) = -A^2 log cosh g, so dE/dt = B g'^2 (nonincreasing for B < 0,
     checkable against the recorded velocities).
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
     A, B = lin.A, lin.B
 
     def rhs(y: np.ndarray) -> np.ndarray:

@@ -424,8 +424,9 @@ def asymptotic_tau(k_star: int, mu: float, regime: str) -> float:
 
     near_one:  4 / ((2k-1)^2 (mu^2-1)^2)
     near_zero: even k = 2p   -> 1/B_0
-               odd  k = 2p+1 -> -B_0/(c_p mu^2), c_p = (2p-1)!/(p!(p-1)! 2^{2p-1})
-    with B_0 taken as the numerical limit B(mu=1e-4).
+               odd  k = 2p+1 -> -B_0/(c_p^2 mu^2), c_p = (2p-1)!/(p!(p-1)! 2^{2p-1})
+    with B_0 taken as the numerical limit B(mu=1e-4).  For odd k, A ~ -c_p mu
+    near mu = 0 and tau = 1/lambda_+ ~ -B/A^2 tends to -B_0/(c_p^2 mu^2).
     """
     if regime == "near_one":
         if k_star < 1:
@@ -443,7 +444,7 @@ def asymptotic_tau(k_star: int, mu: float, regime: str) -> float:
         return 1.0 / b0
     p = (k_star - 1) // 2
     c_p = factorial(2 * p - 1) / (factorial(p) * factorial(p - 1) * 2 ** (2 * p - 1))
-    return -b0 / (c_p * mu * mu)
+    return -b0 / (c_p * c_p * mu * mu)
 
 
 def even_hermite_mean(k_star: int, r: float) -> float:

@@ -47,13 +47,10 @@ def read(path):
 
 
 def tau_plan(out, mu=(0.2, 0.5, 0.8), activations=("linear",), emit="csv"):
-    return ExperimentPlan(
-        kind="tau_curve",
-        settings={"k_max": 25},
-        sweep={"activations": list(activations), "mu": list(mu)},
-        output_dir=str(out),
-        emit=emit,
-    )
+    return ExperimentPlan(kind="tau_curve", values={
+        "activations": list(activations), "mu": list(mu), "k_max": 25,
+        "out": str(out), "format": emit,
+    })
 
 
 def test_field_formatting():
@@ -162,6 +159,28 @@ def test_svg_is_a_pure_function_of_the_csv(tmp_path):
     assert render_svg(csv_text) == svg_disk
     assert render_svg(csv_text) == render_svg(csv_text)
     assert svg_disk.lstrip().startswith("<svg")
+
+
+def test_svgs_of_roots_and_committee_runs(tmp_path):
+    code = main(["singularity", "--activations", "hermite3,erf", "--format", "both",
+                 "--out", str(tmp_path / "sing")])
+    assert code == EXIT_OK
+    # one root: both axes span a single value, so each is widened by 1
+    svg = read(tmp_path / "sing" / "sing_hermite3.svg")
+    assert ">degree</text>" in svg and ">root_mu</text>" in svg and "<polyline" in svg
+    assert ">3.25</text>" in svg and ">1.321</text>" in svg
+    # erf has no root, so nothing is drawn
+    svg = read(tmp_path / "sing" / "sing_erf.svg")
+    assert "no finite data" in svg and "<polyline" not in svg
+
+    code = main(["committee", "--ranks", "2", "--d", "50", "--n-steps", "10",
+                 "--record-every", "5", "--format", "both", "--out", str(tmp_path / "comm")])
+    assert code == EXIT_OK
+    csv_text = read(tmp_path / "comm" / "committee_mu0.5_r2.csv")
+    svg = read(tmp_path / "comm" / "committee_mu0.5_r2.svg")
+    assert svg == render_svg(csv_text)
+    assert ">t_epoch</text>" in svg and svg.count("<polyline") == 2
+    assert ">rho_1</text>" in svg and ">rho_2</text>" in svg
 
 
 def test_sgd_manifest_indexes_every_artifact_and_svg(tmp_path):
@@ -284,6 +303,18 @@ def test_sgd_run_writes_summary(tmp_path):
     assert list(data["seed"][:2]) == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("record_every, times", [
+    ("100", [0.0, 1.0]),
+    ("3", [0.0, 0.3, 0.6, 0.9, 1.0]),
+])
+def test_a_flow_csv_ends_at_t_max(tmp_path, record_every, times):
+    code = main(["ode", "--activation", "linear", "--mu", "0.3", "--dt", "0.1", "--t-max", "1",
+                 "--record-every", record_every, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    _, _, data = parse_csv_text(read(tmp_path / "ode_linear_mu0.3.csv"))
+    np.testing.assert_allclose(data["t"], times, rtol=0, atol=1e-12)
+
+
 def test_ode_blowup_maps_to_exit_code(tmp_path):
     code = main(["ode", "--activation", "hermite4", "--mu", "0.1",
                  "--u0", "0.5", "--m0", "0.5", "--method", "euler",
@@ -349,6 +380,23 @@ def test_compare_rejects_missing_columns(tmp_path):
     _, exper = synthetic_compare_inputs(tmp_path, [0.5])
     with pytest.raises(ValidationError):
         compare_theory_experiment(str(bad), exper)
+
+
+@pytest.mark.parametrize("metadata, columns, rows, message", [
+    ({"d": 1000}, ["mu", "seed"], [(0.3, 0), (0.6, 0)], "missing column 'exit_epoch'"),
+    ({}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)], "missing metadata key 'd'"),
+    ({"d": 1000}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, math.nan)],
+     "fewer than two finite points"),
+])
+def test_compare_refusals_fail_the_cell(tmp_path, metadata, columns, rows, message):
+    theory, exper = synthetic_compare_inputs(tmp_path, [0.3, 0.6])
+    write_csv(exper, metadata, columns, rows)
+    out = tmp_path / "cmp"
+    code = main(["compare", "--theory", theory, "--experiment", exper, "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    [entry] = json.loads(read(out / "manifest.json"))["cells"]
+    assert entry["status"] == "failed" and message in entry["error"]
+    assert entry["files"] == []
 
 
 def test_compare_cell_failure_sets_partial_exit(tmp_path):

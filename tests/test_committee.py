@@ -78,6 +78,25 @@ def test_a_flow_of_no_step_is_a_value_error():
         integrate_committee(cfg, committee_reduced_init(cfg), dt=10.0, t_max=1.0)
 
 
+@pytest.mark.parametrize("dt, t_max", [(-0.1, 1.0), (-0.1, -1.0)])
+def test_a_negative_step_is_a_value_error(dt, t_max):
+    cfg = single_adapted(1)
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate_committee(cfg, committee_reduced_init(cfg), dt=dt, t_max=t_max)
+
+
+def test_a_thinned_flow_keeps_its_final_state():
+    cfg = single_adapted(2)
+    full = integrate_committee(cfg, committee_reduced_init(cfg), dt=0.05, t_max=40.0)
+    thin = integrate_committee(cfg, committee_reduced_init(cfg), dt=0.05, t_max=40.0,
+                               record_every=3)
+    assert thin.t[-1] == pytest.approx(40.0)
+    # every third state, then the last one (800 steps are not a multiple of 3)
+    for name in ("t", "u", "m", "loss"):
+        np.testing.assert_array_equal(getattr(thin, name)[:-1], getattr(full, name)[:-1:3])
+        np.testing.assert_array_equal(getattr(thin, name)[-1], getattr(full, name)[-1])
+
+
 @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
 def test_a_non_finite_learning_rate_is_refused(learning_rate):
     with pytest.raises(ValueError, match="learning_rate"):

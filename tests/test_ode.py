@@ -80,6 +80,19 @@ def test_a_flow_of_no_step_is_a_value_error(dt, t_max):
         oscillator_trajectory(linearize_search_phase(cubic_config()), g0=0.1, dt=dt, t_max=t_max)
 
 
+@pytest.mark.parametrize("dt, t_max", [(-0.1, 1.0), (0.1, -1.0), (-0.1, -1.0), (math.nan, 1.0)])
+def test_a_non_positive_step_or_horizon_is_refused(dt, t_max):
+    # (-0.1, -1.0) has a positive step count: it would run the flow backwards
+    cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.5, k_max=2)
+    with pytest.raises(ValueError, match="must be positive"):
+        FlowSettings(dt=dt, t_max=t_max)
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate_flow(cfg, OrderParameterState(1e-3, 1e-3),
+                       _unchecked_settings(dt=dt, t_max=t_max))
+    with pytest.raises(ValueError, match="must be positive"):
+        oscillator_trajectory(linearize_search_phase(cubic_config()), g0=0.1, dt=dt, t_max=t_max)
+
+
 @pytest.mark.parametrize("exit_fraction", [math.nan, math.inf])
 def test_a_non_finite_exit_fraction_is_refused(exit_fraction):
     # a NaN or infinite threshold is never crossed, so the flow would never exit
@@ -179,6 +192,31 @@ def test_linearized_exit_time_interpolation():
     below = max(abs(traj.u[i - 1]), abs(traj.m[i - 1]))
     above = max(abs(traj.u[i]), abs(traj.m[i]))
     assert below < 0.5 <= above + 1e-9
+
+
+def test_linearized_flow_without_coupling_and_from_past_the_threshold():
+    lp, lm = drift_eigenvalues(0.0, -1.0)
+    lin = SearchPhaseLinearization(
+        A=0.0, B=-1.0, lambda_plus=lp, lambda_minus=lm, tau=math.inf, converged=True
+    )
+    t = np.linspace(0.0, 5.0, 11)
+    # A = 0: u decays at rate B and m stays where it started
+    traj = integrate_linearized(lin, 0.2, 0.1, t, mu=0.5)
+    np.testing.assert_allclose(traj.u, 0.2 * np.exp(-t), rtol=1e-15)
+    np.testing.assert_array_equal(traj.m, 0.1)
+    assert traj.t_exit is None
+    # a start already past mu exits at the first time of the grid
+    assert integrate_linearized(lin, 0.2, 0.6, t[3:], mu=0.5).t_exit == t[3]
+
+
+def test_oscillator_blowup_is_reported():
+    lp, lm = drift_eigenvalues(1.0, 5.0)
+    lin = SearchPhaseLinearization(
+        A=1.0, B=5.0, lambda_plus=lp, lambda_minus=lm, tau=1.0 / lp, converged=True
+    )
+    # g' grows like e^{5 t}, past BLOWUP_LIMIT well before t_max
+    with pytest.raises(NumericalBlowupError, match="oscillator diverged"):
+        oscillator_trajectory(lin, g0=0.1, dt=0.01, t_max=10.0)
 
 
 def test_blowup_detected_and_reported():

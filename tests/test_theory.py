@@ -321,6 +321,10 @@ def test_asymptotic_tau_near_zero_parity_split():
         t1 = linearize_search_phase(model(act, 0.001)).tau
         t2 = linearize_search_phase(model(act, 0.01)).tau
         assert ratio_lo <= t1 / t2 <= ratio_hi
+    for k in (3, 5, 7):
+        act = builtin(f"hermite({k})")
+        t1 = linearize_search_phase(model(act, 0.001)).tau
+        assert t1 == pytest.approx(asymptotic_tau(k, 0.001, "near_zero"), rel=0.05)
     for k in (4, 6):
         act = builtin(f"hermite({k})")
         t1 = linearize_search_phase(model(act, 0.001)).tau
