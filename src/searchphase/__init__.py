@@ -7,6 +7,8 @@ spherical one-pass SGD with label transforms and a rank-R committee
 extension, cross-validated against the theory.
 """
 
+from types import ModuleType as _ModuleType
+
 from .activations import ActivationSpec, LabelTransform, builtin, transform_teacher
 from .committee import (
     CommitteeConfig,
@@ -58,7 +60,6 @@ from .sgd import (
     init_state,
     measure_drift,
     measure_test_mse,
-    reduced_state,
     run_simulation,
     scaled_learning_rate,
     sgd_step,
@@ -77,87 +78,14 @@ from .theory import (
     default_delta,
     drift_eigenvalues,
     effective_potential,
-    even_hermite_mean,
     find_singularities,
     linearize_search_phase,
     loss_gradients,
     population_loss,
     tau_curve,
-    teacher_coefficients,
 )
 
-__all__ = [
-    "ActivationSpec",
-    "LabelTransform",
-    "builtin",
-    "transform_teacher",
-    "CommitteeConfig",
-    "CommitteeRates",
-    "CommitteeRunResult",
-    "CommitteeState",
-    "CommitteeTrajectory",
-    "aggregate_overlap",
-    "committee_linear_rates",
-    "committee_loss",
-    "committee_ode_step",
-    "committee_reduced_init",
-    "committee_sgd",
-    "integrate_committee",
-    "ConfigurationError",
-    "DegenerateFunctionError",
-    "HermiteCoefficients",
-    "QuadratureRule",
-    "eval_scaled_hermite",
-    "gauss_hermite_rule",
-    "information_exponent",
-    "project_activation",
-    "pure_hermite_coefficients",
-    "square_expansion",
-    "to_standard_basis",
-    "DescentReport",
-    "FlowSettings",
-    "LinearizedTrajectory",
-    "NumericalBlowupError",
-    "OscillatorRecord",
-    "TrajectoryRecord",
-    "integrate_flow",
-    "integrate_linearized",
-    "oscillator_trajectory",
-    "verify_descent",
-    "Curriculum",
-    "DriftEstimate",
-    "RunResult",
-    "SimConfig",
-    "SimState",
-    "TestMseEstimate",
-    "epoch_time_scale",
-    "init_state",
-    "measure_drift",
-    "measure_test_mse",
-    "reduced_state",
-    "run_simulation",
-    "scaled_learning_rate",
-    "sgd_step",
-    "step_rng",
-    "DegenerateStateError",
-    "ModelConfig",
-    "OrderParameterState",
-    "SearchPhaseLinearization",
-    "SeriesConvergenceWarning",
-    "TauCurve",
-    "asymptotic_tau",
-    "correlation_gradients",
-    "correlation_loss",
-    "default_delta",
-    "drift_eigenvalues",
-    "effective_potential",
-    "even_hermite_mean",
-    "find_singularities",
-    "linearize_search_phase",
-    "loss_gradients",
-    "population_loss",
-    "tau_curve",
-    "teacher_coefficients",
-]
+# every public name imported above, in import order (submodules excluded)
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -48,11 +48,6 @@ class LabelTransform:
         if self.kind not in ("identity", "square"):
             raise ValueError("kind must be 'identity' or 'square'")
 
-    def apply(self, y):
-        if self.kind == "square":
-            return y * y
-        return y
-
 
 _HERMITE_NAME = re.compile(r"^hermite\((\d+)\)$|^hermite(\d+)$")
 

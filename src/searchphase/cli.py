@@ -932,7 +932,8 @@ def plan_from_args(kind: str, args: argparse.Namespace) -> ExperimentPlan:
             problems.append((where, f"cannot parse {text!r}"))
     if problems:
         raise ValidationError(problems)
-    values["out"] = values["out"] or os.path.join("searchphase-out", kind)
+    if values["out"] is None:  # an empty out stays, so that validation refuses it
+        values["out"] = os.path.join("searchphase-out", kind)
     return ExperimentPlan(kind, values)
 
 

@@ -60,6 +60,8 @@ class CommitteeConfig:
             raise ValueError("d too small for the requested directions")
         if self.batch_size < 1 or self.n_steps < 1:
             raise ValueError("batch_size and n_steps must be positive")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         if not (0.0 < self.learning_rate < inf):
             raise ValueError("learning_rate must be positive and finite")
         if not (0.0 < self.onset_threshold < 1.0):

@@ -14,7 +14,6 @@ CoefficientSource is the reduced theory's one source of coefficients:
 prepared once per (activation, k_max) and called per r, it gives
 sigma_k[r] / r^k and sigmabar_k[r] / r^k, by the closed form for a pure
 Hermite activation and by project_activation's quadrature otherwise.
-rescaled_coefficients is the same source for a single r.
 
 Conventions
 -----------
@@ -133,10 +132,6 @@ class HermiteCoefficients:
             raise ValueError("variance must be positive")
         if len(self.sigma_k) != len(self.sigma_bar_k):
             raise ValueError("sigma_k and sigma_bar_k must have identical length")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.sigma_k) - 1
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -284,18 +279,6 @@ class CoefficientSource:
                 f"r**{self.k_max} underflows to 0, so sigma_k[r] / r^k is not finite"
             )
         return sigma / powers, sigma_bar / powers
-
-
-def rescaled_coefficients(f, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_k[r] / r^k, sigmabar_k[r] / r^k) for k = 0..k_max, from a
-    CoefficientSource prepared for this one call.
-
-    The rescaled coefficients stay O(1) as r -> 0, which keeps every series
-    built from them in range even at r ~ 1e-8.  A pure Hermite activation
-    takes the closed form of pure_hermite_coefficients; any other activation
-    is projected as by project_activation.
-    """
-    return CoefficientSource(f, k_max)(r)
 
 
 def pure_hermite_coefficients(k_star: int, r: float, k: int) -> tuple[float, float]:

@@ -363,15 +363,6 @@ class TestMseEstimate(NamedTuple):
     stderr: float
 
 
-def _theory_config(cfg: SimConfig) -> ModelConfig:
-    return ModelConfig(teacher=cfg.teacher, student=cfg.student, mu=cfg.mu, k_max=cfg.k_max)
-
-
-def reduced_state(cfg: SimConfig, state: SimState) -> OrderParameterState:
-    """Project the simulator state onto the reduced coordinates (u, m)."""
-    return OrderParameterState(state.u, max(-1.0, min(1.0, state.m)))
-
-
 def measure_test_mse(
     cfg: SimConfig, state: SimState, n_samples: int = 100_000, block: int = 0
 ) -> TestMseEstimate:
@@ -381,14 +372,17 @@ def measure_test_mse(
     `block` of the measurement stream, like a record's; stderr is the ddof-0
     standard deviation of the squared errors over sqrt(n_samples).  The
     series value is twice the reduced population loss at the measured
-    (u, m); in mixed mode it is the aligned-theory prediction, so the gap
-    between the two columns is itself the concentration statement.
+    (u, m), m clipped to [-1, 1]; in mixed mode it is the aligned-theory
+    prediction, so the gap between the two columns is itself the
+    concentration statement.
     """
     ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
     sq = _held_out_errors(cfg, state, int(n_samples), block, ws)
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
-    series = 2.0 * population_loss(_theory_config(cfg), reduced_state(cfg, state))
+    model = ModelConfig(teacher=cfg.teacher, student=cfg.student, mu=cfg.mu, k_max=cfg.k_max)
+    reduced = OrderParameterState(state.u, max(-1.0, min(1.0, state.m)))
+    series = 2.0 * population_loss(model, reduced)
     return TestMseEstimate(mc=mc, series=series, stderr=stderr)
 
 

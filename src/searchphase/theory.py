@@ -34,12 +34,7 @@ from math import factorial, inf, isfinite
 import numpy as np
 
 from .activations import ActivationSpec, builtin
-from .hermite import (
-    CoefficientSource,
-    pure_hermite_coefficients,
-    rescaled_coefficients,
-    series_workspace,
-)
+from .hermite import CoefficientSource, series_workspace
 
 # largest admissible |m|: the band [-1, 1] plus rounding slack
 M_BAND = 1.0 + 1e-12
@@ -159,18 +154,10 @@ def _tail_ok(terms: np.ndarray, rtol: float = TAIL_RTOL) -> bool:
 
 @lru_cache(maxsize=64)
 def _teacher_coefficients_cached(teacher: ActivationSpec, k_max: int) -> np.ndarray:
-    phi, _ = rescaled_coefficients(teacher, 1.0, k_max)
+    # read-only, and shared by every config of one tau curve or singularity scan
+    phi, _ = CoefficientSource(teacher, k_max)(1.0)
     phi.setflags(write=False)
     return phi
-
-
-def teacher_coefficients(cfg: ModelConfig) -> np.ndarray:
-    """Unit-variance coefficient vector phi_k of the (transformed) teacher.
-
-    Cached per (teacher, k_max), so every config of one tau curve or
-    singularity scan shares it; the returned array is read-only.
-    """
-    return _teacher_coefficients_cached(cfg.teacher, cfg.k_max)
 
 
 class SeriesKernel:
@@ -190,7 +177,7 @@ class SeriesKernel:
 
     def __init__(self, cfg: ModelConfig):
         self.mu = cfg.mu
-        self.phi = teacher_coefficients(cfg)
+        self.phi = _teacher_coefficients_cached(cfg.teacher, cfg.k_max)
         self.ks, self.inv_fact = series_workspace(cfg.k_max)
         self.ks_m1 = self.ks - 1.0
         self.half_phi_sq = 0.5 * self.phi**2
@@ -445,13 +432,6 @@ def asymptotic_tau(k_star: int, mu: float, regime: str) -> float:
     p = (k_star - 1) // 2
     c_p = factorial(2 * p - 1) / (factorial(p) * factorial(p - 1) * 2 ** (2 * p - 1))
     return -b0 / (c_p * c_p * mu * mu)
-
-
-def even_hermite_mean(k_star: int, r: float) -> float:
-    """Mean sigma_0[r] = k*! (r-1)^{k*/2} / (2^{k*/2} (k*/2)!) of an even pure Hermite."""
-    if k_star % 2 != 0 or k_star < 2:
-        raise ValueError("k_star must be even and >= 2")
-    return pure_hermite_coefficients(k_star, r, 0)[0]
 
 
 def effective_potential(lin: SearchPhaseLinearization, g):

@@ -640,6 +640,17 @@ def test_an_output_path_through_a_regular_file_is_refused(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == ["afile"]  # no cell ran
 
 
+def test_an_empty_output_path_is_refused(tmp_path, monkeypatch, capsys):
+    # an empty out is not the default directory, from a flag or from a config file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[output]\nout =\n")
+    tau = ["tau", "--activations", "linear", "--mu", "0.5"]
+    for how in (["--out", ""], ["--config", "run.ini"]):
+        assert main(tau + how) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "invalid configuration:\n  out: must be a nonempty path, got ''\n"
+    assert os.listdir(tmp_path) == ["run.ini"]  # no cell ran
+
+
 # every CSV of a small plan of each subcommand: its sorted `# key` names,
 # its kind, its title and the SHA-256 of its full text (data rows included)
 _HEADERS = {

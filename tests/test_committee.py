@@ -103,6 +103,13 @@ def test_a_non_finite_learning_rate_is_refused(learning_rate):
         CommitteeConfig(mu=(0.5,), rank=1, learning_rate=learning_rate)
 
 
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_a_record_interval_below_one_is_refused(record_every):
+    # refused when built, not at step 1 (0) or as if it were 2 (-2)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        CommitteeConfig(mu=(0.5,), rank=1, record_every=record_every)
+
+
 def test_reduced_flow_escapes_at_the_linear_rate():
     for rank in (1, 2):
         cfg = single_adapted(rank)

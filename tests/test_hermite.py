@@ -199,8 +199,6 @@ def test_coefficients_container_validation():
         HermiteCoefficients(variance=-1.0, sigma_k=np.zeros(3), sigma_bar_k=np.zeros(3))
     with pytest.raises(ValueError):
         HermiteCoefficients(variance=1.0, sigma_k=np.zeros(3), sigma_bar_k=np.zeros(2))
-    coeffs = HermiteCoefficients(variance=1.0, sigma_k=np.zeros(4), sigma_bar_k=np.zeros(4))
-    assert coeffs.k_max == 3
 
 
 def test_missing_derivative_falls_back_to_central_difference():
@@ -268,15 +266,15 @@ def test_coefficient_source_refuses_a_nonfinite_variance():
 
 def test_rescaled_coefficients_never_share_their_arrays():
     # a caller that writes into one result cannot change the next
-    from searchphase.hermite import CoefficientSource, rescaled_coefficients
+    from searchphase.hermite import CoefficientSource
 
     for act in (builtin("erf"), builtin("hermite3"), builtin("linear")):
-        want = [a.copy() for a in rescaled_coefficients(act, 0.5, 12)]
-        for got in rescaled_coefficients(act, 0.5, 12), CoefficientSource(act, 12)(0.5):
+        want = [a.copy() for a in CoefficientSource(act, 12)(0.5)]
+        source = CoefficientSource(act, 12)
+        for got in source(0.5), source(0.5):
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
                 a[...] = 7.0
-        source = CoefficientSource(act, 12)
         first = source(0.5)
         second = source(0.5)
         assert not any(np.shares_memory(a, b) for a in first for b in second)
@@ -284,14 +282,14 @@ def test_rescaled_coefficients_never_share_their_arrays():
 
 def test_coefficient_source_refuses_a_variance_whose_top_power_underflows():
     # at r = 1e-10, r**k is 0.0 for k >= 33, and sigma_k[r] / r^k would be x / 0
-    from searchphase.hermite import CoefficientSource, rescaled_coefficients
+    from searchphase.hermite import CoefficientSource
     from searchphase.theory import ModelConfig, linearize_search_phase
 
     erf = builtin("erf")
     with pytest.raises(ConfigurationError, match=r"r = 1\.0000000000000002e-10 .*k_max = 40"):
         CoefficientSource(erf, 40)(1e-5 * 1e-5)
     with pytest.raises(ConfigurationError, match="k_max = 33"):
-        rescaled_coefficients(erf, 1e-10, 33)
+        CoefficientSource(erf, 33)(1e-10)
     with pytest.raises(ConfigurationError, match="underflows"):
         linearize_search_phase(ModelConfig(teacher=erf, student=erf, mu=1e-5, k_max=40))
     # k_max = 32 keeps r**32 a subnormal, and a pure activation has no powers to divide by

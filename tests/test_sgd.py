@@ -21,7 +21,6 @@ from searchphase.sgd import (
     init_state,
     measure_drift,
     measure_test_mse,
-    reduced_state,
     run_simulation,
     scaled_learning_rate,
     sgd_step,
@@ -196,9 +195,8 @@ def test_reduced_state_projection():
                     learning_rate=0.1, n_steps=1, k_max=40,
                     init_overlap=0.25, init_magnitude=0.6)
     st = init_state(cfg)
-    red = reduced_state(cfg, st)
-    assert red.u == pytest.approx(0.6, abs=1e-12)
-    assert red.m == pytest.approx(0.25, abs=1e-12)
+    assert st.u == pytest.approx(0.6, abs=1e-12)
+    assert st.m == pytest.approx(0.25, abs=1e-12)
 
 
 def test_exit_and_alignment_bookkeeping():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from searchphase.activations import builtin, LabelTransform, transform_teacher
+from searchphase.hermite import CoefficientSource, pure_hermite_coefficients
 from searchphase.theory import (
     DegenerateStateError,
     SeriesConvergenceWarning,
@@ -22,13 +23,11 @@ from searchphase.theory import (
     default_delta,
     drift_eigenvalues,
     effective_potential,
-    even_hermite_mean,
     find_singularities,
     linearize_search_phase,
     loss_gradients,
     population_loss,
     tau_curve,
-    teacher_coefficients,
 )
 
 LINEAR = builtin("linear")
@@ -342,10 +341,11 @@ def test_asymptotic_tau_validates_regime():
 
 
 def test_even_hermite_mean_values():
-    assert even_hermite_mean(2, 0.25) == pytest.approx(-0.75, abs=1e-12)
-    assert even_hermite_mean(4, 0.25) == pytest.approx(1.6875, abs=1e-12)
+    # sigma_0[r] = k*! (r-1)^{k*/2} / (2^{k*/2} (k*/2)!) of an even pure Hermite
+    assert pure_hermite_coefficients(2, 0.25, 0)[0] == pytest.approx(-0.75, abs=1e-12)
+    assert pure_hermite_coefficients(4, 0.25, 0)[0] == pytest.approx(1.6875, abs=1e-12)
     # vanishes continuously at unit variance
-    assert abs(even_hermite_mean(4, 0.9999)) < 1e-3
+    assert abs(pure_hermite_coefficients(4, 0.9999, 0)[0]) < 1e-3
 
 
 def test_effective_potential():
@@ -433,7 +433,7 @@ def test_pure_hermite_path_matches_quadrature_path():
             lin_c, lin_q = linearize_search_phase(closed), linearize_search_phase(quad)
             np.testing.assert_allclose([lin_q.A, lin_q.B], [lin_c.A, lin_c.B], rtol=1e-9, atol=1e-13)
     for k in range(1, 10):
-        phi = teacher_coefficients(model(builtin(f"hermite{k}"), 0.5))
+        phi = model(builtin(f"hermite{k}"), 0.5).series.phi
         assert phi[k] == float(math.factorial(k))
         assert np.count_nonzero(phi) == 1
 
@@ -455,9 +455,7 @@ def _reference_rescaled(act, r, k_max):
     # from ((r-1)/2)^j), or quadrature coefficients divided by r^k
     k_star = act.pure_hermite_degree
     if k_star is None:
-        from searchphase.hermite import rescaled_coefficients
-
-        return rescaled_coefficients(act, r, k_max)
+        return CoefficientSource(act, k_max)(r)
     inv = np.array([1.0 / math.factorial(j) for j in range(k_star + 1)])
     fk = float(math.factorial(k_star))
     ks = np.arange(k_star % 2, k_star + 1, 2)
@@ -550,7 +548,7 @@ def test_series_kernel_matches_the_written_out_series_bit_for_bit():
 
 
 def test_rescaled_coefficients_are_the_projection_over_r_to_the_k_bit_for_bit():
-    from searchphase.hermite import project_activation, rescaled_coefficients
+    from searchphase.hermite import project_activation
 
     squared = transform_teacher(ERF, LabelTransform("square"))
     plain_he3 = dataclasses.replace(HE3, pure_hermite_degree=None)
@@ -559,14 +557,14 @@ def test_rescaled_coefficients_are_the_projection_over_r_to_the_k_bit_for_bit():
             for r in (1e-8, 0.09, 0.5, 1.0, 2.3):
                 co = project_activation(act, r, k_max)
                 powers = r ** np.arange(k_max + 1, dtype=float)
-                sh, sbh = rescaled_coefficients(act, r, k_max)
+                sh, sbh = CoefficientSource(act, k_max)(r)
                 assert sh.tobytes() == (co.sigma_k / powers).tobytes()
                 assert sbh.tobytes() == (co.sigma_bar_k / powers).tobytes()
     for k_star in range(1, 8):
         act = builtin(f"hermite{k_star}")
         for r in (1e-8, 0.09, 0.5, 1.0, 2.3):
             want = _reference_rescaled(act, r, k_star + 3)
-            got = rescaled_coefficients(act, r, k_star + 3)
+            got = CoefficientSource(act, k_star + 3)(r)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
