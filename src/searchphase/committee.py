@@ -262,7 +262,9 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     frame sampler, sgd._Workspace: coordinates along the frame of
     (teachers, adapters), rebuilt in place each step, and the batch-mean
     gradient lifted from one residual d-vector, so the cost per step is
-    O(batch + d).  Step t draws from counter t - 1 of the training stream.
+    O(batch + d).  Step t draws from counter t - 1 of the training stream;
+    a long run draws ahead on a second core, with the same bits
+    (_Workspace.drawing_ahead).
     Raises NumericalBlowupError when a magnitude or overlap stops being
     finite or a magnitude exceeds BLOWUP_LIMIT.
     """
@@ -305,40 +307,41 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     init_m = m.copy()
     record(0, m, q)
 
-    for step in range(1, cfg.n_steps + 1):
-        # frame: K teacher rows (already orthonormal) + adapter residuals
-        F = ws.frame(adapters)
-        coords = ws.batch(ws.train, step - 1, cfg.batch_size)
+    with ws.drawing_ahead(cfg.n_steps, cfg.batch_size):
+        for step in range(1, cfg.n_steps + 1):
+            # frame: K teacher rows (already orthonormal) + adapter residuals
+            F = ws.frame(adapters)
+            coords = ws.batch(ws.train, step - 1, cfg.batch_size)
 
-        lam_star = coords[:, :K]  # teacher pre-activations
-        adapter_coords = F @ adapters.T  # (f, R)
-        lam_a = coords @ adapter_coords  # (B, R)
-        U_col = np.sum(u, axis=0)  # U_r
-        y = np.sum(lam_star, axis=1) / sqK
-        yhat = (lam_star @ mu_vec + lam_a @ U_col) / sqK
-        eps = y - yhat
+            lam_star = coords[:, :K]  # teacher pre-activations
+            adapter_coords = F @ adapters.T  # (f, R)
+            lam_a = coords @ adapter_coords  # (B, R)
+            U_col = np.sum(u, axis=0)  # U_r
+            y = np.sum(lam_star, axis=1) / sqK
+            yhat = (lam_star @ mu_vec + lam_a @ U_col) / sqK
+            eps = y - yhat
 
-        du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
-        # shared mean-gradient direction: w = mean(eps_i x_i)
-        scale = sqrt(eps @ eps) / cfg.batch_size
-        w = ws.lift((eps @ coords) / cfg.batch_size, scale, grad)
-        u[adapted] += du_row[None, :]
-        # np.outer's and np.linalg.norm's operations (the norm is
-        # sqrt(add.reduce(a * a))) in their order, so every bit is kept
-        np.multiply.outer(U_col, w, out=buf)
-        buf *= cfg.learning_rate * 2.0 / sqK
-        adapters += buf
-        np.multiply(adapters, adapters, out=buf)
-        adapters /= np.sqrt(np.add.reduce(buf, axis=1, keepdims=True))
+            du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
+            # shared mean-gradient direction: w = mean(eps_i x_i)
+            scale = sqrt(eps @ eps) / cfg.batch_size
+            w = ws.lift((eps @ coords) / cfg.batch_size, scale, grad)
+            u[adapted] += du_row[None, :]
+            # np.outer's and np.linalg.norm's operations (the norm is
+            # sqrt(add.reduce(a * a))) in their order, so every bit is kept
+            np.multiply.outer(U_col, w, out=buf)
+            buf *= cfg.learning_rate * 2.0 / sqK
+            adapters += buf
+            np.multiply(adapters, adapters, out=buf)
+            adapters /= np.sqrt(np.add.reduce(buf, axis=1, keepdims=True))
 
-        m, q = overlaps()
-        # false for NaN as well as for magnitudes beyond the limit
-        if not (float(np.max(np.abs(u))) <= BLOWUP_LIMIT and isfinite(float(np.sum(m)))):
-            raise NumericalBlowupError(f"committee SGD diverged at step {step}")
-        if onset_step is None and n_a and np.max(np.abs(aggregate_overlap(cfg, m))) >= cfg.onset_threshold:
-            onset_step = step
-        if step % cfg.record_every == 0 or step == cfg.n_steps:
-            record(step, m, q)
+            m, q = overlaps()
+            # false for NaN as well as for magnitudes beyond the limit
+            if not (float(np.max(np.abs(u))) <= BLOWUP_LIMIT and isfinite(float(np.sum(m)))):
+                raise NumericalBlowupError(f"committee SGD diverged at step {step}")
+            if onset_step is None and n_a and np.max(np.abs(aggregate_overlap(cfg, m))) >= cfg.onset_threshold:
+                onset_step = step
+            if step % cfg.record_every == 0 or step == cfg.n_steps:
+                record(step, m, q)
 
     return CommitteeRunResult(
         *map(np.array, zip(*rows)),

@@ -40,10 +40,29 @@ init_state builds xi and the off-w_star part of w with orthonormal_frame.
 The committee simulator draws its batches and lifts its gradient through
 _Workspace too, with the teachers as fixed rows and the adapters as free
 ones.
+
+Since a draw depends only on (seed, stream, counter, shape), a long run
+draws ahead on a second core: a worker process forked for the run
+(_Workspace.drawing_ahead) draws its batches and held-out samples with the
+same generator code into a ring in shared memory, and batch takes them from
+there.  The main draws in line whatever the worker has not started, so the
+two share the draws, and the bits are the same either way.  No setting
+chooses this.  A run stays in line when it makes fewer than _ENGAGE_ITEMS
+such draws, for the literal sampler, for steps with d > 10 000 (whose
+d-vectors OpenBLAS already spreads over the cores), inside a daemonic
+process, and off x86-64 Linux.  A worker that dies costs time only: the run
+goes on in line and ends with one RuntimeWarning.
 """
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import time
+import warnings
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -247,7 +266,9 @@ class _Workspace:
     res.  frame() Gram-Schmidts the free rows against the fixed ones, with
     res as scratch; batch() draws a batch's frame coordinates and then, for
     a step, the residual into res; lift() uses that residual up.  No state
-    holds any of it."""
+    holds any of it.  Inside drawing_ahead(), batch() takes the draws of a
+    worker process when it has made them (_Ahead), with the same bits; the
+    block ends the worker, on return and on any exception alike."""
 
     def __init__(self, seed: int, fixed, n_free: int, d: int):
         self.train = counter_stream(seed, _TRAIN_STREAM)
@@ -256,6 +277,7 @@ class _Workspace:
         self.rows = np.empty((len(self.fixed) + n_free, d))
         self.rows[:len(self.fixed)] = self.fixed
         self.res = np.empty(d)
+        self.ahead = None
 
     def frame(self, free_rows) -> np.ndarray:
         """The orthonormal frame of the fixed rows and free_rows, kept for
@@ -264,9 +286,29 @@ class _Workspace:
         self.F = orthonormal_frame(self.rows, self.fixed, self.res)
         return self.F
 
+    @contextmanager
+    def drawing_ahead(self, n_steps: int, batch_size: int, record_every: int = 0):
+        """Within the block, a worker process draws the run's schedule of
+        batches (_schedule) ahead for batch() to take, when the run is long
+        enough to repay it (_Ahead.start); the worker is gone on leaving."""
+        self.ahead = _Ahead.start(self, n_steps, batch_size, record_every)
+        try:
+            yield
+        finally:
+            ahead, self.ahead = self.ahead, None
+            if ahead is not None:
+                ahead.stop()
+
     def batch(self, stream, step: int, n: int, residual: bool = True) -> np.ndarray:
         """(n, f) standard normal frame coordinates from counter step of
-        stream, then (when residual) the standard normal residual in res."""
+        stream, then (when residual) the standard normal residual in res:
+        taken from the worker when it drew this item with this shape, else
+        drawn here."""
+        if self.ahead is not None:
+            key = (_TRAIN_STREAM if stream is self.train else _MEASURE_STREAM, step)
+            coords = self.ahead.take(key, n, self.F.shape[0], residual, self.res)
+            if coords is not None:
+                return coords
         rng = stream(step)
         coords = rng.standard_normal((n, self.F.shape[0]))
         if residual:
@@ -284,6 +326,195 @@ class _Workspace:
         res = np.subtract(self.res, out, out=self.res)
         res *= scale
         return np.add(np.matmul(F.T, in_frame, out=out), res, out=out)
+
+
+# A run draws ahead only with this many schedule items or more, since the
+# fork and the join cost about as much as 50 in-line step draws; steps whose
+# residual has more than _INLINE_D entries stay in line, since OpenBLAS
+# already spreads those d-vectors over the cores.  The ring stays within
+# _RING_BYTES, and the worker at most _MAX_SLOTS items ahead, so a run that
+# stops early wastes few draws.
+_ENGAGE_ITEMS = 256
+_INLINE_D = 10_000
+_RING_BYTES = 1 << 20
+_MAX_SLOTS = 64
+# the ring's protocol needs the stores of one process to reach the other in
+# program order, as on x86-64; fork is POSIX
+_CAN_DRAW_AHEAD = sys.platform == "linux" and os.uname().machine == "x86_64"
+
+
+def _schedule(n_steps: int, record_every: int, steps: bool):
+    """(stream, counter) of each draw a run makes through batch, in order:
+    step t's batch on counter t - 1 of the training stream (when steps),
+    then, when record_every, the held-out draws of its records on the
+    measurement stream: block 0 for the initial state at step 1, and block t
+    for step t at every record_every-th step and the last."""
+    for t in range(1, n_steps + 1):
+        if steps:
+            yield _TRAIN_STREAM, t - 1
+        if record_every and t == 1:
+            yield _MEASURE_STREAM, 0
+        if record_every and (t % record_every == 0 or t == n_steps):
+            yield _MEASURE_STREAM, t
+
+
+def _draw_ahead(items, streams: dict, shapes: dict, ctrl, slots, parent: int) -> None:
+    """The worker: draws each item of the schedule that the main has not
+    claimed into its slot, with the run's counter_streams as batch does, and
+    marks it started, then drawn or skipped (see _Ahead).  Returns once the
+    schedule is done, or when its parent is gone, which it checks while it
+    waits for a slot."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main stops it
+    n_slots = len(slots)
+    for j, (stream, counter) in enumerate(items):
+        spins = 0
+        while ctrl[1] <= j - n_slots:  # the main still reads this slot's last item
+            spins += 1
+            if spins % 1024 == 0:  # the worker is well ahead: it naps
+                if os.getppid() != parent:
+                    return
+                time.sleep(1e-4)
+        if ctrl[0] > j:
+            continue
+        status = 2 + j % n_slots
+        ctrl[status] = 3 * j + 1
+        if ctrl[0] > j:  # the main claimed it meanwhile and draws it in line
+            ctrl[status] = 3 * j + 3
+            continue
+        n, f, d = shapes[stream]
+        rng, slot = streams[stream](counter), slots[j % n_slots]
+        rng.standard_normal(out=slot[:n * f].reshape(n, f))
+        if d:
+            rng.standard_normal(out=slot[n * f:n * f + d])
+        ctrl[status] = 3 * j + 2
+
+
+class _Ahead:
+    """A worker process that draws one run's schedule ahead of its main loop
+    into a ring of slots in shared memory.  The control words are the
+    number of items the main has claimed, the number it has released, then
+    for each slot 3j + 1, 3j + 2 or 3j + 3 when the worker has started,
+    drawn or skipped item j in it.  The main claims each item before it
+    looks at its slot.  If the worker has not started the item, the main
+    draws it in line, and the worker, which reads the claim again after
+    marking the item started, skips it; so the main never waits for the
+    worker to reach an item.  While the worker ends an item the main needs,
+    the main claims and draws the next items the worker has not started,
+    and holds them, so the two share the draws.  Either way the main gets
+    the bits of an in-line draw, and copies them out of a slot before
+    releasing it."""
+
+    @classmethod
+    def start(cls, ws: _Workspace, n_steps: int, batch_size: int, record_every: int):
+        """The worker of a run with ws's frame, or None when the run stays in
+        line: a run with fewer than _ENGAGE_ITEMS draws to take ahead, a
+        ring slot over _RING_BYTES / 2, or no fork on this platform."""
+        f, d = ws.rows.shape
+        steps = d <= _INLINE_D
+        n_records = (1 + n_steps // record_every + (n_steps % record_every > 0)) if record_every else 0
+        shapes = {_TRAIN_STREAM: (batch_size, f, d), _MEASURE_STREAM: (_TEST_SAMPLES_PER_RECORD, f, 0)}
+        slot_len = max(steps * (batch_size * f + d), bool(record_every) * _TEST_SAMPLES_PER_RECORD * f)
+        n_slots = min(_MAX_SLOTS, _RING_BYTES // (8 * slot_len)) if slot_len else 0
+        if steps * n_steps + n_records < _ENGAGE_ITEMS or n_slots < 2 or not _CAN_DRAW_AHEAD:
+            return None
+        import mmap
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:  # may have no children
+            return None
+        self = cls()
+        buf = mmap.mmap(-1, 8 * (2 + n_slots + n_slots * slot_len))  # shared, zeroed
+        self.ctrl = memoryview(buf)[:8 * (2 + n_slots)].cast("q")
+        self.slots = np.frombuffer(buf, offset=8 * (2 + n_slots)).reshape(n_slots, slot_len)
+        self.shapes, self.streams = shapes, {_TRAIN_STREAM: ws.train, _MEASURE_STREAM: ws.measure}
+        # the keys of items j, j + 1, ... as far as the main has looked ahead
+        self.items, self.keys, self.j = _schedule(n_steps, record_every, steps), deque(), 0
+        self.claimed, self.held = 0, {}  # items claimed; item -> its draw, made here
+        self.proc = multiprocessing.get_context("fork").Process(
+            target=_draw_ahead, daemon=True,
+            args=(_schedule(n_steps, record_every, steps), self.streams, shapes, self.ctrl,
+                  self.slots, os.getpid()),
+        )
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of forking beside OpenBLAS's threads; the
+                # worker calls no BLAS
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.proc.start()
+        except OSError as exc:
+            warnings.warn(f"no draw-ahead worker ({exc}); the run draws in line", RuntimeWarning)
+            return None
+        return self
+
+    def item(self, k: int):
+        """The (stream, counter) of item k >= j, or None past the schedule."""
+        while len(self.keys) <= k - self.j:
+            self.keys.append(next(self.items, None))
+        return self.keys[k - self.j]
+
+    def claim(self, k: int) -> bool:
+        """Claims the items before k; whether the worker has not started
+        item k - 1, so that the main draws it."""
+        self.claimed = self.ctrl[0] = k
+        return self.ctrl[2 + (k - 1) % len(self.slots)] < 3 * k - 2
+
+    def take(self, key, n: int, f: int, residual: bool, res: np.ndarray) -> np.ndarray | None:
+        """When key, a (stream, counter) pair, is the schedule's next item j,
+        claims it, and returns its (n, f) coordinates, with its residual
+        copied into res, if the worker or the main drew it ahead with that
+        shape.  Returns None for the main to draw the item in line otherwise."""
+        j = self.j
+        if key != self.item(j):
+            return None
+        self.keys.popleft()
+        self.j = j + 1
+        drawn = self.held.pop(j, None)
+        if drawn is None and (j < self.claimed or not self.claim(j + 1)):
+            drawn = self.from_worker(j, key[0])
+        if self.shapes[key[0]] != (n, f, residual * len(res)):
+            drawn = None  # the frame lost a row
+        if drawn is not None and residual:
+            res[:] = drawn[1]
+        self.ctrl[1] = j + 1
+        return None if drawn is None else drawn[0]
+
+    def from_worker(self, j: int, stream: int):
+        """Item j out of its slot, copied, once the worker has drawn it; None
+        when it skipped the item or died.  While it draws, the main draws the
+        next unclaimed items the worker has not started, up to two past j,
+        and holds them."""
+        ctrl, status, spins = self.ctrl, 2 + j % len(self.slots), 0
+        while ctrl[status] == 3 * j + 1:
+            k = self.claimed
+            if k < j + 3 and self.item(k) is not None:
+                if self.claim(k + 1):
+                    self.held[k] = self.draw(*self.item(k))
+            else:
+                spins += 1
+                if spins % 4096 == 0 and not self.proc.is_alive():
+                    return None
+        if ctrl[status] != 3 * j + 2:
+            return None
+        n, f, d = self.shapes[stream]
+        slot = self.slots[j % len(self.slots)]
+        return slot[:n * f].reshape(n, f).copy(), slot[n * f:n * f + d] if d else None
+
+    def draw(self, stream: int, counter: int):
+        """The coordinates and residual of an item, drawn here as batch does."""
+        n, f, d = self.shapes[stream]
+        rng = self.streams[stream](counter)
+        return rng.standard_normal((n, f)), rng.standard_normal(d) if d else None
+
+    def stop(self) -> None:
+        """Ends the worker, and warns once if it had died before."""
+        died = self.proc.exitcode
+        self.proc.terminate()
+        self.proc.join()
+        if died not in (None, 0):
+            warnings.warn(
+                f"the draw-ahead worker exited with code {died}; the run drew in line from then on",
+                RuntimeWarning,
+            )
 
 
 def _step(
@@ -445,30 +676,32 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     exit_step = aligned_step = switch_step = None
     init_u, init_m = state.u, state.m
 
-    for step in range(1, cfg.n_steps + 1):
-        prev = state
-        state, eps = _step(cfg, state, teacher, literal, ws)
-        if step == 1:
-            # the initial state is paired with the first batch's error
-            record(0, prev, eps)
-        m = state.m
-        # false for NaN as well as for magnitudes beyond the limit
-        if not (abs(state.u) <= BLOWUP_LIMIT and math.isfinite(m)):
-            raise NumericalBlowupError(f"SGD diverged at step {step}")
-        if step % cfg.record_every == 0 or step == cfg.n_steps:
-            # training error of the batch this step consumed, paired with
-            # the post-update state
-            record(step, state, eps)
-        if exit_step is None and max(abs(state.u), abs(m)) >= mu:
-            exit_step = step
-        if stage == 1 and m >= cfg.curriculum.switch_threshold:
-            stage = 2
-            teacher = _teacher_for_stage(cfg, stage)
-            switch_step = step
-        if aligned_step is None and m >= cfg.align_threshold:
-            aligned_step = step
-            if cfg.stop_when_aligned:
-                break
+    # the literal sampler draws in line, records and all
+    with ws.drawing_ahead(0 if literal else cfg.n_steps, cfg.batch_size, cfg.record_every):
+        for step in range(1, cfg.n_steps + 1):
+            prev = state
+            state, eps = _step(cfg, state, teacher, literal, ws)
+            if step == 1:
+                # the initial state is paired with the first batch's error
+                record(0, prev, eps)
+            m = state.m
+            # false for NaN as well as for magnitudes beyond the limit
+            if not (abs(state.u) <= BLOWUP_LIMIT and math.isfinite(m)):
+                raise NumericalBlowupError(f"SGD diverged at step {step}")
+            if step % cfg.record_every == 0 or step == cfg.n_steps:
+                # training error of the batch this step consumed, paired with
+                # the post-update state
+                record(step, state, eps)
+            if exit_step is None and max(abs(state.u), abs(m)) >= mu:
+                exit_step = step
+            if stage == 1 and m >= cfg.curriculum.switch_threshold:
+                stage = 2
+                teacher = _teacher_for_stage(cfg, stage)
+                switch_step = step
+            if aligned_step is None and m >= cfg.align_threshold:
+                aligned_step = step
+                if cfg.stop_when_aligned:
+                    break
 
     return RunResult(
         *map(np.array, zip(*rows)),

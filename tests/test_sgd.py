@@ -1,6 +1,15 @@
 """High-dimensional one-pass SGD: sampling, drift, measurement, curricula."""
 
+import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import searchphase.sgd as sgd_module
 from searchphase.activations import LabelTransform, builtin, transform_teacher
+from searchphase.committee import CommitteeConfig, committee_sgd
+from searchphase.ode import NumericalBlowupError
 from searchphase.sgd import (
     Curriculum,
     SimConfig,
     SimState,
+    _MEASURE_STREAM,
     _TRAIN_STREAM,
     _Workspace,
     _step,
@@ -419,3 +432,194 @@ def test_config_rejects_seeds_outside_uint64():
         with pytest.raises(ValueError):
             SimConfig(**good, seed=seed)
     SimConfig(**good, seed=2**64 - 1)
+
+
+# --- draw ahead: a worker process draws a run's batches before the run
+# needs them; the bits must be those of the in-line draws
+
+@pytest.mark.parametrize("f", [2, 3, 7])  # aligned, mixed, and a committee's K + R = 4 + 3
+def test_draws_into_views_of_one_buffer_are_the_draws_of_fresh_arrays(f):
+    # the worker fills views into one flat shared buffer with out=; the run
+    # draws fresh arrays: coordinates, then the residual, from one reset
+    # generator
+    n, d, m = 500, 1000, 10_000
+    flat = np.empty(3 + 2 * (n * f + d) + m * f)
+    train, measure = counter_stream(9, _TRAIN_STREAM), counter_stream(9, _MEASURE_STREAM)
+    for t in (0, 1, 2**33):
+        ref = train(t)
+        coords, res = ref.standard_normal((n, f)), ref.standard_normal(d)
+        held = measure(t).standard_normal((m, f))
+        for off in (3, 3 + n * f + d):  # a view at an offset, then the next one
+            gen = train(t)
+            view = flat[off:off + n * f].reshape(n, f)
+            assert gen.standard_normal(out=view) is view
+            gen.standard_normal(out=flat[off + n * f:off + n * f + d])
+            assert view.tobytes() == coords.tobytes()
+            assert flat[off + n * f:off + n * f + d].tobytes() == res.tobytes()
+        off = 3 + 2 * (n * f + d)
+        measure(t).standard_normal(out=flat[off:].reshape(m, f))
+        assert flat[off:].tobytes() == held.tobytes()
+
+
+def _engage(monkeypatch, on: bool) -> None:
+    """Forces every run to draw ahead, or none to."""
+    monkeypatch.setattr(sgd_module, "_ENGAGE_ITEMS", 1 if on else math.inf)
+
+
+def _arrays(result) -> list:
+    out = []
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        out += _arrays(value) if dataclasses.is_dataclass(value) else [np.asarray(value)]
+    return out
+
+
+def _inline_draws(monkeypatch) -> list:
+    """Counts the generator resets of the main process: an item the worker
+    drew costs the main none."""
+    calls, real = [], sgd_module.counter_stream
+
+    def counting(seed, stream):
+        at = real(seed, stream)
+
+        def counted(step):
+            calls.append(step)
+            return at(step)
+
+        return counted
+
+    monkeypatch.setattr(sgd_module, "counter_stream", counting)
+    return calls
+
+
+_DRAW_AHEAD_RUNS = {
+    "aligned re1": SimConfig(teacher=ERF, student=ERF, mu=0.4, d=200, batch_size=50,
+                             learning_rate=0.1, n_steps=300, record_every=1, k_max=20),
+    "mixed re7": SimConfig(teacher=ERF, student=ERF, mu=0.4, d=200, batch_size=50,
+                           learning_rate=0.1, n_steps=300, record_every=7, k_max=20,
+                           frozen_mode="mixed"),
+    "curriculum": SimConfig(teacher=HE3, student=HE3, mu=0.325, d=100, batch_size=100,
+                            learning_rate=scaled_learning_rate(0.04, HE3), n_steps=400,
+                            record_every=7, k_max=25, curriculum=Curriculum(0.5),
+                            init_overlap=0.45),
+    "stop when aligned": SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=200,
+                                   batch_size=50, learning_rate=0.2, n_steps=400,
+                                   stop_when_aligned=True, k_max=2),
+}
+
+
+def test_drawing_ahead_keeps_every_bit(monkeypatch):
+    calls = _inline_draws(monkeypatch)
+    runs = [(run_simulation, cfg) for cfg in _DRAW_AHEAD_RUNS.values()]
+    runs.append((committee_sgd, CommitteeConfig(mu=(0.5, 1.0, 1.0, 1.0), rank=3, d=200,
+                                                batch_size=100, n_steps=300, record_every=7)))
+    inline = {}
+    for on in (False, True):
+        _engage(monkeypatch, on)
+        del calls[:]
+        results = [run(cfg) for run, cfg in runs]
+        inline[on] = len(calls)
+        if on:
+            for a, b in zip(reference, results):
+                assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+        reference = results
+    assert reference[2].switch_step is not None  # the curriculum switched
+    assert reference[3].final_state.step < 400  # the run stopped early
+    assert inline[True] < inline[False]  # the worker drew some of the batches
+
+
+def _started_workers(monkeypatch) -> list:
+    started, real = [], sgd_module._Ahead.start
+
+    def start(cls, *args):
+        started.append(real(*args))
+        return started[-1]
+
+    monkeypatch.setattr(sgd_module._Ahead, "start", classmethod(start))
+    return started
+
+
+def _gone(pid: int) -> bool:
+    """Whether process pid has ended (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.parametrize("case", ["returns", "blows up", "stops when aligned"])
+def test_no_worker_outlives_its_run(monkeypatch, case):
+    started = _started_workers(monkeypatch)
+    cfg = SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=200, batch_size=50,
+                    learning_rate=0.05, n_steps=1000, record_every=10, k_max=2)
+    if case == "blows up":
+        with pytest.raises(NumericalBlowupError, match="step 71"):
+            run_simulation(replace(cfg, learning_rate=1.2))
+    else:
+        res = run_simulation(replace(cfg, stop_when_aligned=case == "stops when aligned"))
+        assert (res.final_state.step < cfg.n_steps) == (case == "stops when aligned")
+    assert len(started) == 1 and started[0] is not None
+    assert started[0].proc.exitcode is not None and _gone(started[0].proc.pid)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_costs_time_only_and_warns_once(monkeypatch):
+    cfg = _DRAW_AHEAD_RUNS["aligned re1"]
+    _engage(monkeypatch, False)
+    reference = run_simulation(cfg)
+    _engage(monkeypatch, True)
+    real_take = sgd_module._Ahead.take
+
+    def take(self, *args):
+        if self.j == 100:  # mid-run, after the worker has drawn some items
+            os.kill(self.proc.pid, signal.SIGKILL)
+            self.proc.join()
+        return real_take(self, *args)
+
+    monkeypatch.setattr(sgd_module._Ahead, "take", take)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_simulation(cfg)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "exited with code -9" in str(caught[0].message)
+    assert all(np.array_equal(x, y) for x, y in zip(_arrays(reference), _arrays(res)))
+
+
+def test_a_worker_ends_when_its_parent_is_killed():
+    # the parent prints its worker's pid and runs on; it is then killed
+    # with no chance to stop the worker
+    script = textwrap.dedent("""
+        from searchphase import sgd
+        from searchphase.activations import builtin
+
+        real = sgd._Ahead.start
+
+        def start(cls, *args):
+            ahead = real(*args)
+            print(ahead.proc.pid, flush=True)
+            return ahead
+
+        sgd._Ahead.start = classmethod(start)
+        lin = builtin("linear")
+        sgd.run_simulation(sgd.SimConfig(teacher=lin, student=lin, mu=0.5, d=1000,
+                                         batch_size=500, learning_rate=1e-6, n_steps=10**7,
+                                         record_every=10**6, k_max=2))
+    """)
+    src = os.path.dirname(os.path.dirname(sgd_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        worker = int(parent.stdout.readline())
+        time.sleep(0.2)
+        assert not _gone(worker)
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    deadline = time.monotonic() + 2.0
+    while not _gone(worker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not _gone(worker):
+        os.kill(worker, signal.SIGKILL)
+        pytest.fail("the worker outlived its parent by 2 s")
