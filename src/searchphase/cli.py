@@ -29,7 +29,7 @@ import warnings
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -357,9 +357,11 @@ def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple:
 
 def _run_ode_cell(configs: tuple[ModelConfig, OrderParameterState, FlowSettings]) -> tuple:
     rec = integrate_flow(*configs)
-    summary = {"t_exit": rec.t_exit, "exited": rec.exited}
+    metadata = {"t_exit": rec.t_exit, "exited": rec.exited}
     rows = zip(rec.t, rec.u, rec.m, rec.m_eff, rec.r, rec.loss)
-    return summary, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
+    # the clip count goes to the manifest only, so the CSV keeps its header
+    summary = {**metadata, "m_clips": rec.m_clips}
+    return metadata, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
 
 
 def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
@@ -590,6 +592,70 @@ def _sgd_summary(plan: ExperimentPlan, entries: list[dict]) -> tuple | None:
     return "sgd_summary", table
 
 
+def _or_none(read: Callable[[], object]):
+    # a provenance value that cannot be read is recorded as None; it never fails a run
+    try:
+        return read()
+    except Exception:
+        return None
+
+
+def _openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with NumPy's wheel, by ctypes;
+    None where there is none."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return int(get())
+    return None
+
+
+def _scipy_version() -> str:
+    """SciPy's version from the name of the dist-info directory beside the
+    package an import would load, found without importing SciPy (and
+    without importlib.metadata, whose import alone takes about 8 ms)."""
+    import glob
+    import importlib.util
+
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec("scipy").origin))
+    [info] = glob.glob(os.path.join(site, "scipy-*.dist-info"))
+    return os.path.basename(info)[len("scipy-"):-len(".dist-info")]
+
+
+@cache
+def provenance() -> dict:
+    """What made this process's numbers, read once per process for the
+    manifest: the searchphase, Python, NumPy and SciPy versions, the
+    platform, the BLAS NumPy was built with and its thread count (the bits
+    of a run with d > 10 000 depend on it).  SciPy's version is read from
+    its installed files, so a run that needs no SciPy still never imports
+    it.  A value that cannot be read is None.  Cached, so every caller gets
+    the one dict: copy it before changing it."""
+    import platform
+
+    from . import __version__
+
+    blas = _or_none(lambda: np.show_config(mode="dicts")["Build Dependencies"]["blas"]) or {}
+    return {
+        "searchphase": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": _or_none(_scipy_version),
+        "platform": _or_none(platform.platform),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _or_none(_openblas_threads),
+    }
+
+
 def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     """Validate, execute all cells, write artifacts plus manifest.json.
 
@@ -597,7 +663,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     2 = partial failure, 3 = numerical blowup; raises ValidationError
     (exit code 1) before touching any cell when the plan is invalid or the
     output directory holds another plan's (or an unreadable) manifest or
-    cannot be made (say, where a path names a regular file).
+    cannot be made (say, where a path names a regular file).  The manifest
+    also records the process's provenance().
     """
     problems = validate_plan(plan)
     if problems:
@@ -626,6 +693,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
         "seed": plan.values.get("seed", 0),
         "emit": plan.values["format"],
         "cells": entries,
+        "provenance": dict(provenance()),  # a copy: the cached dict stays as read
     }
     with open(manifest_path, "w", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -218,27 +218,28 @@ def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
 def _pure_layout(k_star: int):
     # k_star and k_star!; the degrees `low` below k_star of its parity; the
     # half-gaps j of sigma there, (k_star - low)/2, then those of sigmabar,
-    # (k_star - 2 - low)/2, with 1/j! of each; and the gaps k_star - low
+    # (k_star - 2 - low)/2, with 1/j! of each; low and the gaps k_star - low
+    # as floats.  Float operands skip the int-to-float casts of each call and
+    # hold the same values, so they give the same bits.
     _, inv_fact = series_workspace(k_star)
     low = np.arange(k_star % 2, k_star, 2)
     exps = np.concatenate(((k_star - low) // 2, (k_star - 2 - low) // 2))
     return (k_star, float(factorial(k_star)),
-            *_frozen(low, exps, inv_fact[exps], k_star - low))
+            *_frozen(low, exps + 0.0, inv_fact[exps], low + 0.0, k_star - low + 0.0))
 
 
-def _pure_rescaled(layout, r: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _pure_rescaled(layout, r: float, k_max: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     # the closed form of pure_hermite_coefficients divided by r^k; at k_star
     # its ((r-1)/2)^0 factor is 1, so sigma is k_star! and sigmabar
-    # k_star * k_star! whatever r is
-    k_star, fk, low, exps, inv, gap = layout
-    sh = np.zeros(k_max + 1)
-    sbh = np.zeros(k_max + 1)
-    sh[k_star] = fk
-    sbh[k_star] = k_star * fk
+    # k_star * k_star! whatever r is.  out, an earlier result of the same
+    # layout and k_max, holds the zeros of the other entries already
+    k_star, fk, low, exps, inv, low_f, gap = layout
+    sh, sbh = out or (np.zeros(k_max + 1), np.zeros(k_max + 1))
+    sh[k_star], sbh[k_star] = fk, k_star * fk
     if len(low):
         v = fk * ((r - 1.0) / 2.0) ** exps * inv
         sh[low] = v[: len(low)]
-        sbh[low] = v[len(low):] * (k_star * r - low) / gap
+        sbh[low] = v[len(low):] * (k_star * r - low_f) / gap
     return sh, sbh
 
 
@@ -251,8 +252,11 @@ class CoefficientSource:
     other activation holds project_activation's nodes, matrices and
     exponents, and is projected by the same code.  A call refuses an r that
     is not positive and finite, and, for a projected activation, an r so small
-    that r^k_max underflows to 0; it returns new arrays, and the prepared
-    arrays are read-only.
+    that r^k_max underflows to 0.  It returns new arrays, or, given ``out``
+    (a pair that an earlier call of the same source returned), writes into
+    that pair and returns it, with the same bits; a pure Hermite activation
+    then writes only its entries that depend on r.  The prepared arrays are
+    read-only.
     """
 
     __slots__ = ("f", "k_max", "pure", "projection", "ks")
@@ -266,10 +270,10 @@ class CoefficientSource:
         self.projection = _projection_matrices(k_max) if kp is None else None
         self.ks, _ = series_workspace(k_max)
 
-    def __call__(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, r: float, out=None) -> tuple[np.ndarray, np.ndarray]:
         _check_variance(r)
         if self.pure is not None:
-            return _pure_rescaled(self.pure, r, self.k_max)
+            return _pure_rescaled(self.pure, r, self.k_max, out)
         sigma, sigma_bar = _project(self.f, r, self.projection)
         powers = r**self.ks
         # r^k falls with k when r < 1, so the top power is the first to underflow
@@ -278,7 +282,8 @@ class CoefficientSource:
                 f"variance r = {r!r} is too small for k_max = {self.k_max}: "
                 f"r**{self.k_max} underflows to 0, so sigma_k[r] / r^k is not finite"
             )
-        return sigma / powers, sigma_bar / powers
+        sh, sbh = out or (None, None)
+        return np.divide(sigma, powers, out=sh), np.divide(sigma_bar, powers, out=sbh)
 
 
 def pure_hermite_coefficients(k_star: int, r: float, k: int) -> tuple[float, float]:

@@ -10,13 +10,18 @@ spherical constraint on the trainable direction, delta the config's time
 rescaling).  The linearized flow du/dt = B u + A m, dm/dt = A u is solved in
 closed form from a SearchPhaseLinearization.  A scalar damped-oscillator
 change of variables m = tanh(g) is provided for the late phase.
+
+integrate_flow steps the two Python floats (u, m) itself, by RK4 or Euler
+in fixed_step's operations and order, so it writes the bits fixed_step
+would on the 2-vector without building an array per stage; fixed_step, on
+arrays of any shape, stays the integrator of the oscillator here and of the
+committee flow.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -80,7 +85,8 @@ class TrajectoryRecord:
     """Sampled flow trajectory with derived observables.
 
     t_exit is the (linearly interpolated) first crossing of the escape
-    threshold, or None if the trajectory never crossed it.
+    threshold, or None if the trajectory never crossed it.  m_clips counts
+    the steps on which clipping m to [-1, 1] changed it.
     """
 
     t: np.ndarray
@@ -91,6 +97,7 @@ class TrajectoryRecord:
     loss: np.ndarray
     t_exit: float | None
     exited: bool
+    m_clips: int
 
 
 def fixed_step(
@@ -114,8 +121,7 @@ def _crossing_time(t0: float, width: float, g0: float, g1: float) -> float:
     return float(t0 + min(1.0, max(0.0, frac)) * width)
 
 
-def _flow_rhs(cfg: ModelConfig, y: np.ndarray) -> np.ndarray:
-    u, m = y.tolist()
+def _flow_stage(cfg: ModelConfig, u: float, m: float) -> tuple[float, float]:
     # an RK4 stage of too large a step can leave the band or the representable
     # region; the negated comparisons also catch a NaN
     if not abs(m) <= M_BAND:
@@ -123,7 +129,7 @@ def _flow_rhs(cfg: ModelConfig, y: np.ndarray) -> np.ndarray:
     if not abs(u) <= BLOWUP_LIMIT:
         raise NumericalBlowupError(f"a flow stage left |u| <= {BLOWUP_LIMIT:g} (u={u:.6g})")
     du, dm = cfg.series.loss_gradients(u, m)
-    return np.array([-cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm])
+    return -cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm
 
 
 def integrate_flow(
@@ -133,14 +139,16 @@ def integrate_flow(
 ) -> TrajectoryRecord:
     """Integrate the full gradient flow from state0.
 
-    Fixed-step RK4 (or explicit Euler) by fixed_step, recording t = 0, every
-    record_every-th step and the step that reaches t_max.  m is clipped to
-    [-1, 1] after each step: the (1 - m^2) factor makes the band invariant
-    exactly, clipping only removes rounding excursions.  Raises NumericalBlowupError when the
-    state, or the state of an RK4 stage, leaves the representable region
-    (|u| beyond BLOWUP_LIMIT, |m| beyond 1, or not finite).
+    Fixed-step RK4 (or explicit Euler) on the two floats u and m, in
+    fixed_step's operations and order (see the module docstring), recording
+    t = 0, every record_every-th step and the step that reaches t_max.  m is
+    clipped to [-1, 1] after each step: the (1 - m^2) factor makes the band
+    invariant exactly, clipping only removes rounding excursions, and the
+    record counts the steps whose m it changed.  Raises NumericalBlowupError
+    when the state, or the state of an RK4 stage, leaves the representable
+    region (|u| beyond BLOWUP_LIMIT, |m| beyond 1, or not finite).
     """
-    dt = settings.dt
+    dt, h = settings.dt, 0.5 * settings.dt
     n_steps = _n_steps(settings.t_max, dt)
     mu = cfg.mu
     threshold = settings.exit_fraction * mu
@@ -149,6 +157,7 @@ def integrate_flow(
     prev_gap = max(abs(u), abs(m)) - threshold
     if prev_gap >= 0.0:
         t_exit = 0.0
+    m_clips = 0
 
     rows: list[tuple[float, ...]] = []  # one per record, in TrajectoryRecord's field order
 
@@ -157,12 +166,21 @@ def integrate_flow(
         rows.append((t, u, m, s.m_eff(mu), s.r(mu), population_loss(cfg, s)))
 
     record(0.0, u, m)
-    rhs = partial(_flow_rhs, cfg)
     for step in range(1, n_steps + 1):
-        u_new, m_new = fixed_step(rhs, np.array([u, m]), dt, settings.method).tolist()
+        a1, b1 = _flow_stage(cfg, u, m)
+        if settings.method == "euler":
+            u_new, m_new = u + dt * a1, m + dt * b1
+        else:
+            a2, b2 = _flow_stage(cfg, u + h * a1, m + h * b1)
+            a3, b3 = _flow_stage(cfg, u + h * a2, m + h * b2)
+            a4, b4 = _flow_stage(cfg, u + dt * a3, m + dt * b3)
+            u_new = u + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            m_new = m + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         if not (math.isfinite(u_new) and math.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"flow diverged at t={step * dt:.6g}")
-        m_new = min(1.0, max(-1.0, m_new))
+        if not -1.0 <= m_new <= 1.0:
+            m_new = min(1.0, max(-1.0, m_new))
+            m_clips += 1
         t = step * dt
         gap = max(abs(u_new), abs(m_new)) - threshold
         if t_exit is None and gap >= 0.0:
@@ -173,7 +191,8 @@ def integrate_flow(
             record(t, u, m)
         if settings.stop_at_exit and t_exit is not None:
             break
-    return TrajectoryRecord(*map(np.array, zip(*rows)), t_exit=t_exit, exited=t_exit is not None)
+    return TrajectoryRecord(*map(np.array, zip(*rows)), t_exit=t_exit, exited=t_exit is not None,
+                            m_clips=m_clips)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,13 @@ phi, the degrees and factorials, the state-independent leftmost factors of
 the sums and the student's CoefficientSource.  The loss, the gradients, the
 correlation objective, the linearization and the flow's right-hand side all
 evaluate through it, so a call does only the state-dependent arithmetic,
-in the same operations and order as the series written out in full.
+in the same operations and order as the series written out in full.  Its
+gradient_sums, the flow's inner loop, also writes into a private scratch
+made on its first call: m_eff^k and the student's coefficients land in
+preallocated rows, and the four sums are two row-wise reduces of (2, n)
+products.  That saves NumPy calls, not operations: every element is
+computed from the same operands in the same order, and a row-wise reduce
+sums each row as the 1-D reduce of that row does, so every bit is kept.
 """
 from __future__ import annotations
 
@@ -169,11 +175,15 @@ class SeriesKernel:
     phi_k/k!, and the student's CoefficientSource.  Each cached factor is
     the leftmost operand of the product it starts, so every product keeps
     the operands and association, and therefore the bits, of writing it out
-    in full.  All held arrays are read-only.
+    in full.  All held arrays are read-only, bar the private scratch that
+    gradient_sums makes on its first call and writes on every call, so one
+    kernel serves one thread at a time.  The scratch keeps every bit: its
+    products take the operands of the written-out sums in the same order,
+    and a row-wise reduce sums each row as the 1-D reduce of that row does.
     """
 
     __slots__ = ("mu", "phi", "ks", "inv_fact", "ks_m1", "half_phi_sq", "lead_k", "lead_0",
-                 "student")
+                 "student", "_scratch")
 
     def __init__(self, cfg: ModelConfig):
         self.mu = cfg.mu
@@ -186,6 +196,19 @@ class SeriesKernel:
         for a in (self.ks_m1, self.half_phi_sq, self.lead_k, self.lead_0):
             a.setflags(write=False)
         self.student = CoefficientSource(cfg.student, cfg.k_max)
+        self._scratch = None
+
+    def _new_scratch(self) -> tuple:
+        # made on the first call, as a tau curve or singularity scan makes a
+        # kernel per mu and never calls it: a (2, K) buffer for sh and m_eff^k,
+        # the pair the student's source writes into (sh is row 0), the
+        # windows m_eff^{k-1} and m_eff^k (k >= 1) of row 1 as one view, and
+        # the leftmost factors of C1 and Sc, 1/k! and phi_k/k!, as two rows
+        sh, sbh = self.student(1.0)
+        buf = np.stack((sh, sh))
+        rows = np.ndarray((2, len(sh) - 1), buffer=buf[1], strides=(buf.itemsize,) * 2)
+        self._scratch = buf, (buf[0], sbh), rows, np.stack((self.inv_fact, self.lead_0))
+        return self._scratch
 
     def coefficients(self, r: float, floor: float = R_FLOOR) -> tuple[np.ndarray, np.ndarray]:
         """The student's (sigma_k[r], sigmabar_k[r]) / r^k; r below floor raises
@@ -196,18 +219,25 @@ class SeriesKernel:
 
     def gradient_sums(self, u: float, m: float) -> tuple[float, float, float, float]:
         """(C1, Sa, Sb, Sc) at the state (u, m)."""
+        buf, coef, me_rows, lead_c = self._scratch or self._new_scratch()
         mu = self.mu
         r = mu * mu + u * u + 2.0 * mu * u * m  # as OrderParameterState.r
-        sh, sbh = self.coefficients(r)
-        me_pow = (mu + u * m) ** self.ks  # m_eff as OrderParameterState.m_eff
-        # C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
-        c1 = float(np.add.reduce(self.inv_fact * sh * sbh * r**self.ks_m1))
-        # Sa = sum_{k>=1} phi_k m_eff^{k-1} sigma_k / ((k-1)! r^k)
-        sa = float(np.add.reduce(self.lead_k * me_pow[:-1] * sh[1:]))
-        # Sb = sum_{k>=1} phi_k m_eff^k sigma_k / ((k-1)! r^{k+1})
-        sb = float(np.add.reduce(self.lead_k * me_pow[1:] * sh[1:] / r))
-        # Sc = sum_{k>=0} phi_k m_eff^k sigmabar_k / (k! r^{k+1})
-        sc = float(np.add.reduce(self.lead_0 * me_pow * sbh / r))
+        if r < R_FLOOR:  # as coefficients
+            raise DegenerateStateError(f"pre-activation variance collapsed: r={r:.3e}")
+        sh, sbh = self.student(r, coef)
+        np.power(mu + u * m, self.ks, out=buf[1])  # m_eff as OrderParameterState.m_eff
+        # row 0, C1 = sum sigma_k sigmabar_k / (k! r^{k+1}) = sum sh*sbh*r^{k-1}/k!
+        # row 1, Sc = sum_{k>=0} phi_k m_eff^k sigmabar_k / (k! r^{k+1})
+        c_terms = lead_c * buf
+        c_terms *= sbh
+        c_terms[0] *= r**self.ks_m1
+        c_terms[1] /= r
+        c1, sc = np.add.reduce(c_terms, axis=1).tolist()
+        # row 0, Sa = sum_{k>=1} phi_k m_eff^{k-1} sigma_k / ((k-1)! r^k)
+        # row 1, Sb = sum_{k>=1} phi_k m_eff^k sigma_k / ((k-1)! r^{k+1})
+        ab_terms = self.lead_k * me_rows * sh[1:]
+        ab_terms[1] /= r
+        sa, sb = np.add.reduce(ab_terms, axis=1).tolist()
         return c1, sa, sb, sc
 
     def loss_gradients(self, u: float, m: float) -> tuple[float, float]:

@@ -605,6 +605,56 @@ def test_cell_warnings_are_counted_in_the_manifest(tmp_path, capsys):
     assert "Warning=" not in capsys.readouterr().out
 
 
+def test_the_ode_clip_count_goes_to_the_manifest_and_not_the_csv(tmp_path):
+    # the pinned ode plan of _HEADERS, whose CSV test_csv_headers_are_pinned checks
+    argv, _ = _HEADERS["ode"]
+    assert main(["ode"] + argv + ["--out", str(tmp_path)]) == EXIT_OK
+    [cell] = json.loads(read(tmp_path / "manifest.json"))["cells"]
+    assert cell["summary"]["m_clips"] == 0
+    assert "m_clips" not in parse_csv_text(read(tmp_path / cell["files"][0]))[0]
+
+
+def test_the_manifest_records_the_provenance_of_the_process(tmp_path):
+    from searchphase.cli import provenance
+
+    tau = ["tau", "--activations", "linear", "--mu", "0.5", "--out", str(tmp_path)]
+    assert main(tau) == EXIT_OK
+    got = json.loads(read(tmp_path / "manifest.json"))["provenance"]
+    assert sorted(got) == ["blas", "blas_threads", "blas_version", "numpy", "platform", "python",
+                           "scipy", "searchphase"]
+    assert got == provenance() and provenance() is provenance()  # read once per process
+    assert got["searchphase"] == searchphase.__version__
+    assert got["numpy"] == np.__version__
+    assert got["python"] == ".".join(map(str, sys.version_info[:3]))
+    for key in ("scipy", "platform", "blas", "blas_version"):
+        assert got[key] is None or isinstance(got[key], str), key
+    if got["scipy"] is not None:
+        import importlib.metadata
+
+        assert got["scipy"] == importlib.metadata.version("scipy")
+    assert got["blas_threads"] is None or got["blas_threads"] >= 1
+    # test_linear_and_hermite_runs_never_import_scipy runs main, so provenance, too
+
+
+def test_provenance_records_none_for_what_cannot_be_read(monkeypatch):
+    import importlib.util
+    import platform
+
+    from searchphase.cli import provenance
+
+    def fail(*args, **kwargs):
+        raise OSError("unreadable")
+
+    monkeypatch.setattr(np, "show_config", fail)
+    monkeypatch.setattr(importlib.util, "find_spec", fail)
+    monkeypatch.setattr(platform, "platform", fail)
+    monkeypatch.setattr("searchphase.cli._openblas_threads", fail)
+    got = provenance.__wrapped__()  # uncached
+    unread = ("scipy", "platform", "blas", "blas_version", "blas_threads")
+    assert [got[k] for k in unread] == [None] * 5
+    assert got["numpy"] == np.__version__
+
+
 def test_an_output_directory_refuses_a_second_plan(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     tau = ["tau", "--activations", "linear", "--mu", "0.1,0.5", "--out", "o"]

@@ -126,13 +126,13 @@ def test_no_exit_within_short_horizon():
 
 def test_long_horizon_reaches_full_alignment():
     cfg = ModelConfig(teacher=ERF, student=ERF, mu=0.3, k_max=40)
-    rec = integrate_flow(
-        cfg,
-        OrderParameterState(1e-3, 1e-3),
-        FlowSettings(dt=0.02, t_max=400.0, record_every=5),
-    )
+    state = OrderParameterState(1e-3, 1e-3)
+    settings = FlowSettings(dt=0.02, t_max=400.0, record_every=5)
+    rec = integrate_flow(cfg, state, settings)
     assert abs(abs(rec.m_eff[-1]) - 1.0) < 1e-6
     assert abs(rec.loss[-1]) < 1e-9
+    # the same bits, and the same clip count, as fixed_step on the 2-vector
+    assert_same_record(rec, vector_flow(cfg, state, settings))
 
 
 def test_even_teacher_flow_terminates_at_fixed_point():
@@ -327,12 +327,12 @@ def test_fixed_step_order_against_matrix_exponential(method, dt, order):
 
 
 def test_nonfinite_stage_is_a_blowup():
-    from searchphase.ode import _flow_rhs
+    from searchphase.ode import _flow_stage
 
     cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.3, k_max=2)
-    for y in ([math.nan, 0.1], [0.1, math.nan], [math.inf, 0.1], [0.1, -math.inf]):
+    for u, m in ([math.nan, 0.1], [0.1, math.nan], [math.inf, 0.1], [0.1, -math.inf]):
         with pytest.raises(NumericalBlowupError):
-            _flow_rhs(cfg, np.array(y))
+            _flow_stage(cfg, u, m)
 
 
 @pytest.mark.parametrize("act", [LINEAR, builtin("hermite2")])
@@ -342,3 +342,123 @@ def test_stage_whose_variance_overflows_is_a_blowup(act):
     cfg = ModelConfig(teacher=act, student=act, mu=0.3, k_max=25)
     with pytest.raises(NumericalBlowupError, match=r"\|u\| <= 1e\+06"):
         integrate_flow(cfg, OrderParameterState(1e5, 1.0), FlowSettings(dt=1e150, t_max=1e150))
+
+
+def vector_flow(cfg, state0, settings):
+    """The reference flow: integrate_flow's loop on fixed_step, each RK4
+    stage an array (u, m), each step clipped and recorded as integrate_flow
+    does."""
+    from searchphase.ode import BLOWUP_LIMIT, TrajectoryRecord, _crossing_time
+    from searchphase.theory import M_BAND, population_loss
+
+    def rhs(y):
+        u, m = y.tolist()
+        if not abs(m) <= M_BAND:
+            raise NumericalBlowupError(f"a flow stage left |m| <= 1 (m={m:.6g})")
+        if not abs(u) <= BLOWUP_LIMIT:
+            raise NumericalBlowupError(f"a flow stage left |u| <= {BLOWUP_LIMIT:g} (u={u:.6g})")
+        du, dm = cfg.series.loss_gradients(u, m)
+        return np.array([-cfg.delta * du, -cfg.delta * (1.0 - m * m) * dm])
+
+    dt, mu = settings.dt, cfg.mu
+    n_steps = int(round(settings.t_max / dt))
+    threshold = settings.exit_fraction * mu
+    u, m = float(state0.u), float(state0.m)
+    prev_gap = max(abs(u), abs(m)) - threshold
+    t_exit = 0.0 if prev_gap >= 0.0 else None
+    clips, rows = 0, []
+
+    def record(t, u, m):
+        s = OrderParameterState(u, m)
+        rows.append((t, u, m, s.m_eff(mu), s.r(mu), population_loss(cfg, s)))
+
+    record(0.0, u, m)
+    for step in range(1, n_steps + 1):
+        u_new, m_new = fixed_step(rhs, np.array([u, m]), dt, settings.method).tolist()
+        if not (math.isfinite(u_new) and math.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
+            raise NumericalBlowupError(f"flow diverged at t={step * dt:.6g}")
+        clipped = min(1.0, max(-1.0, m_new))
+        clips += clipped != m_new
+        m_new = clipped
+        t = step * dt
+        gap = max(abs(u_new), abs(m_new)) - threshold
+        if t_exit is None and gap >= 0.0:
+            t_exit = _crossing_time(t - dt, dt, prev_gap, gap)
+        prev_gap, u, m = gap, u_new, m_new
+        if step % settings.record_every == 0 or step == n_steps:
+            record(t, u, m)
+        if settings.stop_at_exit and t_exit is not None:
+            break
+    return TrajectoryRecord(*map(np.array, zip(*rows)), t_exit=t_exit, exited=t_exit is not None,
+                            m_clips=clips)
+
+
+def assert_same_record(got, want):
+    for name in ("t", "u", "m", "m_eff", "r", "loss"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.t_exit, got.exited, got.m_clips) == (want.t_exit, want.exited, want.m_clips)
+
+
+# each flow escapes well inside t_max = 40 from (x0, x0)
+_ORACLE_FLOWS = [
+    ("linear", 2, 0.3, 0.02),
+    ("hermite2", 25, 0.3, 0.02),
+    ("hermite3", 25, 0.7, 0.02),
+    ("erf", 40, 0.3, 0.02),
+    pytest.param("relu", 25, 0.3, 0.02, marks=pytest.mark.filterwarnings(
+        "ignore::searchphase.theory.SeriesConvergenceWarning")),
+]
+
+
+@pytest.mark.parametrize("name, k_max, mu, x0", _ORACLE_FLOWS)
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("stop_at_exit", [False, True])
+def test_scalar_flow_keeps_every_bit_of_the_vector_flow(name, k_max, mu, x0, method,
+                                                         record_every, stop_at_exit):
+    act = builtin(name)
+    cfg = ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max)
+    state = OrderParameterState(x0, x0)
+    settings = FlowSettings(dt=0.05, t_max=40.0, method=method, record_every=record_every,
+                            stop_at_exit=stop_at_exit)
+    rec = integrate_flow(cfg, state, settings)
+    assert rec.exited and rec.m_clips == 0  # a search-phase flow never needs clipping
+    assert_same_record(rec, vector_flow(cfg, state, settings))
+
+
+def test_clipped_steps_are_counted():
+    # Euler steps this long overshoot m = 1 once, and clipping holds m there
+    cfg = ModelConfig(teacher=LINEAR, student=LINEAR, mu=0.3, k_max=2)
+    state = OrderParameterState(1e-3, 1e-3)
+    settings = FlowSettings(dt=2.0, t_max=1000.0, method="euler")
+    rec = integrate_flow(cfg, state, settings)
+    assert rec.m_clips == 1 and rec.m[-1] == 1.0
+    assert_same_record(rec, vector_flow(cfg, state, settings))
+
+
+def _plain_gradient_sums(ser, u, m):
+    # gradient_sums as four 1-D expressions, each summed on its own
+    mu = ser.mu
+    r = mu * mu + u * u + 2.0 * mu * u * m
+    sh, sbh = ser.coefficients(r)
+    me_pow = (mu + u * m) ** ser.ks
+    c1 = float(np.add.reduce(ser.inv_fact * sh * sbh * r**ser.ks_m1))
+    sa = float(np.add.reduce(ser.lead_k * me_pow[:-1] * sh[1:]))
+    sb = float(np.add.reduce(ser.lead_k * me_pow[1:] * sh[1:] / r))
+    sc = float(np.add.reduce(ser.lead_0 * me_pow * sbh / r))
+    return c1, sa, sb, sc
+
+
+@pytest.mark.parametrize("name, k_max", [("linear", 2), ("linear", 40), ("hermite2", 25),
+                                         ("hermite5", 9), ("erf", 40), ("relu", 25),
+                                         ("sigmoid", 60)])
+def test_gradient_sums_are_the_plain_sums_bit_for_bit(name, k_max):
+    act = builtin(name)
+    rng = np.random.default_rng(20)
+    for mu in (0.1, 0.3, 0.7, 0.95):
+        ser = ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max).series
+        for u, m in zip(rng.uniform(-1.2, 1.2, 50), rng.uniform(-1.0, 1.0, 50)):
+            u, m = float(u), float(m)
+            if mu * mu + u * u + 2.0 * mu * u * m < 1e-3:
+                continue  # near the variance floor quadrature series are 0/0
+            assert ser.gradient_sums(u, m) == _plain_gradient_sums(ser, u, m), (mu, u, m)

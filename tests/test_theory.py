@@ -583,3 +583,41 @@ def test_series_kernel_is_built_once_per_config_and_read_only():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
+
+
+def test_row_wise_reduce_sums_each_row_as_its_1d_reduce():
+    # gradient_sums sums two rows of a C-contiguous (2, n) product at once;
+    # that keeps the bits only while NumPy sums each row as a 1-D array
+    rng = np.random.default_rng(18)
+    for n in range(2, 65):
+        for scale in (1.0, 1e-8, 1e8):
+            a = rng.standard_normal((2, n)) * scale
+            assert a.flags.c_contiguous
+            rows = np.add.reduce(a, axis=1).tolist()
+            each = [float(np.add.reduce(a[0].copy())), float(np.add.reduce(a[1].copy()))]
+            assert rows == each, n
+
+
+@pytest.mark.parametrize("act", [LINEAR, HE2, HE3, ERF, builtin("relu")])
+def test_gradient_sums_scratch_keeps_no_state_between_calls(act):
+    cfg = model(act, 0.3)
+    first = cfg.series.gradient_sums(0.2, 0.4)
+    other = cfg.series.gradient_sums(-0.7, 0.9)
+    assert cfg.series.gradient_sums(0.2, 0.4) == first
+    assert first != other
+    # a fresh kernel, whose first call makes its scratch, agrees
+    assert model(act, 0.3).series.gradient_sums(0.2, 0.4) == first
+    assert model(act, 0.3).series.gradient_sums(-0.7, 0.9) == other
+
+
+@pytest.mark.parametrize("act", [LINEAR, HE2, HE3, ERF])
+def test_coefficient_source_calls_return_new_arrays_unless_given_out(act):
+    source = CoefficientSource(act, 9)
+    a, b = source(0.3), source(0.3)
+    assert not any(np.shares_memory(x, y) for x in a for y in b)
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+    # out, an earlier result, is written over with the bits of a new call
+    out = source(1.7)
+    got = source(0.3, out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in a]
