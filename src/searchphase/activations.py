@@ -14,6 +14,8 @@ import numpy as np
 
 from .hermite import eval_scaled_hermite
 
+_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+
 
 @dataclass(frozen=True)
 class ActivationSpec:
@@ -87,7 +89,7 @@ def builtin(name: str) -> ActivationSpec:
         return ActivationSpec(
             name="erf",
             evaluate=lambda z: erf(z),
-            derivative=lambda z: 2.0 / np.sqrt(np.pi) * np.exp(-np.asarray(z, float) ** 2),
+            derivative=lambda z: _TWO_OVER_SQRT_PI * np.exp(-np.asarray(z, float) ** 2),
         )
     if name == "relu":
         return ActivationSpec(name="relu", evaluate=_relu, derivative=_relu_prime)

@@ -101,9 +101,8 @@ def committee_reduced_init(cfg: CommitteeConfig) -> CommitteeState:
 
 
 def _committee_rhs(
-    cfg: CommitteeConfig, q: np.ndarray, include_coupling: bool, y: np.ndarray
-) -> np.ndarray:
-    u, m = y
+    cfg: CommitteeConfig, q: np.ndarray, include_coupling: bool, u: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     K = cfg.n_directions
     delta = 1.0 - np.asarray(cfg.mu)  # D_k
     du = (delta[:, None] * m - u @ q) / K
@@ -114,19 +113,19 @@ def _committee_rhs(
         dm = dm - cross / K
     frozen = delta == 0.0
     du[frozen] = 0.0
-    return np.array([du, dm])
+    return du, dm
 
 
 def committee_ode_step(
     cfg: CommitteeConfig, state: CommitteeState, dt: float, include_coupling: bool = True
 ) -> CommitteeState:
-    """One fixed_step RK4 step of the reduced committee flow (q held fixed).
+    """One fixed_step RK4 step of the reduced committee flow on (U, M), q held fixed.
 
     include_coupling=False drops the C = U^T U cross-direction term, which
     decouples the system into K*R independent rank-one problems when q = I.
     """
     rhs = partial(_committee_rhs, cfg, state.q, include_coupling)
-    u_new, m_new = fixed_step(rhs, np.array([state.u, state.m]), dt)
+    u_new, m_new = fixed_step(rhs, state.u, state.m, dt)
     return replace(state, u=u_new, m=np.clip(m_new, -1.0, 1.0))
 
 
@@ -323,8 +322,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
 
             du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
             # shared mean-gradient direction: w = mean(eps_i x_i)
-            scale = sqrt(eps @ eps) / cfg.batch_size
-            w = ws.lift((eps @ coords) / cfg.batch_size, scale, grad)
+            w = ws.lift(eps, coords, grad)
             u[adapted] += du_row[None, :]
             # np.outer's and np.linalg.norm's operations (the norm is
             # sqrt(add.reduce(a * a))) in their order, so every bit is kept

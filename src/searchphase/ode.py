@@ -11,17 +11,18 @@ rescaling).  The linearized flow du/dt = B u + A m, dm/dt = A u is solved in
 closed form from a SearchPhaseLinearization.  A scalar damped-oscillator
 change of variables m = tanh(g) is provided for the late phase.
 
-integrate_flow steps the two Python floats (u, m) itself, by RK4 or Euler
-in fixed_step's operations and order, so it writes the bits fixed_step
-would on the 2-vector without building an array per stage; fixed_step, on
-arrays of any shape, stays the integrator of the oscillator here and of the
-committee flow.
+fixed_step is the one integrator of the package: one RK4 or Euler step of
+a pair (u, m), two floats or two arrays of one shape.  integrate_flow steps
+the two Python floats of the order parameters through it, the oscillator
+here its (g, g') and the committee flow its (U, M) arrays, so no flow builds
+an array per stage.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -100,18 +101,19 @@ class TrajectoryRecord:
     m_clips: int
 
 
-def fixed_step(
-    f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float, method: str = "rk4"
-) -> np.ndarray:
-    """One step of y' = f(y) by explicit Euler or classical RK4; y is an
-    ndarray of any shape and f returns one of the same shape."""
-    k1 = f(y)
+def fixed_step(f: Callable, u, m, dt: float, method: str = "rk4") -> tuple:
+    """One step of the pair (u, m)' = f(u, m) by explicit Euler or classical
+    RK4; u and m are floats or arrays of one shape, and f returns a pair of
+    the same kind."""
+    a1, b1 = f(u, m)
     if method == "euler":
-        return y + dt * k1
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return u + dt * a1, m + dt * b1
+    h = 0.5 * dt
+    a2, b2 = f(u + h * a1, m + h * b1)
+    a3, b3 = f(u + h * a2, m + h * b2)
+    a4, b4 = f(u + dt * a3, m + dt * b3)
+    return (u + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            m + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
 def _crossing_time(t0: float, width: float, g0: float, g1: float) -> float:
@@ -139,16 +141,17 @@ def integrate_flow(
 ) -> TrajectoryRecord:
     """Integrate the full gradient flow from state0.
 
-    Fixed-step RK4 (or explicit Euler) on the two floats u and m, in
-    fixed_step's operations and order (see the module docstring), recording
-    t = 0, every record_every-th step and the step that reaches t_max.  m is
-    clipped to [-1, 1] after each step: the (1 - m^2) factor makes the band
-    invariant exactly, clipping only removes rounding excursions, and the
-    record counts the steps whose m it changed.  Raises NumericalBlowupError
-    when the state, or the state of an RK4 stage, leaves the representable
-    region (|u| beyond BLOWUP_LIMIT, |m| beyond 1, or not finite).
+    Fixed-step RK4 (or explicit Euler) by fixed_step on the two floats u
+    and m, recording t = 0, every record_every-th step and the step that
+    reaches t_max.  m is clipped to [-1, 1] after each step: the (1 - m^2)
+    factor makes the band invariant exactly, clipping only removes rounding
+    excursions, and the record counts the steps whose m it changed.  Raises
+    NumericalBlowupError when the state, or the state of an RK4 stage,
+    leaves the representable region (|u| beyond BLOWUP_LIMIT, |m| beyond 1,
+    or not finite).
     """
-    dt, h = settings.dt, 0.5 * settings.dt
+    dt = settings.dt
+    stage = partial(_flow_stage, cfg)
     n_steps = _n_steps(settings.t_max, dt)
     mu = cfg.mu
     threshold = settings.exit_fraction * mu
@@ -167,15 +170,7 @@ def integrate_flow(
 
     record(0.0, u, m)
     for step in range(1, n_steps + 1):
-        a1, b1 = _flow_stage(cfg, u, m)
-        if settings.method == "euler":
-            u_new, m_new = u + dt * a1, m + dt * b1
-        else:
-            a2, b2 = _flow_stage(cfg, u + h * a1, m + h * b1)
-            a3, b3 = _flow_stage(cfg, u + h * a2, m + h * b2)
-            a4, b4 = _flow_stage(cfg, u + dt * a3, m + dt * b3)
-            u_new = u + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            m_new = m + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        u_new, m_new = fixed_step(stage, u, m, dt, settings.method)
         if not (math.isfinite(u_new) and math.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"flow diverged at t={step * dt:.6g}")
         if not -1.0 <= m_new <= 1.0:
@@ -322,7 +317,7 @@ def oscillator_trajectory(
     dt: float = 0.01,
     t_max: float = 100.0,
 ) -> OscillatorRecord:
-    """Integrate g'' - B g' - A^2 tanh(g) = 0 by fixed_step RK4 on (g, g').
+    """Integrate g'' - B g' - A^2 tanh(g) = 0 by fixed_step RK4 on the floats (g, g').
 
     m = tanh(g); the reported energy is g'^2/2 + V(g) with
     V(g) = -A^2 log cosh g, so dE/dt = B g'^2 (nonincreasing for B < 0,
@@ -330,17 +325,15 @@ def oscillator_trajectory(
     """
     A, B = lin.A, lin.B
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        g, v = y
-        return np.array([v, B * v + A * A * np.tanh(g)])
+    def rhs(g, v):
+        return v, B * v + A * A * np.tanh(g)
 
     n_steps = _n_steps(t_max, dt)
     t = dt * np.arange(n_steps + 1)
     gv = np.empty((n_steps + 1, 2))
-    gv[0] = float(g0), float(v0)
+    g, v = gv[0] = float(g0), float(v0)
     for i in range(1, n_steps + 1):
-        gv[i] = fixed_step(rhs, gv[i - 1], dt)
-        g, v = gv[i]
+        g, v = gv[i] = fixed_step(rhs, g, v, dt)
         if not (np.isfinite(g) and np.isfinite(v)) or abs(g) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"oscillator diverged at t={i * dt:.6g}")
     g_arr, v_arr = np.ascontiguousarray(gv.T)

@@ -265,10 +265,11 @@ class _Workspace:
     (the non-None entries of fixed) are copied in once, and one d-vector
     res.  frame() Gram-Schmidts the free rows against the fixed ones, with
     res as scratch; batch() draws a batch's frame coordinates and then, for
-    a step, the residual into res; lift() uses that residual up.  No state
-    holds any of it.  Inside drawing_ahead(), batch() takes the draws of a
-    worker process when it has made them (_Ahead), with the same bits; the
-    block ends the worker, on return and on any exception alike."""
+    a step, the residual into res (_draw); lift(c, coords) forms the
+    batch-mean gradient and uses that residual up.  No state holds any of
+    it.  Inside drawing_ahead(), batch() takes the draws of a worker process
+    when it has made them (_Ahead), with the same bits; the block ends the
+    worker, on return and on any exception alike."""
 
     def __init__(self, seed: int, fixed, n_free: int, d: int):
         self.train = counter_stream(seed, _TRAIN_STREAM)
@@ -303,29 +304,26 @@ class _Workspace:
         """(n, f) standard normal frame coordinates from counter step of
         stream, then (when residual) the standard normal residual in res:
         taken from the worker when it drew this item with this shape, else
-        drawn here."""
+        drawn here by _draw."""
         if self.ahead is not None:
             key = (_TRAIN_STREAM if stream is self.train else _MEASURE_STREAM, step)
             coords = self.ahead.take(key, n, self.F.shape[0], residual, self.res)
             if coords is not None:
                 return coords
-        rng = stream(step)
-        coords = rng.standard_normal((n, self.F.shape[0]))
-        if residual:
-            rng.standard_normal(out=self.res)
+        coords, _ = _draw(stream(step), np.empty((n, self.F.shape[0])), self.res if residual else None)
         return coords
 
-    def lift(self, in_frame: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-        """Batch-mean gradient mean(c_i x_i) as a d-vector, from its frame
-        part in_frame = mean(c_i F x_i) (exact) and scale = |c| / batch: the
-        rest has the law N(0, scale^2 (I - F^T F)) given the frame
-        coordinates, drawn as scale times the residual projected off the
+    def lift(self, c: np.ndarray, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Batch-mean gradient mean(c_i x_i) as a d-vector, from the batch's
+        weights c and frame coordinates: its frame part (c @ coords) / batch
+        is exact, the rest has the law N(0, scale^2 (I - F^T F)), scale =
+        |c| / batch, drawn as scale times the residual projected off the
         frame.  The gradient is written to out; the residual is used up."""
         F = self.F
         np.matmul(F.T, F @ self.res, out=out)
         res = np.subtract(self.res, out, out=self.res)
-        res *= scale
-        return np.add(np.matmul(F.T, in_frame, out=out), res, out=out)
+        res *= math.sqrt(c @ c) / len(c)
+        return np.add(np.matmul(F.T, (c @ coords) / len(c), out=out), res, out=out)
 
 
 # A run draws ahead only with this many schedule items or more, since the
@@ -358,9 +356,23 @@ def _schedule(n_steps: int, record_every: int, steps: bool):
             yield _MEASURE_STREAM, t
 
 
+def _draw(rng: np.random.Generator, coords: np.ndarray, res: np.ndarray | None) -> tuple:
+    """Every draw of a schedule item, in line, held or the worker's: standard
+    normals into coords, then into res when given; returns (coords, res)."""
+    rng.standard_normal(out=coords)
+    if res is not None:
+        rng.standard_normal(out=res)
+    return coords, res
+
+
+def _slot_item(slot: np.ndarray, n: int, f: int, d: int) -> tuple:
+    """An item's (n, f) coordinates and residual (None if d is 0) as views of its slot."""
+    return slot[:n * f].reshape(n, f), slot[n * f:n * f + d] if d else None
+
+
 def _draw_ahead(items, streams: dict, shapes: dict, ctrl, slots, parent: int) -> None:
     """The worker: draws each item of the schedule that the main has not
-    claimed into its slot, with the run's counter_streams as batch does, and
+    claimed into its slot, by _draw with the run's counter_streams, and
     marks it started, then drawn or skipped (see _Ahead).  Returns once the
     schedule is done, or when its parent is gone, which it checks while it
     waits for a slot."""
@@ -381,11 +393,7 @@ def _draw_ahead(items, streams: dict, shapes: dict, ctrl, slots, parent: int) ->
         if ctrl[0] > j:  # the main claimed it meanwhile and draws it in line
             ctrl[status] = 3 * j + 3
             continue
-        n, f, d = shapes[stream]
-        rng, slot = streams[stream](counter), slots[j % n_slots]
-        rng.standard_normal(out=slot[:n * f].reshape(n, f))
-        if d:
-            rng.standard_normal(out=slot[n * f:n * f + d])
+        _draw(streams[stream](counter), *_slot_item(slots[j % n_slots], *shapes[stream]))
         ctrl[status] = 3 * j + 2
 
 
@@ -495,15 +503,13 @@ class _Ahead:
                     return None
         if ctrl[status] != 3 * j + 2:
             return None
-        n, f, d = self.shapes[stream]
-        slot = self.slots[j % len(self.slots)]
-        return slot[:n * f].reshape(n, f).copy(), slot[n * f:n * f + d] if d else None
+        coords, res = _slot_item(self.slots[j % len(self.slots)], *self.shapes[stream])
+        return coords.copy(), res
 
     def draw(self, stream: int, counter: int):
-        """The coordinates and residual of an item, drawn here as batch does."""
+        """The coordinates and residual of an item, drawn here by _draw."""
         n, f, d = self.shapes[stream]
-        rng = self.streams[stream](counter)
-        return rng.standard_normal((n, f)), rng.standard_normal(d) if d else None
+        return _draw(self.streams[stream](counter), np.empty((n, f)), np.empty(d) if d else None)
 
     def stop(self) -> None:
         """Ends the worker, and warns once if it had died before."""
@@ -544,9 +550,7 @@ def _step(
     u_new = state.u + cfg.learning_rate * float((c * a_w).sum() / B)
     # mean(c_i x_i), lifted to the batch-mean gradient as a d-vector on the
     # subspace path; the fresh gradient array becomes the new w in place
-    w_new = (c @ x) / B
-    if not literal:
-        w_new = ws.lift(w_new, math.sqrt(c @ c) / B, np.empty(cfg.d))
+    w_new = (c @ x) / B if literal else ws.lift(c, x, np.empty(cfg.d))
     w_new *= cfg.learning_rate * state.u
     np.add(state.omega, w_new, out=w_new)
     w_new /= math.sqrt(w_new @ w_new)

@@ -148,13 +148,12 @@ class SearchPhaseLinearization:
     converged: bool = True
 
 
-def _tail_ok(terms: np.ndarray, rtol: float = TAIL_RTOL) -> bool:
-    # a finite expansion (trailing exact zeros) always passes
-    terms = np.asarray(terms, dtype=float)
+def _tail_ok(terms: np.ndarray, total: float, rtol: float = TAIL_RTOL) -> bool:
+    # total is the terms' sum; a finite expansion (trailing zeros) always passes
     if len(terms) < 4:
         return True
     mag = np.abs(terms)
-    scale = max(abs(float(np.add.reduce(terms))), float(np.maximum.reduce(mag)), 1e-300)
+    scale = max(abs(total), float(np.maximum.reduce(mag)), 1e-300)
     return float(np.maximum.reduce(mag[-3:])) <= rtol * scale + 1e-300
 
 
@@ -261,9 +260,10 @@ def population_loss(cfg: ModelConfig, s: OrderParameterState) -> float:
     ks = ser.ks
     # sigma_k^2/r^k = sh^2 * r^k ; sigma_k/r^k = sh
     terms = ser.inv_fact * (ser.half_phi_sq + 0.5 * sh * sh * r**ks - sh * ser.phi * me**ks)
-    if not _tail_ok(terms, LOSS_TAIL_RTOL):
+    total = float(np.add.reduce(terms))
+    if not _tail_ok(terms, total, LOSS_TAIL_RTOL):
         warnings.warn("population loss series tail above tolerance", SeriesConvergenceWarning)
-    return float(np.add.reduce(terms))
+    return total
 
 
 def loss_gradients(cfg: ModelConfig, s: OrderParameterState) -> tuple[float, float]:
@@ -315,9 +315,10 @@ def linearize_search_phase(cfg: ModelConfig) -> SearchPhaseLinearization:
     b2_terms = np.zeros_like(b1_terms)
     b2_terms[1:] = ser.lead_k * (sh[1:] - sbh[1:] / ks[1:]) * mu_pow[1:] / (mu * mu)
     b_terms = -(b1_terms + b2_terms)
-    A = cfg.delta * float(a_terms.sum())
-    B = cfg.delta * float(b_terms.sum())
-    converged = _tail_ok(a_terms) and _tail_ok(b_terms)
+    a_sum, b_sum = float(a_terms.sum()), float(b_terms.sum())
+    A = cfg.delta * a_sum
+    B = cfg.delta * b_sum
+    converged = _tail_ok(a_terms, a_sum) and _tail_ok(b_terms, b_sum)
     lam_plus, lam_minus = drift_eigenvalues(A, B)
     tau = inf if abs(A) < A_SINGULAR_TOL else 1.0 / lam_plus
     return SearchPhaseLinearization(

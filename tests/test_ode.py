@@ -131,7 +131,7 @@ def test_long_horizon_reaches_full_alignment():
     rec = integrate_flow(cfg, state, settings)
     assert abs(abs(rec.m_eff[-1]) - 1.0) < 1e-6
     assert abs(rec.loss[-1]) < 1e-9
-    # the same bits, and the same clip count, as fixed_step on the 2-vector
+    # the same bits, and the same clip count, as array_step on the 2-vector
     assert_same_record(rec, vector_flow(cfg, state, settings))
 
 
@@ -311,16 +311,19 @@ def test_record_thinning_preserves_grid():
 
 @pytest.mark.parametrize("method, dt, order", [("rk4", 0.1, 4), ("euler", 0.005, 1)])
 def test_fixed_step_order_against_matrix_exponential(method, dt, order):
-    # y' = A y from y0 over [0, 2]: halving dt divides the error by 2**order
+    # (u, m)' = A (u, m) from (1, 0.5) over [0, 2]: halving dt divides the
+    # error by 2**order
     A = np.array([[-0.5, 1.0], [-1.0, -0.2]])
-    y0 = np.array([1.0, 0.5])
-    exact = expm(2.0 * A) @ y0
+    exact = expm(2.0 * A) @ np.array([1.0, 0.5])
+
+    def rhs(u, m):
+        return A[0, 0] * u + A[0, 1] * m, A[1, 0] * u + A[1, 1] * m
 
     def error(h):
-        y = y0
+        u, m = 1.0, 0.5
         for _ in range(int(round(2.0 / h))):
-            y = fixed_step(lambda v: A @ v, y, h, method)
-        return np.linalg.norm(y - exact)
+            u, m = fixed_step(rhs, u, m, h, method)
+        return math.hypot(u - exact[0], m - exact[1])
 
     ratio = error(dt) / error(dt / 2)
     assert ratio == pytest.approx(2.0**order, rel=0.05)
@@ -344,8 +347,21 @@ def test_stage_whose_variance_overflows_is_a_blowup(act):
         integrate_flow(cfg, OrderParameterState(1e5, 1.0), FlowSettings(dt=1e150, t_max=1e150))
 
 
+def array_step(f, y, dt, method="rk4"):
+    """The reference for fixed_step's pair form: one step of y' = f(y) by
+    explicit Euler or classical RK4, y an ndarray of any shape and f
+    returning one of the same shape."""
+    k1 = f(y)
+    if method == "euler":
+        return y + dt * k1
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def vector_flow(cfg, state0, settings):
-    """The reference flow: integrate_flow's loop on fixed_step, each RK4
+    """The reference flow: integrate_flow's loop on array_step, each RK4
     stage an array (u, m), each step clipped and recorded as integrate_flow
     does."""
     from searchphase.ode import BLOWUP_LIMIT, TrajectoryRecord, _crossing_time
@@ -374,7 +390,7 @@ def vector_flow(cfg, state0, settings):
 
     record(0.0, u, m)
     for step in range(1, n_steps + 1):
-        u_new, m_new = fixed_step(rhs, np.array([u, m]), dt, settings.method).tolist()
+        u_new, m_new = array_step(rhs, np.array([u, m]), dt, settings.method).tolist()
         if not (math.isfinite(u_new) and math.isfinite(m_new)) or abs(u_new) > BLOWUP_LIMIT:
             raise NumericalBlowupError(f"flow diverged at t={step * dt:.6g}")
         clipped = min(1.0, max(-1.0, m_new))
@@ -462,3 +478,55 @@ def test_gradient_sums_are_the_plain_sums_bit_for_bit(name, k_max):
             if mu * mu + u * u + 2.0 * mu * u * m < 1e-3:
                 continue  # near the variance floor quadrature series are 0/0
             assert ser.gradient_sums(u, m) == _plain_gradient_sums(ser, u, m), (mu, u, m)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("coupled", [True, False])
+def test_committee_flow_steps_as_the_array_integrator_on_the_stacked_state(rank, coupled):
+    # the pair (U, M) through fixed_step, against array_step on the stacked
+    # (2, K, R) state with the rhs stacked alike
+    from searchphase.committee import (CommitteeConfig, _committee_rhs, committee_reduced_init,
+                                       integrate_committee)
+
+    cfg = CommitteeConfig(mu=(0.3, 0.6, 1.0), rank=rank, d=400)
+    state0 = committee_reduced_init(cfg)
+    dt, t_max, every = 0.05, 30.0, 7
+
+    def stacked_rhs(y):
+        return np.array(_committee_rhs(cfg, state0.q, coupled, *y))
+
+    traj = integrate_committee(cfg, state0, dt, t_max, coupled, every)
+    y = np.array([state0.u, state0.m])
+    us, ms = [y[0]], [y[1]]
+    n_steps = int(round(t_max / dt))
+    for i in range(1, n_steps + 1):
+        u, m = array_step(stacked_rhs, y, dt)
+        y = np.array([u, np.clip(m, -1.0, 1.0)])
+        if i % every == 0 or i == n_steps:
+            us.append(y[0])
+            ms.append(y[1])
+    assert np.array_equal(traj.u, np.array(us)) and np.array_equal(traj.m, np.array(ms))
+    assert np.max(np.abs(traj.m[-1])) > 10 * np.max(np.abs(traj.m[0]))  # the flow escaped
+
+
+@pytest.mark.parametrize("lin, g0, v0", [
+    (linearize_search_phase(cubic_config()), 0.05, 0.0),
+    (SearchPhaseLinearization(0.3, -1.2, *drift_eigenvalues(0.3, -1.2), tau=math.inf), -0.4, 0.2),
+    (SearchPhaseLinearization(1.1, 0.1, *drift_eigenvalues(1.1, 0.1), tau=math.inf), 0.01, -0.05),
+])
+def test_oscillator_steps_as_the_array_integrator_on_the_stacked_state(lin, g0, v0):
+    # the pair of floats (g, g') through fixed_step, against array_step on
+    # the 2-vector (g, g') with the rhs stacked alike
+    A, B = lin.A, lin.B
+    dt, t_max = 0.01, 20.0
+    rec = oscillator_trajectory(lin, g0, v0, dt=dt, t_max=t_max)
+
+    def stacked_rhs(y):
+        g, v = y
+        return np.array([v, B * v + A * A * np.tanh(g)])
+
+    gv = [np.array([g0, v0])]
+    for _ in range(int(round(t_max / dt))):
+        gv.append(array_step(stacked_rhs, gv[-1], dt))
+    g, v = np.array(gv).T
+    assert np.array_equal(rec.g, g) and np.array_equal(rec.velocity, v)

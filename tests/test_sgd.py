@@ -439,9 +439,10 @@ def test_config_rejects_seeds_outside_uint64():
 
 @pytest.mark.parametrize("f", [2, 3, 7])  # aligned, mixed, and a committee's K + R = 4 + 3
 def test_draws_into_views_of_one_buffer_are_the_draws_of_fresh_arrays(f):
-    # the worker fills views into one flat shared buffer with out=; the run
-    # draws fresh arrays: coordinates, then the residual, from one reset
-    # generator
+    # every draw of an item fills arrays with out= (_draw): the worker views
+    # into one flat shared buffer, the main np.empty arrays; either holds the
+    # bits of fresh arrays drawn from one reset generator: coordinates, then
+    # the residual
     n, d, m = 500, 1000, 10_000
     flat = np.empty(3 + 2 * (n * f + d) + m * f)
     train, measure = counter_stream(9, _TRAIN_STREAM), counter_stream(9, _MEASURE_STREAM)
