@@ -24,7 +24,9 @@ class ActivationSpec:
     derivative is a callable when analytic, or None (slope then falls back
     to a central difference).  pure_hermite_degree is set when the function
     IS a probabilists' Hermite polynomial of unit variance, enabling
-    closed-form coefficients.
+    closed-form coefficients; an SGD step then takes a student of degree 2
+    or more and its slope from one pass of the Hermite recurrence
+    (hermite_value_and_slope), not from evaluate and derivative.
     """
 
     name: str

@@ -600,22 +600,38 @@ def _or_none(read: Callable[[], object]):
         return None
 
 
-def _openblas_threads() -> int | None:
-    """The thread count of the OpenBLAS bundled with NumPy's wheel, by ctypes;
-    None where there is none."""
+def _openblas(getter: str, restype):
+    """What openblas_<getter>() returns in the OpenBLAS bundled with NumPy's
+    wheel, called by ctypes under any of its exported names; None where
+    there is none."""
     import ctypes
     import glob
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
+        for name in (f"scipy_openblas_{getter}64_", f"openblas_{getter}64_", f"openblas_{getter}"):
             get = getattr(lib, name, None)
             if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                return int(get())
+                get.argtypes, get.restype = [], restype
+                return get()
     return None
+
+
+def _openblas_threads() -> int | None:
+    """The thread count of NumPy's bundled OpenBLAS (None where there is none)."""
+    import ctypes
+
+    return _openblas("get_num_threads", ctypes.c_int)
+
+
+def _openblas_core() -> str | None:
+    """The name of the CPU core NumPy's bundled OpenBLAS chose its kernels
+    for, say SkylakeX (None where there is none)."""
+    import ctypes
+
+    core = _openblas("get_corename", ctypes.c_char_p)
+    return None if core is None else core.decode()
 
 
 def _scipy_version() -> str:
@@ -634,8 +650,9 @@ def _scipy_version() -> str:
 def provenance() -> dict:
     """What made this process's numbers, read once per process for the
     manifest: the searchphase, Python, NumPy and SciPy versions, the
-    platform, the BLAS NumPy was built with and its thread count (the bits
-    of a run with d > 10 000 depend on it).  SciPy's version is read from
+    platform, the BLAS NumPy was built with, its thread count (the bits
+    of a run with d > 10 000 depend on it) and, for OpenBLAS, the core its
+    kernels were chosen for.  SciPy's version is read from
     its installed files, so a run that needs no SciPy still never imports
     it.  A value that cannot be read is None.  Cached, so every caller gets
     the one dict: copy it before changing it."""
@@ -653,6 +670,7 @@ def provenance() -> dict:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_threads": _or_none(_openblas_threads),
+        "blas_core": _or_none(_openblas_core),
     }
 
 
@@ -664,7 +682,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     (exit code 1) before touching any cell when the plan is invalid or the
     output directory holds another plan's (or an unreadable) manifest or
     cannot be made (say, where a path names a regular file).  The manifest
-    also records the process's provenance().
+    also records the effective plan (its values) and the process's
+    provenance().
     """
     problems = validate_plan(plan)
     if problems:
@@ -689,6 +708,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
         entries.append(_execute(plan, *summary))
     manifest = {
         "plan_hash": plan_hash(plan),
+        # the effective plan: every value, defaults and config file included
+        "plan": _or_none(lambda: json.loads(json.dumps(plan.values, sort_keys=True, default=str))),
         "kind": plan.kind,
         "seed": plan.values.get("seed", 0),
         "emit": plan.values["format"],

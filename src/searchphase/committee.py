@@ -20,12 +20,13 @@ lambda_k = (-1 + sqrt(1 + 4 D_k^2)) / (2K), independent of the rank R.
 The SGD counterpart, committee_sgd, draws its batches and lifts its
 batch-mean gradient through the frame sampler of the single-index
 simulator (sgd._Workspace), with the teachers as the frame's fixed rows and
-the adapters as its free ones.
+the adapters as its free ones; the sampler labels each batch with the
+teacher, y = (1/sqrt K) sum_k (w_k* . x), on the draw-ahead worker when
+one runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
 import numpy as np
@@ -100,20 +101,25 @@ def committee_reduced_init(cfg: CommitteeConfig) -> CommitteeState:
     return CommitteeState(u=u, m=u.copy(), q=np.eye(cfg.rank))
 
 
-def _committee_rhs(
-    cfg: CommitteeConfig, q: np.ndarray, include_coupling: bool, u: np.ndarray, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _committee_rhs(cfg: CommitteeConfig, q: np.ndarray, include_coupling: bool):
+    """The rhs (u, m) -> (du, dm) of the reduced committee flow at fixed q,
+    with the column of D_k, the frozen rows and q's diagonal made once."""
     K = cfg.n_directions
     delta = 1.0 - np.asarray(cfg.mu)  # D_k
-    du = (delta[:, None] * m - u @ q) / K
-    dm = delta[:, None] * u * (1.0 - m * m) / K
-    if include_coupling:
-        c = u.T @ u
-        cross = m @ (c - np.diag(np.diag(c))) - m * (np.sum(c * q, axis=0) - np.diag(c) * np.diag(q))
-        dm = dm - cross / K
-    frozen = delta == 0.0
-    du[frozen] = 0.0
-    return du, dm
+    dcol, frozen, q_diag = delta[:, None], np.flatnonzero(delta == 0.0), np.diag(q)
+
+    def rhs(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        du = (dcol * m - u @ q) / K
+        dm = dcol * u * (1.0 - m * m) / K
+        if include_coupling:
+            c = u.T @ u
+            cross = m @ (c - np.diag(np.diag(c))) - m * (np.sum(c * q, axis=0) - np.diag(c) * q_diag)
+            dm = dm - cross / K
+        if frozen.size:
+            du[frozen] = 0.0
+        return du, dm
+
+    return rhs
 
 
 def committee_ode_step(
@@ -123,10 +129,11 @@ def committee_ode_step(
 
     include_coupling=False drops the C = U^T U cross-direction term, which
     decouples the system into K*R independent rank-one problems when q = I.
+    M is clipped to [-1, 1] (as np.clip would, NaN kept).
     """
-    rhs = partial(_committee_rhs, cfg, state.q, include_coupling)
-    u_new, m_new = fixed_step(rhs, state.u, state.m, dt)
-    return replace(state, u=u_new, m=np.clip(m_new, -1.0, 1.0))
+    u_new, m_new = fixed_step(_committee_rhs(cfg, state.q, include_coupling), state.u, state.m, dt)
+    np.minimum(np.maximum(m_new, -1.0, out=m_new), 1.0, out=m_new)
+    return CommitteeState(u_new, m_new, state.q)
 
 
 def committee_loss(cfg: CommitteeConfig, state: CommitteeState) -> float:
@@ -262,8 +269,10 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     (teachers, adapters), rebuilt in place each step, and the batch-mean
     gradient lifted from one residual d-vector, so the cost per step is
     O(batch + d).  Step t draws from counter t - 1 of the training stream;
-    a long run draws ahead on a second core, with the same bits
-    (_Workspace.drawing_ahead).
+    a long run draws ahead on a second core, where the teacher's labels
+    add.reduce(coords[:, :K], axis=1) / sqrt(K) are made with the draws,
+    with the same bits (_Workspace.drawing_ahead).  The main keeps the
+    student's side, lam_star @ mu_vec and every other product.
     Raises NumericalBlowupError when a magnitude or overlap stops being
     finite or a magnitude exceeds BLOWUP_LIMIT.
     """
@@ -272,10 +281,11 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     teachers = np.linalg.qr(rng.standard_normal((d, K)))[0].T  # (K, d) orthonormal
     adapted = np.array(cfg.adapted, dtype=int)
     n_a = len(adapted)
+    sqK, sqn_a = sqrt(K), sqrt(n_a)
     core = np.sum(teachers[adapted], axis=0) / sqrt(d) if n_a else np.zeros(d)
     # the frame sampler: the K teachers are its fixed rows, the R adapters
     # its free ones; its residual d-vector is the init's scratch
-    ws = _Workspace(cfg.seed, teachers, R, d)
+    ws = _Workspace(cfg.seed, teachers, R, d, lambda coords: np.add.reduce(coords[:, :K], axis=1) / sqK)
     draws = rng.standard_normal((R, d))
     for g in draws:
         g -= teachers.T @ (teachers @ g)
@@ -288,58 +298,62 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     u = np.zeros((K, R))
     u[adapted] = 1.0 / sqrt(d)
     mu_vec = np.asarray(cfg.mu)
-    sqK = sqrt(K)
+    rate = cfg.learning_rate * 2.0 / sqK  # of the magnitudes' and the adapters' updates
 
     rows: list[tuple] = []  # one per record: t_epoch, u, m, m_eff, rho, test_mse
     onset_step = None
 
-    def overlaps() -> tuple[np.ndarray, np.ndarray]:
-        return teachers @ adapters.T, adapters @ adapters.T  # m (K,R), q (R,R)
+    def rho(m: np.ndarray) -> np.ndarray:  # aggregate_overlap(cfg, m), its index made once
+        return np.add.reduce(m[adapted], axis=0) / sqn_a if n_a else np.zeros(R)
 
-    def record(step: int, m: np.ndarray, q: np.ndarray) -> None:
+    def record(step: int, m: np.ndarray) -> np.ndarray:
+        # the overlaps m = teachers @ adapters.T (K, R) are made every step;
+        # the Gram matrix q (R, R) only here, for the record and final_q
+        q = adapters @ adapters.T
         rows.append((
-            float(step), u.copy(), m, mu_vec + np.sum(u * m, axis=1), aggregate_overlap(cfg, m),
+            float(step), u.copy(), m, mu_vec + np.sum(u * m, axis=1), rho(m),
             _exact_test_mse(cfg, u, m, q),
         ))
+        return q
 
-    m, q = overlaps()
+    m = teachers @ adapters.T
     init_m = m.copy()
-    record(0, m, q)
+    q = record(0, m)
 
     with ws.drawing_ahead(cfg.n_steps, cfg.batch_size):
         for step in range(1, cfg.n_steps + 1):
             # frame: K teacher rows (already orthonormal) + adapter residuals
             F = ws.frame(adapters)
-            coords = ws.batch(ws.train, step - 1, cfg.batch_size)
+            coords, y = ws.batch(ws.train, step - 1, cfg.batch_size)  # y: the teacher's labels
 
             lam_star = coords[:, :K]  # teacher pre-activations
             adapter_coords = F @ adapters.T  # (f, R)
             lam_a = coords @ adapter_coords  # (B, R)
-            U_col = np.sum(u, axis=0)  # U_r
-            y = np.sum(lam_star, axis=1) / sqK
+            U_col = np.add.reduce(u, axis=0)  # U_r
             yhat = (lam_star @ mu_vec + lam_a @ U_col) / sqK
             eps = y - yhat
 
-            du_row = cfg.learning_rate * 2.0 / sqK * (eps @ lam_a) / cfg.batch_size  # (R,)
+            du_row = rate * (eps @ lam_a) / cfg.batch_size  # (R,)
             # shared mean-gradient direction: w = mean(eps_i x_i)
             w = ws.lift(eps, coords, grad)
             u[adapted] += du_row[None, :]
             # np.outer's and np.linalg.norm's operations (the norm is
             # sqrt(add.reduce(a * a))) in their order, so every bit is kept
             np.multiply.outer(U_col, w, out=buf)
-            buf *= cfg.learning_rate * 2.0 / sqK
+            buf *= rate
             adapters += buf
             np.multiply(adapters, adapters, out=buf)
             adapters /= np.sqrt(np.add.reduce(buf, axis=1, keepdims=True))
 
-            m, q = overlaps()
+            m = teachers @ adapters.T
             # false for NaN as well as for magnitudes beyond the limit
-            if not (float(np.max(np.abs(u))) <= BLOWUP_LIMIT and isfinite(float(np.sum(m)))):
+            finite = isfinite(float(np.add.reduce(m, axis=None)))
+            if not (float(np.max(np.abs(u))) <= BLOWUP_LIMIT and finite):
                 raise NumericalBlowupError(f"committee SGD diverged at step {step}")
-            if onset_step is None and n_a and np.max(np.abs(aggregate_overlap(cfg, m))) >= cfg.onset_threshold:
+            if onset_step is None and n_a and np.max(np.abs(rho(m))) >= cfg.onset_threshold:
                 onset_step = step
             if step % cfg.record_every == 0 or step == cfg.n_steps:
-                record(step, m, q)
+                q = record(step, m)
 
     return CommitteeRunResult(
         *map(np.array, zip(*rows)),

@@ -107,10 +107,26 @@ def eval_scaled_hermite(k: int, r: float, z):
     elif k == 1:
         cur = z.copy()  # never the caller's array
     else:
-        prev, cur = 1.0, z
-        for j in range(1, k):
-            prev, cur = cur, z * cur - j * r * prev
+        cur = _recurrence(k, r, z)[1]
     return cur if cur.ndim else float(cur)
+
+
+def _recurrence(k: int, r: float, z: np.ndarray) -> tuple:
+    # (He_{k-1}^[r](z), He_k^[r](z)) for k >= 2; He_{k-1} is z itself at k = 2
+    prev, cur = 1.0, z
+    for j in range(1, k):
+        prev, cur = cur, z * cur - j * r * prev
+    return prev, cur
+
+
+def hermite_value_and_slope(k: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(He_k(z), k He_{k-1}(z)) for an array z and k >= 1: bit for bit
+    eval_scaled_hermite(k, 1.0, z) and k * eval_scaled_hermite(k - 1, 1.0, z),
+    from one pass of the recurrence when k >= 2, without the argument checks."""
+    if k < 2:
+        return eval_scaled_hermite(k, 1.0, z), k * eval_scaled_hermite(k - 1, 1.0, z)
+    prev, cur = _recurrence(k, 1.0, z)
+    return cur, k * prev
 
 
 def scaled_hermite_table(k_max: int, r: float, z) -> np.ndarray:

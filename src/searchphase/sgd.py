@@ -41,17 +41,23 @@ The committee simulator draws its batches and lifts its gradient through
 _Workspace too, with the teachers as fixed rows and the adapters as free
 ones.
 
-Since a draw depends only on (seed, stream, counter, shape), a long run
-draws ahead on a second core: a worker process forked for the run
+Since a draw depends only on (seed, stream, counter, shape), and a step's
+labels y = phi(w_star . x) only on its draws, a long run draws ahead on a
+second core: a worker process forked for the run
 (_Workspace.drawing_ahead) draws its batches and held-out samples with the
-same generator code into a ring in shared memory, and batch takes them from
-there.  The main draws in line whatever the worker has not started, so the
-two share the draws, and the bits are the same either way.  No setting
-chooses this.  A run stays in line when it makes fewer than _ENGAGE_ITEMS
-such draws, for the literal sampler, for steps with d > 10 000 (whose
-d-vectors OpenBLAS already spreads over the cores), inside a daemonic
-process, and off x86-64 Linux.  A worker that dies costs time only: the run
-goes on in line and ends with one RuntimeWarning.
+same generator code into a ring in shared memory, labels each step's batch
+with the task teacher, and batch takes them from there.  The main draws
+and labels in line whatever the worker has not started, so the two share
+the draws, and the bits are the same either way.  The teacher's evaluate
+therefore also runs in the worker, so it must be a pure function of its
+argument; a batch whose labelling raises or warns there is redone in line,
+where it raises or warns as it would without the worker.  Records label
+their held-out samples in the main.  No setting chooses this.  A run stays
+in line when it makes fewer than _ENGAGE_ITEMS such draws, for the literal
+sampler, for steps with d > 10 000 (whose d-vectors OpenBLAS already
+spreads over the cores), inside a daemonic process, and off x86-64 Linux.
+A worker that dies costs time only: the run goes on in line and ends with
+one RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -68,7 +74,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import ActivationSpec, LabelTransform, transform_teacher
+from .activations import ActivationSpec
+from .hermite import hermite_value_and_slope
 from .ode import BLOWUP_LIMIT, NumericalBlowupError
 from .theory import ModelConfig, OrderParameterState, default_delta, population_loss
 
@@ -236,12 +243,6 @@ def init_state(cfg: SimConfig) -> SimState:
     )
 
 
-def _teacher_for_stage(cfg: SimConfig, stage: int) -> ActivationSpec:
-    if cfg.curriculum is not None and stage == 1:
-        return transform_teacher(cfg.teacher, LabelTransform("square"))
-    return cfg.teacher
-
-
 def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
     """Gram-Schmidt in place on the rows of the (f, d) array F, whose first
     len(rows) rows hold rows, orthonormal already; residuals are taken
@@ -262,22 +263,25 @@ def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
 class _Workspace:
     """The frame sampler of one run, which both SGD simulators draw through:
     a counter_stream per random stream, the (f, d) frame whose fixed rows
-    (the non-None entries of fixed) are copied in once, and one d-vector
-    res.  frame() Gram-Schmidts the free rows against the fixed ones, with
-    res as scratch; batch() draws a batch's frame coordinates and then, for
-    a step, the residual into res (_draw); lift(c, coords) forms the
-    batch-mean gradient and uses that residual up.  No state holds any of
-    it.  Inside drawing_ahead(), batch() takes the draws of a worker process
-    when it has made them (_Ahead), with the same bits; the block ends the
-    worker, on return and on any exception alike."""
+    (the non-None entries of fixed) are copied in once, one d-vector res,
+    and label, the run's teacher as a function of a batch's frame
+    coordinates.  frame() Gram-Schmidts the free rows against the fixed
+    ones, with res as scratch; batch() draws a batch's frame coordinates
+    and then, for a step, the residual into res (_draw) and labels the
+    batch; lift(c, coords) forms the batch-mean gradient and uses that
+    residual up.  No state holds any of it.  Inside drawing_ahead(), batch()
+    takes the draws and labels of a worker process when it has made them
+    (_Ahead), with the same bits; the block ends the worker, on return and
+    on any exception alike."""
 
-    def __init__(self, seed: int, fixed, n_free: int, d: int):
+    def __init__(self, seed: int, fixed, n_free: int, d: int, label=None):
         self.train = counter_stream(seed, _TRAIN_STREAM)
         self.measure = counter_stream(seed, _MEASURE_STREAM)
         self.fixed = [row for row in fixed if row is not None]
         self.rows = np.empty((len(self.fixed) + n_free, d))
         self.rows[:len(self.fixed)] = self.fixed
         self.res = np.empty(d)
+        self.label = label
         self.ahead = None
 
     def frame(self, free_rows) -> np.ndarray:
@@ -300,18 +304,22 @@ class _Workspace:
             if ahead is not None:
                 ahead.stop()
 
-    def batch(self, stream, step: int, n: int, residual: bool = True) -> np.ndarray:
+    def batch(self, stream, step: int, n: int, residual: bool = True) -> tuple:
         """(n, f) standard normal frame coordinates from counter step of
-        stream, then (when residual) the standard normal residual in res:
+        stream, then (when residual, for a step) the standard normal
+        residual in res, and the batch's labels label(coords), else None:
         taken from the worker when it drew this item with this shape, else
-        drawn here by _draw."""
+        drawn (_draw) and labelled here."""
+        drawn = None
         if self.ahead is not None:
             key = (_TRAIN_STREAM if stream is self.train else _MEASURE_STREAM, step)
-            coords = self.ahead.take(key, n, self.F.shape[0], residual, self.res)
-            if coords is not None:
-                return coords
-        coords, _ = _draw(stream(step), np.empty((n, self.F.shape[0])), self.res if residual else None)
-        return coords
+            drawn = self.ahead.take(key, n, self.F.shape[0], residual, self.res)
+        if drawn is None:
+            drawn = _draw(stream(step), np.empty((n, self.F.shape[0])), self.res if residual else None), None
+        coords, y = drawn
+        if residual and y is None:
+            y = self.label(coords)
+        return coords, y
 
     def lift(self, c: np.ndarray, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Batch-mean gradient mean(c_i x_i) as a d-vector, from the batch's
@@ -356,27 +364,37 @@ def _schedule(n_steps: int, record_every: int, steps: bool):
             yield _MEASURE_STREAM, t
 
 
-def _draw(rng: np.random.Generator, coords: np.ndarray, res: np.ndarray | None) -> tuple:
+def _draw(rng: np.random.Generator, coords: np.ndarray, res: np.ndarray | None) -> np.ndarray:
     """Every draw of a schedule item, in line, held or the worker's: standard
-    normals into coords, then into res when given; returns (coords, res)."""
+    normals into coords, then into res when given; returns coords."""
     rng.standard_normal(out=coords)
     if res is not None:
         rng.standard_normal(out=res)
-    return coords, res
+    return coords
 
 
 def _slot_item(slot: np.ndarray, n: int, f: int, d: int) -> tuple:
-    """An item's (n, f) coordinates and residual (None if d is 0) as views of its slot."""
-    return slot[:n * f].reshape(n, f), slot[n * f:n * f + d] if d else None
+    """An item's (n, f) coordinates, residual and labels as views of its
+    slot, in the order coordinates, labels, residual; a record's item (d is
+    0) has neither residual nor labels, which are then None."""
+    coords = slot[:n * f].reshape(n, f)
+    if not d:
+        return coords, None, None
+    return coords, slot[n * f + n:n * f + n + d], slot[n * f:n * f + n]
 
 
-def _draw_ahead(items, streams: dict, shapes: dict, ctrl, slots, parent: int) -> None:
+def _draw_ahead(items, streams: dict, shapes: dict, label, ctrl, slots, parent: int) -> None:
     """The worker: draws each item of the schedule that the main has not
-    claimed into its slot, by _draw with the run's counter_streams, and
-    marks it started, then drawn or skipped (see _Ahead).  Returns once the
-    schedule is done, or when its parent is gone, which it checks while it
-    waits for a slot."""
+    claimed into its slot, by _draw with the run's counter_streams, labels
+    a step's batch by label, and marks the item started, then drawn or
+    skipped (see _Ahead).  It raises on every floating-point error that the
+    main does not ignore, and on any warning, so that a labelling which
+    raises or warns skips its item, which the main then draws and labels in
+    line.  Returns once the schedule is done, or when its parent is gone,
+    which it checks while it waits for a slot."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main stops it
+    np.seterr(**{kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()})
+    warnings.simplefilter("error")
     n_slots = len(slots)
     for j, (stream, counter) in enumerate(items):
         spins = 0
@@ -393,24 +411,35 @@ def _draw_ahead(items, streams: dict, shapes: dict, ctrl, slots, parent: int) ->
         if ctrl[0] > j:  # the main claimed it meanwhile and draws it in line
             ctrl[status] = 3 * j + 3
             continue
-        _draw(streams[stream](counter), *_slot_item(slots[j % n_slots], *shapes[stream]))
+        coords, res, y = _slot_item(slots[j % n_slots], *shapes[stream])
+        _draw(streams[stream](counter), coords, res)
+        if y is not None:
+            try:
+                labels = label(coords)
+                if labels.shape != y.shape or labels.dtype != y.dtype:
+                    raise TypeError("labels of another shape or type than in line")
+                y[:] = labels
+            except Exception:
+                ctrl[status] = 3 * j + 3
+                continue
         ctrl[status] = 3 * j + 2
 
 
 class _Ahead:
-    """A worker process that draws one run's schedule ahead of its main loop
-    into a ring of slots in shared memory.  The control words are the
-    number of items the main has claimed, the number it has released, then
-    for each slot 3j + 1, 3j + 2 or 3j + 3 when the worker has started,
-    drawn or skipped item j in it.  The main claims each item before it
-    looks at its slot.  If the worker has not started the item, the main
-    draws it in line, and the worker, which reads the claim again after
-    marking the item started, skips it; so the main never waits for the
-    worker to reach an item.  While the worker ends an item the main needs,
-    the main claims and draws the next items the worker has not started,
-    and holds them, so the two share the draws.  Either way the main gets
-    the bits of an in-line draw, and copies them out of a slot before
-    releasing it."""
+    """A worker process that draws and labels one run's schedule ahead of
+    its main loop into a ring of slots in shared memory.  The control words
+    are the number of items the main has claimed, the number it has
+    released, then for each slot 3j + 1, 3j + 2 or 3j + 3 when the worker
+    has started, drawn (and labelled) or skipped item j in it.  The main
+    claims each item before it looks at its slot.  If the worker has not
+    started the item, the main draws it in line, and the worker, which
+    reads the claim again after marking the item started, skips it; so the
+    main never waits for the worker to reach an item.  The worker also
+    skips an item whose labelling raised, for the main to redo in line.
+    While the worker ends an item the main needs, the main claims and draws
+    the next items the worker has not started, and holds them, so the two
+    share the draws.  Either way the main gets the bits of an in-line draw,
+    and copies them out of a slot before releasing it."""
 
     @classmethod
     def start(cls, ws: _Workspace, n_steps: int, batch_size: int, record_every: int):
@@ -421,7 +450,7 @@ class _Ahead:
         steps = d <= _INLINE_D
         n_records = (1 + n_steps // record_every + (n_steps % record_every > 0)) if record_every else 0
         shapes = {_TRAIN_STREAM: (batch_size, f, d), _MEASURE_STREAM: (_TEST_SAMPLES_PER_RECORD, f, 0)}
-        slot_len = max(steps * (batch_size * f + d), bool(record_every) * _TEST_SAMPLES_PER_RECORD * f)
+        slot_len = max(steps * (batch_size * (f + 1) + d), bool(record_every) * _TEST_SAMPLES_PER_RECORD * f)
         n_slots = min(_MAX_SLOTS, _RING_BYTES // (8 * slot_len)) if slot_len else 0
         if steps * n_steps + n_records < _ENGAGE_ITEMS or n_slots < 2 or not _CAN_DRAW_AHEAD:
             return None
@@ -440,8 +469,8 @@ class _Ahead:
         self.claimed, self.held = 0, {}  # items claimed; item -> its draw, made here
         self.proc = multiprocessing.get_context("fork").Process(
             target=_draw_ahead, daemon=True,
-            args=(_schedule(n_steps, record_every, steps), self.streams, shapes, self.ctrl,
-                  self.slots, os.getpid()),
+            args=(_schedule(n_steps, record_every, steps), self.streams, shapes, ws.label,
+                  self.ctrl, self.slots, os.getpid()),
         )
         try:
             with warnings.catch_warnings():
@@ -466,9 +495,10 @@ class _Ahead:
         self.claimed = self.ctrl[0] = k
         return self.ctrl[2 + (k - 1) % len(self.slots)] < 3 * k - 2
 
-    def take(self, key, n: int, f: int, residual: bool, res: np.ndarray) -> np.ndarray | None:
+    def take(self, key, n: int, f: int, residual: bool, res: np.ndarray) -> tuple | None:
         """When key, a (stream, counter) pair, is the schedule's next item j,
-        claims it, and returns its (n, f) coordinates, with its residual
+        claims it, and returns its (n, f) coordinates and the worker's labels
+        (None for a record, or for an item the main drew), with its residual
         copied into res, if the worker or the main drew it ahead with that
         shape.  Returns None for the main to draw the item in line otherwise."""
         j = self.j
@@ -484,10 +514,11 @@ class _Ahead:
         if drawn is not None and residual:
             res[:] = drawn[1]
         self.ctrl[1] = j + 1
-        return None if drawn is None else drawn[0]
+        return None if drawn is None else (drawn[0], drawn[2])
 
     def from_worker(self, j: int, stream: int):
-        """Item j out of its slot, copied, once the worker has drawn it; None
+        """Item j out of its slot as (coordinates, residual, labels), the
+        coordinates and labels copied, once the worker has drawn it; None
         when it skipped the item or died.  While it draws, the main draws the
         next unclaimed items the worker has not started, up to two past j,
         and holds them."""
@@ -503,13 +534,15 @@ class _Ahead:
                     return None
         if ctrl[status] != 3 * j + 2:
             return None
-        coords, res = _slot_item(self.slots[j % len(self.slots)], *self.shapes[stream])
-        return coords.copy(), res
+        coords, res, y = _slot_item(self.slots[j % len(self.slots)], *self.shapes[stream])
+        return coords.copy(), res, None if y is None else y.copy()
 
     def draw(self, stream: int, counter: int):
-        """The coordinates and residual of an item, drawn here by _draw."""
+        """The coordinates and residual of an item, drawn here by _draw, and
+        no labels yet: batch labels it when it is taken."""
         n, f, d = self.shapes[stream]
-        return _draw(self.streams[stream](counter), np.empty((n, f)), np.empty(d) if d else None)
+        res = np.empty(d) if d else None
+        return _draw(self.streams[stream](counter), np.empty((n, f)), res), res, None
 
     def stop(self) -> None:
         """Ends the worker, and warns once if it had died before."""
@@ -524,38 +557,52 @@ class _Ahead:
 
 
 def _step(
-    cfg: SimConfig, state: SimState, teacher: ActivationSpec, literal: bool, ws: _Workspace
-) -> tuple[SimState, np.ndarray]:
-    """One SGD step on the batch of counter state.step, drawn in full
-    (literal) or as frame coordinates plus one residual d-vector, through
-    the run's workspace.  Returns the updated state and the residuals
-    y - yhat of that batch at state, from which a record takes the batch's
-    training error."""
+    cfg: SimConfig, s: SimState, u: float, w: np.ndarray, counter: int, square: bool,
+    ws: _Workspace, F: np.ndarray | None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One SGD step from magnitude u and direction w, in the geometry
+    (omega_star, omega_tilde) of s, on the batch of the training stream's
+    counter: drawn in full when F is None (the literal sampler), else as
+    frame coordinates plus one residual d-vector through the run's
+    workspace, whose frame F = ws.frame(w) the caller made.  The labels are
+    the task teacher's, squared when square (a curriculum's stage 1).
+    Returns the new u and w, and the residuals y - yhat of that batch at
+    (u, w), from which a record takes the batch's training error."""
     B = cfg.batch_size
-    if literal:
-        x = ws.train(state.step).standard_normal((B, cfg.d))
-        a_star, a_w, a_tilde = x @ state.omega_star, x @ state.omega, x @ state.omega_tilde
+    if F is None:
+        x = ws.train(counter).standard_normal((B, cfg.d))
+        a_star, a_w, a_tilde = x @ s.omega_star, x @ w, x @ s.omega_tilde
+        y = cfg.teacher.evaluate(a_star)
     else:
         # a_w and a_tilde through the frame coordinates of w (which may leave
         # the frame only by rounding) and of the frozen part
-        F = ws.frame(state.omega)
-        x = ws.batch(ws.train, state.step, B)
-        a_star, a_w, a_tilde = x[:, 0], x @ (F @ state.omega), x @ (F @ state.omega_tilde)
-    y = teacher.evaluate(a_star)
-    pre = a_tilde + state.u * a_w
-    eps = y - cfg.student.evaluate(pre)
-    dpre = cfg.student.slope(pre)
+        x, y = ws.batch(ws.train, counter, B)
+        a_w, a_tilde = x @ (F @ w), x @ (F @ s.omega_tilde)
+    if square:
+        y = y ** 2  # transform_teacher's square, on the task teacher's labels
+    pre = a_tilde + u * a_w
+    k = cfg.student.pure_hermite_degree
+    if k is not None and k >= 2:
+        yhat, dpre = hermite_value_and_slope(k, pre)
+    else:
+        yhat, dpre = cfg.student.evaluate(pre), cfg.student.slope(pre)
+    eps = y - yhat
     # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
     c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
-    u_new = state.u + cfg.learning_rate * float((c * a_w).sum() / B)
+    u_new = u + cfg.learning_rate * float((c * a_w).sum() / B)
     # mean(c_i x_i), lifted to the batch-mean gradient as a d-vector on the
     # subspace path; the fresh gradient array becomes the new w in place
-    w_new = (c @ x) / B if literal else ws.lift(c, x, np.empty(cfg.d))
-    w_new *= cfg.learning_rate * state.u
-    np.add(state.omega, w_new, out=w_new)
+    w_new = (c @ x) / B if F is None else ws.lift(c, x, np.empty(cfg.d))
+    w_new *= cfg.learning_rate * u
+    np.add(w, w_new, out=w_new)
     w_new /= math.sqrt(w_new @ w_new)
-    new = SimState(u_new, w_new, state.omega_star, state.omega_tilde, state.xi, state.step + 1)
-    return new, eps
+    return u_new, w_new, eps
+
+
+def _teacher_label(cfg: SimConfig):
+    """The labels of a batch from its frame coordinates, whose column 0 is w_star's."""
+    evaluate = cfg.teacher.evaluate
+    return lambda coords: evaluate(coords[:, 0])
 
 
 def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = None) -> SimState:
@@ -564,29 +611,36 @@ def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = N
     This is the reference implementation of the update contract; the
     subspace sampler reproduces its law at O(batch + d) cost.
     """
+    if teacher is not None:
+        cfg = replace(cfg, teacher=teacher)
     ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
-    return _step(cfg, state, teacher or cfg.teacher, True, ws)[0]
+    u, w, _ = _step(cfg, state, state.u, state.omega, state.step, False, ws, None)
+    return SimState(u, w, state.omega_star, state.omega_tilde, state.xi, state.step + 1)
 
 
 _TEST_SAMPLES_PER_RECORD = 10_000
 
 
 def _held_out_errors(
-    cfg: SimConfig, state: SimState, n: int, block: int, ws: _Workspace
+    cfg: SimConfig, s: SimState, u: float, w: np.ndarray, n: int, block: int, ws: _Workspace,
+    F: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Squared errors (y - yhat)^2 of n fresh held-out samples.
+    """Squared errors (y - yhat)^2 of n fresh held-out samples at magnitude
+    u and direction w, in the geometry of s.
 
     The error depends on an input only through its projections onto
     (w_star, [xi,] w), so the samples are drawn as (n, f) frame coordinates
     from the measurement stream's counter block, which is exact in law for
-    both frozen modes.  Labels always come from the task teacher,
-    independent of any curriculum stage.
+    both frozen modes; F is the frame ws.frame(w) when the caller has made
+    it already.  Labels always come from the task teacher, independent of
+    any curriculum stage.
     """
-    F = ws.frame(state.omega)
-    w_coords, tilde_coords = F @ state.omega, F @ state.omega_tilde
-    coords = ws.batch(ws.measure, block, n, residual=False)
+    if F is None:
+        F = ws.frame(w)
+    w_coords, tilde_coords = F @ w, F @ s.omega_tilde
+    coords, _ = ws.batch(ws.measure, block, n, residual=False)
     y = cfg.teacher.evaluate(coords[:, 0])
-    yhat = cfg.student.evaluate(coords @ tilde_coords + state.u * (coords @ w_coords))
+    yhat = cfg.student.evaluate(coords @ tilde_coords + u * (coords @ w_coords))
     return (y - yhat) ** 2
 
 
@@ -612,7 +666,7 @@ def measure_test_mse(
     concentration statement.
     """
     ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
-    sq = _held_out_errors(cfg, state, int(n_samples), block, ws)
+    sq = _held_out_errors(cfg, state, state.u, state.omega, int(n_samples), block, ws)
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
     model = ModelConfig(teacher=cfg.teacher, student=cfg.student, mu=cfg.mu, k_max=cfg.k_max)
@@ -659,48 +713,53 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     BLOWUP_LIMIT.
     """
     state = init_state(cfg)
-    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
+    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d, _teacher_label(cfg))
     literal = cfg.sampler == "literal"
     mu = cfg.mu
 
     rows: list[tuple[float, ...]] = []  # one per record, in RunResult's field order
 
-    def record(step: int, s: SimState, eps: np.ndarray) -> None:
+    def record(step: int, u: float, w: np.ndarray, m: float, eps: np.ndarray, F) -> None:
         # combined = omega_tilde + u * omega, in the workspace's scratch
-        combined = np.add(s.omega_tilde, np.multiply(s.omega, s.u, out=ws.res), out=ws.res)
-        m_eff, r = float(combined @ s.omega_star), float(combined @ combined)
-        test = _held_out_errors(cfg, s, _TEST_SAMPLES_PER_RECORD, step, ws)
+        combined = np.add(state.omega_tilde, np.multiply(w, u, out=ws.res), out=ws.res)
+        m_eff, r = float(combined @ state.omega_star), float(combined @ combined)
+        test = _held_out_errors(cfg, state, u, w, _TEST_SAMPLES_PER_RECORD, step, ws, F)
         rows.append((
-            float(step), s.u, s.m, m_eff, r,
+            float(step), u, m, m_eff, r,
             float((eps * eps).sum()) / cfg.batch_size, float(np.mean(test)),
         ))
 
-    stage = 1 if cfg.curriculum is not None else 2
-    teacher = _teacher_for_stage(cfg, stage)
+    square = cfg.curriculum is not None  # stage 1 squares the labels
     exit_step = aligned_step = switch_step = None
-    init_u, init_m = state.u, state.m
+    u, w, m = state.u, state.omega, state.m
+    init_u, init_m = u, m
+    F = None  # the frame of w, once made; each state's frame is made once
 
     # the literal sampler draws in line, records and all
     with ws.drawing_ahead(0 if literal else cfg.n_steps, cfg.batch_size, cfg.record_every):
         for step in range(1, cfg.n_steps + 1):
-            prev = state
-            state, eps = _step(cfg, state, teacher, literal, ws)
+            if literal:
+                F = None  # it draws x in full; only its records take a frame
+            elif F is None:
+                F = ws.frame(w)
+            u_new, w_new, eps = _step(cfg, state, u, w, step - 1, square, ws, F)
             if step == 1:
                 # the initial state is paired with the first batch's error
-                record(0, prev, eps)
-            m = state.m
+                record(0, u, w, m, eps, F)
+            u, w, F = u_new, w_new, None
+            m = float(w @ state.omega_star)
             # false for NaN as well as for magnitudes beyond the limit
-            if not (abs(state.u) <= BLOWUP_LIMIT and math.isfinite(m)):
+            if not (abs(u) <= BLOWUP_LIMIT and math.isfinite(m)):
                 raise NumericalBlowupError(f"SGD diverged at step {step}")
             if step % cfg.record_every == 0 or step == cfg.n_steps:
                 # training error of the batch this step consumed, paired with
-                # the post-update state
-                record(step, state, eps)
-            if exit_step is None and max(abs(state.u), abs(m)) >= mu:
+                # the post-update state, whose frame the next step reuses
+                F = ws.frame(w)
+                record(step, u, w, m, eps, F)
+            if exit_step is None and max(abs(u), abs(m)) >= mu:
                 exit_step = step
-            if stage == 1 and m >= cfg.curriculum.switch_threshold:
-                stage = 2
-                teacher = _teacher_for_stage(cfg, stage)
+            if square and m >= cfg.curriculum.switch_threshold:
+                square = False
                 switch_step = step
             if aligned_step is None and m >= cfg.align_threshold:
                 aligned_step = step
@@ -714,7 +773,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         switch_step=switch_step,
         init_u=init_u,
         init_m=init_m,
-        final_state=state,
+        final_state=SimState(u, w, state.omega_star, state.omega_tilde, state.xi, step),
     )
 
 
@@ -739,11 +798,12 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m
-    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
+    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d, _teacher_label(cfg))
+    F = None if cfg.sampler == "literal" else ws.frame(state.omega)  # the state's, made once
     for j in range(n_batches):
-        nxt, _ = _step(cfg, replace(state, step=j), cfg.teacher, cfg.sampler == "literal", ws)
-        du[j] = nxt.u - state.u
-        dm[j] = nxt.m - m0
+        u, w, _ = _step(cfg, state, state.u, state.omega, j, False, ws, F)
+        du[j] = u - state.u
+        dm[j] = float(w @ state.omega_star) - m0
     return DriftEstimate(
         du=float(np.mean(du)),
         dm=float(np.mean(dm)),

@@ -620,13 +620,13 @@ def test_the_manifest_records_the_provenance_of_the_process(tmp_path):
     tau = ["tau", "--activations", "linear", "--mu", "0.5", "--out", str(tmp_path)]
     assert main(tau) == EXIT_OK
     got = json.loads(read(tmp_path / "manifest.json"))["provenance"]
-    assert sorted(got) == ["blas", "blas_threads", "blas_version", "numpy", "platform", "python",
-                           "scipy", "searchphase"]
+    assert sorted(got) == ["blas", "blas_core", "blas_threads", "blas_version", "numpy", "platform",
+                           "python", "scipy", "searchphase"]
     assert got == provenance() and provenance() is provenance()  # read once per process
     assert got["searchphase"] == searchphase.__version__
     assert got["numpy"] == np.__version__
     assert got["python"] == ".".join(map(str, sys.version_info[:3]))
-    for key in ("scipy", "platform", "blas", "blas_version"):
+    for key in ("scipy", "platform", "blas", "blas_version", "blas_core"):
         assert got[key] is None or isinstance(got[key], str), key
     if got["scipy"] is not None:
         import importlib.metadata
@@ -634,6 +634,19 @@ def test_the_manifest_records_the_provenance_of_the_process(tmp_path):
         assert got["scipy"] == importlib.metadata.version("scipy")
     assert got["blas_threads"] is None or got["blas_threads"] >= 1
     # test_linear_and_hermite_runs_never_import_scipy runs main, so provenance, too
+
+
+def test_the_manifest_records_the_effective_plan(tmp_path):
+    # every value of the plan, the defaults the command line left out too,
+    # next to the plan's hash; the CSV is as without it
+    argv, _ = _HEADERS["ode"]
+    assert main(["ode"] + argv + ["--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads(read(tmp_path / "manifest.json"))
+    args = build_parser().parse_args(["ode"] + argv + ["--out", str(tmp_path)])
+    plan = plan_from_args(args.kind, args)
+    assert manifest["plan"] == json.loads(json.dumps(plan.values, default=str))
+    assert manifest["plan_hash"] == plan_hash(plan)
+    assert manifest["plan"]["out"] == str(tmp_path) and "method" in manifest["plan"]
 
 
 def test_provenance_records_none_for_what_cannot_be_read(monkeypatch):
@@ -649,9 +662,10 @@ def test_provenance_records_none_for_what_cannot_be_read(monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", fail)
     monkeypatch.setattr(platform, "platform", fail)
     monkeypatch.setattr("searchphase.cli._openblas_threads", fail)
+    monkeypatch.setattr("searchphase.cli._openblas_core", fail)
     got = provenance.__wrapped__()  # uncached
-    unread = ("scipy", "platform", "blas", "blas_version", "blas_threads")
-    assert [got[k] for k in unread] == [None] * 5
+    unread = ("scipy", "platform", "blas", "blas_version", "blas_threads", "blas_core")
+    assert [got[k] for k in unread] == [None] * 6
     assert got["numpy"] == np.__version__
 
 

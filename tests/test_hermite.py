@@ -15,6 +15,7 @@ from searchphase.hermite import (
     QuadratureRule,
     eval_scaled_hermite,
     gauss_hermite_rule,
+    hermite_value_and_slope,
     information_exponent,
     project_activation,
     pure_hermite_coefficients,
@@ -315,3 +316,20 @@ def test_table_refuses_a_variance_that_is_not_positive_and_finite():
     for r in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="variance"):
             scaled_hermite_table(4, r, z)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_value_and_slope_are_the_two_recurrences_bit_for_bit(k):
+    # on strided views like a batch's frame coordinate x[:, 0], and on a
+    # contiguous array; the inputs are left as they were
+    x = np.random.default_rng(k).standard_normal((500, 3)) * 3.0
+    before = x.copy()
+    for z in (x[:, 0], x[:, 2], x[::3, 1], np.ascontiguousarray(x[:, 1])):
+        value, slope = hermite_value_and_slope(k, z)
+        assert value.tobytes() == eval_scaled_hermite(k, 1.0, z).tobytes()
+        assert slope.tobytes() == (k * eval_scaled_hermite(k - 1, 1.0, z)).tobytes()
+        assert not np.shares_memory(value, x) and not np.shares_memory(slope, x)
+        student = builtin(f"hermite{k}")
+        assert value.tobytes() == student.evaluate(z).tobytes()
+        assert slope.tobytes() == student.slope(z).tobytes()
+    assert x.tobytes() == before.tobytes()

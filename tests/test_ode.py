@@ -493,7 +493,7 @@ def test_committee_flow_steps_as_the_array_integrator_on_the_stacked_state(rank,
     dt, t_max, every = 0.05, 30.0, 7
 
     def stacked_rhs(y):
-        return np.array(_committee_rhs(cfg, state0.q, coupled, *y))
+        return np.array(_committee_rhs(cfg, state0.q, coupled)(*y))
 
     traj = integrate_committee(cfg, state0, dt, t_max, coupled, every)
     y = np.array([state0.u, state0.m])

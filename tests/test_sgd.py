@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import searchphase.sgd as sgd_module
-from searchphase.activations import LabelTransform, builtin, transform_teacher
+from searchphase.activations import ActivationSpec, LabelTransform, builtin, transform_teacher
 from searchphase.committee import CommitteeConfig, committee_sgd
 from searchphase.ode import NumericalBlowupError
 from searchphase.sgd import (
@@ -29,6 +29,7 @@ from searchphase.sgd import (
     _TRAIN_STREAM,
     _Workspace,
     _step,
+    _teacher_label,
     counter_stream,
     epoch_time_scale,
     init_state,
@@ -396,11 +397,16 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
     later = run_simulation(replace(cfg, seed=1, n_steps=9))
     assert _state_bytes(first.final_state) == kept
     s0 = init_state(cfg)
-    ws = _Workspace(cfg.seed, (s0.omega_star, s0.xi), 1, cfg.d)
+    ws = _Workspace(cfg.seed, (s0.omega_star, s0.xi), 1, cfg.d, _teacher_label(cfg))
     assert ws.rows.shape == (2 + (frozen_mode == "mixed"), cfg.d)  # w_star, [xi,] w
-    s1, _ = _step(cfg, s0, ERF, False, ws)
+
+    def step(s):
+        u, w, _ = _step(cfg, s0, s.u, s.omega, s.step, False, ws, ws.frame(s.omega))
+        return SimState(u, w, s0.omega_star, s0.omega_tilde, s0.xi, s.step + 1)
+
+    s1 = step(s0)
     kept = _state_bytes(s1)
-    s2, _ = _step(cfg, s1, ERF, False, ws)
+    s2 = step(s1)
     assert _state_bytes(s1) == kept
 
     def fields(s):
@@ -509,16 +515,37 @@ _DRAW_AHEAD_RUNS = {
 }
 
 
+def _worker_labels(monkeypatch) -> list:
+    """Counts, per run, the step batches whose labels the main took from the worker."""
+    counts, real = [], sgd_module._Ahead.take
+
+    def take(self, *args):
+        drawn = real(self, *args)
+        if drawn is not None and drawn[1] is not None:
+            counts[-1] += 1
+        return drawn
+
+    monkeypatch.setattr(sgd_module._Ahead, "take", take)
+    return counts
+
+
 def test_drawing_ahead_keeps_every_bit(monkeypatch):
     calls = _inline_draws(monkeypatch)
+    labelled = _worker_labels(monkeypatch)
     runs = [(run_simulation, cfg) for cfg in _DRAW_AHEAD_RUNS.values()]
     runs.append((committee_sgd, CommitteeConfig(mu=(0.5, 1.0, 1.0, 1.0), rank=3, d=200,
                                                 batch_size=100, n_steps=300, record_every=7)))
+    # nine teachers: the label's add.reduce over a row of 8 or more sums pairwise
+    runs.append((committee_sgd, CommitteeConfig(mu=(0.4, 0.6) + (1.0,) * 7, rank=2, d=300,
+                                                batch_size=100, n_steps=300, record_every=20)))
     inline = {}
     for on in (False, True):
         _engage(monkeypatch, on)
         del calls[:]
-        results = [run(cfg) for run, cfg in runs]
+        results = []
+        for run, cfg in runs:
+            labelled.append(0)
+            results.append(run(cfg))
         inline[on] = len(calls)
         if on:
             for a, b in zip(reference, results):
@@ -526,7 +553,42 @@ def test_drawing_ahead_keeps_every_bit(monkeypatch):
         reference = results
     assert reference[2].switch_step is not None  # the curriculum switched
     assert reference[3].final_state.step < 400  # the run stopped early
+    assert reference[5].onset_step is not None  # the nine-teacher committee escaped
     assert inline[True] < inline[False]  # the worker drew some of the batches
+    assert labelled[:len(runs)] == [0] * len(runs)  # no worker, no labels from one
+    assert all(n > 0 for n in labelled[len(runs):])  # and each run took some of its labels
+
+
+@pytest.mark.parametrize("teacher", [
+    # its exp overflows, with a RuntimeWarning, on the batches that hold a
+    # sample below about -2.4, while its labels stay finite
+    ActivationSpec("steep sigmoid", lambda z: 1.0 / (1.0 + np.exp(-300.0 * z)), None),
+    # its exp underflows on almost every batch, which the main ignores, and
+    # so does the worker
+    ActivationSpec("narrow bump", lambda z: np.exp(-400.0 * z * z), None),
+])
+def test_a_labelling_that_warns_is_redone_in_line_with_the_same_warnings(monkeypatch, teacher):
+    labelled = _worker_labels(monkeypatch)
+    cfg = SimConfig(teacher=teacher, student=ERF, mu=0.4, d=200, batch_size=40,
+                    learning_rate=0.05, n_steps=300, record_every=300, k_max=20)
+    got = {}
+    for on in (False, True):
+        _engage(monkeypatch, on)
+        labelled.append(0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_simulation(cfg)
+        got[on] = res, [(w.category, str(w.message)) for w in caught]
+    (ref, ref_warned), (res, warned) = got[False], got[True]
+    assert all(np.array_equal(x, y) for x, y in zip(_arrays(ref), _arrays(res)))
+    assert warned == ref_warned
+    if teacher.name == "steep sigmoid":
+        # more warnings than the two records give, one per batch that overflowed
+        assert len(warned) > 2 and {w[1] for w in warned} == {"overflow encountered in exp"}
+    else:
+        assert warned == []
+    # the worker labelled the other batches
+    assert labelled == [0, labelled[1]] and 0 < labelled[1] <= cfg.n_steps + 2 - len(warned)
 
 
 def _started_workers(monkeypatch) -> list:

@@ -1,0 +1,32 @@
+"""tools/bitdump.py: the per-item SHA-256 dump that bit-identity checks diff."""
+
+import importlib.util
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bitdump():
+    spec = importlib.util.spec_from_file_location("bitdump", os.path.join(ROOT, "tools", "bitdump.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bitdump_hashes_one_item_of_each_kind(capsys):
+    bitdump = _bitdump()
+    firsts = [next(make()) for make in bitdump.KINDS.values()]
+    for name, thunk in firsts:
+        assert re.fullmatch("[0-9a-f]{64}", bitdump.digest(thunk)), name
+    # the first SGD run, with the worker forced off and on: one hash
+    sgd = [name for name, _ in bitdump.items() if name.startswith("sgd/")][:2]
+    assert bitdump.main(sgd) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[1] for line in lines] == sgd
+    assert lines[0].split()[0] == lines[1].split()[0]
+    # a value, a warning and an error each change the hash
+    digests = {bitdump.digest(lambda: 1.0), bitdump.digest(lambda: 2.0),
+               bitdump.digest(lambda: __import__("warnings").warn("w") or 1.0),
+               bitdump.digest(lambda: 1 / 0)}
+    assert len(digests) == 4
