@@ -58,8 +58,10 @@ from .sgd import (
     TestMseEstimate,
     epoch_time_scale,
     init_state,
+    lockstep_groups,
     measure_drift,
     measure_test_mse,
+    run_lockstep,
     run_simulation,
     scaled_learning_rate,
     sgd_step,

@@ -36,7 +36,7 @@ import numpy as np
 from .activations import ActivationSpec, builtin
 from .committee import CommitteeConfig, committee_linear_rates, committee_sgd
 from .ode import FlowSettings, NumericalBlowupError, integrate_flow
-from .sgd import Curriculum, SimConfig, run_simulation, scaled_learning_rate
+from .sgd import Curriculum, SimConfig, lockstep_groups, run_lockstep, run_simulation, scaled_learning_rate
 from .theory import ModelConfig, OrderParameterState, find_singularities, linearize_search_phase
 
 EXIT_OK = 0
@@ -309,12 +309,13 @@ def _header(kind: str, title: str, meta, values: dict) -> dict:
     return {"kind": kind, "title": title.format(**values), **{k: values[k] for k in meta}}
 
 
-def _headed(plan: ExperimentPlan, cell: Cell) -> tuple:
-    """The table of the cell's run on the config its subcommand builds, with the
-    header its subcommand row declares put before the metadata the run computed."""
+def _headed(plan: ExperimentPlan, cell: Cell, run: Callable[[], tuple] | None = None) -> tuple:
+    """The table of the cell's run (run(), else its subcommand's runner on the
+    config its subcommand builds), with the header its subcommand row declares
+    put before the metadata the run computed."""
     spec = SPECS[plan.kind]
     header = _header(plan.kind, spec.title, spec.meta, {**plan.values, **cell.params})
-    metadata, columns, rows, summary = spec.run(spec.build(plan, cell))
+    metadata, columns, rows, summary = run() if run else spec.run(spec.build(plan, cell))
     return {**header, **metadata}, columns, rows, summary
 
 
@@ -364,12 +365,14 @@ def _run_ode_cell(configs: tuple[ModelConfig, OrderParameterState, FlowSettings]
     return metadata, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
 
 
-def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
+def _sim_config(plan: ExperimentPlan, cell: Cell, act: ActivationSpec | None = None) -> SimConfig:
+    """The cell's SimConfig; act, when given, is the plan's activation spec,
+    which cells must share to step together (builtin makes a new one per call)."""
     cfg = plan.values
     curriculum = None
     if plan.kind == "curriculum_run":
         curriculum = Curriculum(switch_threshold=cfg["switch_threshold"])
-    act = builtin(cfg["activation"])
+    act = builtin(cfg["activation"]) if act is None else act
     lr = cfg.get("learning_rate")
     if lr is None:
         lr = scaled_learning_rate(0.01, act)
@@ -391,8 +394,13 @@ def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
     )
 
 
-def _run_sgd_cell(sim: SimConfig) -> tuple:
-    result = run_simulation(sim)
+def _run_sgd_cell(sim: SimConfig, result=None) -> tuple:
+    """The table of the run of sim: result, its RunResult or the exception it
+    raised, when it ran in lockstep, else run here."""
+    if result is None:
+        result = run_simulation(sim)
+    elif isinstance(result, Exception):
+        raise result
     metadata = {"learning_rate": sim.learning_rate, "exit_step": result.exit_step,
                 "aligned_step": result.aligned_step}
     columns = ["t_epoch", "u", "m", "m_eff", "r", "train_mse", "test_mse"]
@@ -573,6 +581,34 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
     return entry
 
 
+def _execute_lockstep(plan: ExperimentPlan, cells: list[Cell]) -> list[dict]:
+    """The entries of SGD cells, whose configs (built with one activation
+    spec) step together in the groups sgd.lockstep_groups forms.  A group of
+    two or more runs in lockstep (sgd.run_lockstep) before its cells'
+    _execute, which tables each member's own outcome, and each of its
+    entries adds its share of the group's seconds to its wall time.  The
+    entry of a cell that stepped in lockstep lists the names of the group's
+    cells under "lockstep"; a cell the group left to run alone (its outcome
+    None), and a group of one, runs inside its _execute."""
+    act = builtin(plan.values["activation"])
+    configs = [_sim_config(plan, cell, act) for cell in cells]
+    entries: list = [None] * len(cells)
+    for group in lockstep_groups(configs):
+        outcomes, share = [None] * len(group), 0.0
+        if len(group) > 1:
+            start = time.perf_counter()
+            outcomes = run_lockstep([configs[i] for i in group])
+            share = (time.perf_counter() - start) / len(group)
+        for i, outcome in zip(group, outcomes):
+            entry = _execute(plan, cells[i].name,
+                             partial(_headed, plan, cells[i], partial(_run_sgd_cell, configs[i], outcome)))
+            entry["wall_time"] += share
+            if outcome is not None:
+                entry["lockstep"] = [cells[j].name for j in group]
+            entries[i] = entry
+    return entries
+
+
 def _sgd_summary(plan: ExperimentPlan, entries: list[dict]) -> tuple | None:
     """("sgd_summary", table): the finished cells' exit and aligned epochs by
     (mu, seed), tabulated when _execute calls table; None when none finished."""
@@ -702,7 +738,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     except OSError as exc:
         raise ValidationError([("out", f"cannot make the directory: {exc}")]) from None
     spec = SPECS[plan.kind]
-    entries = [_execute(plan, c.name, partial(_headed, plan, c)) for c in build_cells(plan)]
+    cells = build_cells(plan)
+    if spec.run is _run_sgd_cell:
+        entries = _execute_lockstep(plan, cells)
+    else:
+        entries = [_execute(plan, c.name, partial(_headed, plan, c)) for c in cells]
     summary = spec.summarize(plan, entries) if spec.summarize is not None else None
     if summary is not None:
         entries.append(_execute(plan, *summary))
@@ -827,7 +867,8 @@ class Subcommand:
     (metadata, columns, rows, summary), for _execute to write; that metadata
     is what the run computed.  summarize, when set, returns one more artifact
     from the finished cells' entries as (name, table), table a callable
-    giving such a table, or None.
+    giving such a table, or None.  The cells of the SGD subcommands run
+    together where they can (_execute_lockstep).
     """
 
     name: str

@@ -19,9 +19,10 @@ step_rng builds that generator; a run keeps one Philox per stream
 (counter_stream) and resets it to each step's counter, which yields the
 same draws bit for bit.
 
-Every step runs through one kernel, _step, which also returns the residuals
-y - yhat of the batch it consumed.  It draws through the run's frame
-sampler, _Workspace (the reset generators, a preallocated frame, one
+Every step runs through one kernel, _Lockstep.step, which steps a group of
+runs at once (below; a lone run is the group of one) and leaves the
+residuals y - yhat of the batch it consumed.  It draws through the group's
+frame sampler, _Workspace (the reset generators, a preallocated frame, one
 d-vector of scratch), and runs its d-vector passes in place, in the order
 of the plain expressions, so every bit is kept.  Its two samplers differ
 only in how the batch is drawn, and produce identical process laws:
@@ -41,23 +42,38 @@ The committee simulator draws its batches and lifts its gradient through
 _Workspace too, with the teachers as fixed rows and the adapters as free
 ones.
 
-Since a draw depends only on (seed, stream, counter, shape), and a step's
-labels y = phi(w_star . x) only on its draws, a long run draws ahead on a
-second core: a worker process forked for the run
-(_Workspace.drawing_ahead) draws its batches and held-out samples with the
-same generator code into a ring in shared memory, labels each step's batch
-with the task teacher, and batch takes them from there.  The main draws
-and labels in line whatever the worker has not started, so the two share
-the draws, and the bits are the same either way.  The teacher's evaluate
-therefore also runs in the worker, so it must be a pure function of its
-argument; a batch whose labelling raises or warns there is redone in line,
-where it raises or warns as it would without the worker.  Records label
-their held-out samples in the main.  No setting chooses this.  A run stays
-in line when it makes fewer than _ENGAGE_ITEMS such draws, for the literal
-sampler, for steps with d > 10 000 (whose d-vectors OpenBLAS already
-spreads over the cores), inside a daemonic process, and off x86-64 Linux.
-A worker that dies costs time only: the run goes on in line and ends with
-one RuntimeWarning.
+A draw depends only on (seed, stream, counter, shape), and a step's labels
+y = phi(w_star . x) only on its draws, never on mu, the learning rate or
+the initial u and m.  So runs whose configs agree on all that decides the
+draws, the labels and the step formula (_lockstep_key: seed, d, batch
+size, steps, record spacing, sampler, frozen mode, objective, teacher and
+student) step in lockstep (run_lockstep): one workspace, one worker and
+one labelling per step serve them all, and every d-vector and batch
+operation is stacked over a leading member axis, which a lone run, the
+group of one, does without.  Each stacked operation is, row by row, the
+one of a lone run: a dot product stays a ddot, a matrix-vector product
+one gemv per member, a reduction runs along a contiguous row; so each
+member gets the bits of its run alone.  A member
+that blows up or stops when aligned leaves the group with the outcome it
+would have had alone; one whose frame loses a row leaves to run alone, and
+a group in which any warning fires or an operation raises runs every
+member alone, so each run's warnings are its own.
+
+A long run draws ahead on a second core: a worker process forked for the
+run (_Workspace.drawing_ahead) draws its batches and held-out samples with
+the same generator code into a ring in shared memory, labels each step's
+batch with the task teacher, and batch takes them from there.  The main
+draws and labels in line whatever the worker has not started, so the two
+share the draws, and the bits are the same either way.  The teacher's
+evaluate therefore also runs in the worker, so it must be a pure function
+of its argument; a batch whose labelling raises or warns there is redone
+in line, where it raises or warns as it would without the worker.  Records
+label their held-out samples in the main.  No setting chooses this.  A run
+stays in line when it makes fewer than _ENGAGE_ITEMS such draws, for the
+literal sampler, for steps with d > 10 000 (whose d-vectors OpenBLAS
+already spreads over the cores), inside a daemonic process, and off x86-64
+Linux.  A worker that dies costs time only: the run goes on in line and
+ends with one RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -69,7 +85,7 @@ import time
 import warnings
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -134,6 +150,8 @@ class SimConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.init_magnitude is not None and not math.isfinite(self.init_magnitude):
             raise ValueError("init_magnitude must be finite")
+        if self.init_overlap is not None and not (-1.0 < self.init_overlap < 1.0):
+            raise ValueError("init_overlap must lie strictly inside (-1, 1)")
         if self.frozen_mode not in ("aligned", "mixed"):
             raise ValueError("frozen_mode must be 'aligned' or 'mixed'")
         if self.objective not in ("mse", "correlation"):
@@ -217,8 +235,6 @@ def init_state(cfg: SimConfig) -> SimState:
     """
     rng = step_rng(cfg.seed, _INIT_STREAM, 0)
     overlap = cfg.init_overlap if cfg.init_overlap is not None else 1.0 / np.sqrt(cfg.d)
-    if not (-1.0 < overlap < 1.0):
-        raise ValueError("init_overlap must lie strictly inside (-1, 1)")
     mixed = cfg.frozen_mode == "mixed"
     # frame rows w_star, [xi,] g, drawn in that order; g is w's direction off w_star
     F = np.empty((2 + mixed, cfg.d))
@@ -260,26 +276,35 @@ def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
     return F[:len(basis)]
 
 
-class _Workspace:
-    """The frame sampler of one run, which both SGD simulators draw through:
-    a counter_stream per random stream, the (f, d) frame whose fixed rows
-    (the non-None entries of fixed) are copied in once, one d-vector res,
-    and label, the run's teacher as a function of a batch's frame
-    coordinates.  frame() Gram-Schmidts the free rows against the fixed
-    ones, with res as scratch; batch() draws a batch's frame coordinates
-    and then, for a step, the residual into res (_draw) and labels the
-    batch; lift(c, coords) forms the batch-mean gradient and uses that
-    residual up.  No state holds any of it.  Inside drawing_ahead(), batch()
-    takes the draws and labels of a worker process when it has made them
-    (_Ahead), with the same bits; the block ends the worker, on return and
-    on any exception alike."""
+def _dots(a: np.ndarray, b: np.ndarray):
+    """The dot products of the rows of a with those of b, or with the one
+    vector b: a NumPy scalar for 1-D a, else a (G, 1) column.  Each is the
+    ddot of a 1-D a @ b, where a matrix-vector a @ b (a gemv) rounds
+    otherwise."""
+    return a @ b if a.ndim == 1 else np.matmul(a[:, None, :], b[..., None])[:, 0]
 
-    def __init__(self, seed: int, fixed, n_free: int, d: int, label=None):
+
+class _Workspace:
+    """The frame sampler of a run, or of a lockstep group, which both SGD
+    simulators draw through: a counter_stream per random stream, the
+    (f, d) frame whose fixed rows (the non-None entries of fixed) are
+    copied in once, with the leading axes group (a group's member axis),
+    one d-vector res, and label, the teacher as a function of a batch's
+    frame coordinates.  frame() Gram-Schmidts the free rows against the
+    fixed ones, with res as scratch (_Lockstep.frame makes a group's);
+    batch() draws a batch's frame coordinates and then, for a step, the
+    residual into res (_draw) and labels the batch; lift(c, coords) forms
+    the batch-mean gradient and uses that residual up.  No state holds any
+    of it.  Inside drawing_ahead(), batch() takes the draws and labels of a
+    worker process when it has made them (_Ahead), with the same bits; the
+    block ends the worker, on return and on any exception alike."""
+
+    def __init__(self, seed: int, fixed, n_free: int, d: int, label=None, group: tuple = ()):
         self.train = counter_stream(seed, _TRAIN_STREAM)
         self.measure = counter_stream(seed, _MEASURE_STREAM)
         self.fixed = [row for row in fixed if row is not None]
-        self.rows = np.empty((len(self.fixed) + n_free, d))
-        self.rows[:len(self.fixed)] = self.fixed
+        self.rows = np.empty(group + (len(self.fixed) + n_free, d))
+        self.rows[..., :len(self.fixed), :] = self.fixed
         self.res = np.empty(d)
         self.label = label
         self.ahead = None
@@ -310,28 +335,35 @@ class _Workspace:
         residual in res, and the batch's labels label(coords), else None:
         taken from the worker when it drew this item with this shape, else
         drawn (_draw) and labelled here."""
-        drawn = None
+        drawn, f = None, self.F.shape[-2]
         if self.ahead is not None:
             key = (_TRAIN_STREAM if stream is self.train else _MEASURE_STREAM, step)
-            drawn = self.ahead.take(key, n, self.F.shape[0], residual, self.res)
+            drawn = self.ahead.take(key, n, f, residual, self.res)
         if drawn is None:
-            drawn = _draw(stream(step), np.empty((n, self.F.shape[0])), self.res if residual else None), None
+            drawn = _draw(stream(step), np.empty((n, f)), self.res if residual else None), None
         coords, y = drawn
         if residual and y is None:
             y = self.label(coords)
         return coords, y
 
-    def lift(self, c: np.ndarray, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def lift(self, c: np.ndarray, coords: np.ndarray, out: np.ndarray, spare=None) -> np.ndarray:
         """Batch-mean gradient mean(c_i x_i) as a d-vector, from the batch's
         weights c and frame coordinates: its frame part (c @ coords) / batch
         is exact, the rest has the law N(0, scale^2 (I - F^T F)), scale =
         |c| / batch, drawn as scale times the residual projected off the
-        frame.  The gradient is written to out; the residual is used up."""
-        F = self.F
-        np.matmul(F.T, F @ self.res, out=out)
-        res = np.subtract(self.res, out, out=self.res)
-        res *= math.sqrt(c @ c) / len(c)
-        return np.add(np.matmul(F.T, (c @ coords) / len(c), out=out), res, out=out)
+        frame.  With a group's frames, c and out carry its member axis, and
+        every member lifts the one residual.  The gradient is written to
+        out; spare, of out's shape, holds the frame part on the way (the
+        residual when None, for a lone frame), and the residual is used up."""
+        F, n, res = self.F, c.shape[-1], self.res
+        c_row = c[..., None, :]
+        # (F @ res) @ F and (c @ coords / n) @ F are the gemv of F.T @ v
+        np.matmul((F @ res)[..., None, :], F, out=out[..., None, :])
+        np.subtract(res, out, out=out)
+        out *= np.sqrt(_dots(c, c)) / n
+        spare = res if spare is None else spare
+        np.matmul(np.matmul(c_row, coords) / n, F, out=spare[..., None, :])
+        return np.add(spare, out, out=out)
 
 
 # A run draws ahead only with this many schedule items or more, since the
@@ -438,15 +470,16 @@ class _Ahead:
     skips an item whose labelling raised, for the main to redo in line.
     While the worker ends an item the main needs, the main claims and draws
     the next items the worker has not started, and holds them, so the two
-    share the draws.  Either way the main gets the bits of an in-line draw,
-    and copies them out of a slot before releasing it."""
+    share the draws.  Either way the main gets the bits of an in-line draw.
+    The coordinates and labels it takes from a slot are views of it, which
+    stay put until the main releases the slot, when it takes the next item."""
 
     @classmethod
     def start(cls, ws: _Workspace, n_steps: int, batch_size: int, record_every: int):
         """The worker of a run with ws's frame, or None when the run stays in
         line: a run with fewer than _ENGAGE_ITEMS draws to take ahead, a
         ring slot over _RING_BYTES / 2, or no fork on this platform."""
-        f, d = ws.rows.shape
+        f, d = ws.rows.shape[-2:]
         steps = d <= _INLINE_D
         n_records = (1 + n_steps // record_every + (n_steps % record_every > 0)) if record_every else 0
         shapes = {_TRAIN_STREAM: (batch_size, f, d), _MEASURE_STREAM: (_TEST_SAMPLES_PER_RECORD, f, 0)}
@@ -464,6 +497,9 @@ class _Ahead:
         self.ctrl = memoryview(buf)[:8 * (2 + n_slots)].cast("q")
         self.slots = np.frombuffer(buf, offset=8 * (2 + n_slots)).reshape(n_slots, slot_len)
         self.shapes, self.streams = shapes, {_TRAIN_STREAM: ws.train, _MEASURE_STREAM: ws.measure}
+        # each slot's item as views, for each stream the schedule draws from
+        self.views = {stream: [_slot_item(slot, *shapes[stream]) for slot in self.slots]
+                      for stream, used in ((_TRAIN_STREAM, steps), (_MEASURE_STREAM, record_every)) if used}
         # the keys of items j, j + 1, ... as far as the main has looked ahead
         self.items, self.keys, self.j = _schedule(n_steps, record_every, steps), deque(), 0
         self.claimed, self.held = 0, {}  # items claimed; item -> its draw, made here
@@ -497,13 +533,15 @@ class _Ahead:
 
     def take(self, key, n: int, f: int, residual: bool, res: np.ndarray) -> tuple | None:
         """When key, a (stream, counter) pair, is the schedule's next item j,
-        claims it, and returns its (n, f) coordinates and the worker's labels
-        (None for a record, or for an item the main drew), with its residual
-        copied into res, if the worker or the main drew it ahead with that
-        shape.  Returns None for the main to draw the item in line otherwise."""
+        releases the items before it, claims it, and returns its (n, f)
+        coordinates and the worker's labels (None for a record, or for an
+        item the main drew), with its residual copied into res, if the worker
+        or the main drew it ahead with that shape.  Returns None for the main
+        to draw the item in line otherwise."""
         j = self.j
         if key != self.item(j):
             return None
+        self.ctrl[1] = j
         self.keys.popleft()
         self.j = j + 1
         drawn = self.held.pop(j, None)
@@ -513,15 +551,13 @@ class _Ahead:
             drawn = None  # the frame lost a row
         if drawn is not None and residual:
             res[:] = drawn[1]
-        self.ctrl[1] = j + 1
         return None if drawn is None else (drawn[0], drawn[2])
 
     def from_worker(self, j: int, stream: int):
-        """Item j out of its slot as (coordinates, residual, labels), the
-        coordinates and labels copied, once the worker has drawn it; None
-        when it skipped the item or died.  While it draws, the main draws the
-        next unclaimed items the worker has not started, up to two past j,
-        and holds them."""
+        """Item j's (coordinates, residual, labels), views of its slot, once
+        the worker has drawn it; None when it skipped the item or died.
+        While it draws, the main draws the next unclaimed items the worker
+        has not started, up to two past j, and holds them."""
         ctrl, status, spins = self.ctrl, 2 + j % len(self.slots), 0
         while ctrl[status] == 3 * j + 1:
             k = self.claimed
@@ -534,8 +570,7 @@ class _Ahead:
                     return None
         if ctrl[status] != 3 * j + 2:
             return None
-        coords, res, y = _slot_item(self.slots[j % len(self.slots)], *self.shapes[stream])
-        return coords.copy(), res, None if y is None else y.copy()
+        return self.views[stream][j % len(self.slots)]
 
     def draw(self, stream: int, counter: int):
         """The coordinates and residual of an item, drawn here by _draw, and
@@ -556,53 +591,279 @@ class _Ahead:
             )
 
 
-def _step(
-    cfg: SimConfig, s: SimState, u: float, w: np.ndarray, counter: int, square: bool,
-    ws: _Workspace, F: np.ndarray | None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One SGD step from magnitude u and direction w, in the geometry
-    (omega_star, omega_tilde) of s, on the batch of the training stream's
-    counter: drawn in full when F is None (the literal sampler), else as
-    frame coordinates plus one residual d-vector through the run's
-    workspace, whose frame F = ws.frame(w) the caller made.  The labels are
-    the task teacher's, squared when square (a curriculum's stage 1).
-    Returns the new u and w, and the residuals y - yhat of that batch at
-    (u, w), from which a record takes the batch's training error."""
-    B = cfg.batch_size
-    if F is None:
-        x = ws.train(counter).standard_normal((B, cfg.d))
-        a_star, a_w, a_tilde = x @ s.omega_star, x @ w, x @ s.omega_tilde
-        y = cfg.teacher.evaluate(a_star)
-    else:
-        # a_w and a_tilde through the frame coordinates of w (which may leave
-        # the frame only by rounding) and of the frozen part
-        x, y = ws.batch(ws.train, counter, B)
-        a_w, a_tilde = x @ (F @ w), x @ (F @ s.omega_tilde)
-    if square:
-        y = y ** 2  # transform_teacher's square, on the task teacher's labels
-    pre = a_tilde + u * a_w
-    k = cfg.student.pure_hermite_degree
-    if k is not None and k >= 2:
-        yhat, dpre = hermite_value_and_slope(k, pre)
-    else:
-        yhat, dpre = cfg.student.evaluate(pre), cfg.student.slope(pre)
-    eps = y - yhat
-    # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
-    c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
-    u_new = u + cfg.learning_rate * float((c * a_w).sum() / B)
-    # mean(c_i x_i), lifted to the batch-mean gradient as a d-vector on the
-    # subspace path; the fresh gradient array becomes the new w in place
-    w_new = (c @ x) / B if F is None else ws.lift(c, x, np.empty(cfg.d))
-    w_new *= cfg.learning_rate * u
-    np.add(w, w_new, out=w_new)
-    w_new /= math.sqrt(w_new @ w_new)
-    return u_new, w_new, eps
-
-
 def _teacher_label(cfg: SimConfig):
     """The labels of a batch from its frame coordinates, whose column 0 is w_star's."""
     evaluate = cfg.teacher.evaluate
     return lambda coords: evaluate(coords[:, 0])
+
+
+@dataclass(eq=False)
+class _Member:
+    """What a run of a lockstep group keeps to itself: its place i among
+    the configs, its config, its fixed vectors and initial (u, m), its
+    records (tuples in RunResult's field order) and its events."""
+
+    i: int
+    cfg: SimConfig
+    omega_star: np.ndarray
+    xi: np.ndarray | None
+    init_u: float
+    init_m: float
+    rows: list = field(default_factory=list)
+    exit_step: int | None = None
+    aligned_step: int | None = None
+    switch_step: int | None = None
+
+
+class _Lockstep:
+    """Runs that step together (configs with one _lockstep_key) as one
+    array program over a leading member axis: each member's direction w and
+    frozen part omega_tilde side by side in wt (G, 2, d), so that one
+    product projects both, and one workspace, whose rows hold each member's
+    frame (G, f, d); the members' magnitudes u, learning rates lr and
+    overlaps m = w . w_star are (G, 1) columns.  A lone run is the group of
+    one, stepped without the member axis: its views are 1-D rows and its
+    scalars NumPy scalars, so it takes the same NumPy calls as a group at
+    the cost of a run by itself.  step and advance make an SGD step, frame
+    and project the frames and frame coordinates it takes, held_out and
+    record the records; run goes through the configs' schedule, members
+    leaving on the way."""
+
+    def __init__(self, cfgs: list[SimConfig], states: list[SimState]):
+        cfg, s = cfgs[0], states[0]
+        G, d = len(cfgs), cfg.d
+        self.cfg, self.literal, self.lone = cfg, cfg.sampler == "literal", G == 1
+        self.col = () if self.lone else (G, 1)  # the shape of a per-member scalar
+        self.ws = _Workspace(cfg.seed, (s.omega_star, s.xi), 1, d, _teacher_label(cfg), (G,))
+        self.ws.F = None  # the frames of the current w, once made
+        self.star = self.ws.fixed[0]
+        self.lr = np.array([c.learning_rate for c in cfgs]).reshape(self.col)[()]
+        self.u = np.array([st.u for st in states]).reshape(self.col)[()]
+        self.wt = np.empty((G, 2, d))
+        for row, st in zip(self.wt, states):
+            row[0], row[1] = st.omega, st.omega_tilde
+        self.grad = self.p = self.u_next = self.eps = None
+        self.members: list[_Member] = []  # a run's, once it sets them
+        self.square = [c.curriculum is not None for c in cfgs]  # which members square their labels
+        self.bind()
+        self.m = _dots(self.w, self.star)
+
+    def bind(self) -> None:
+        """The views the kernel takes, made again when the members change:
+        wt, w, omega_tilde, the frame rows and their free rows v, without
+        the member axis for a lone run, and the scratch, which for a lone
+        run is the workspace's residual, as in orthonormal_frame and the
+        lift."""
+        ws, member = self.ws, 0 if self.lone else slice(None)
+        self.wtv, self.rows = self.wt[member], ws.rows[member]
+        self.w, self.tilde = self.wtv[..., 0, :], self.wtv[..., 1, :]
+        self.v = self.rows[..., len(ws.fixed), :]
+        self.scratch = ws.res if self.lone else np.empty(self.w.shape)
+
+    def project(self) -> np.ndarray:
+        """F @ w and F @ omega_tilde of each member, (2, f, 1) a member, made once per frame."""
+        if self.p is None:
+            self.p = np.matmul(self.ws.F[..., None, :, :], self.wtv[..., None])
+        return self.p
+
+    def frame(self) -> None:
+        """Makes each member's frame of (w_star, [xi,] w) as orthonormal_frame
+        would: w's residual against the fixed rows, normalized; against
+        w_star it takes m, which holds w . w_star, the dot product
+        orthonormal_frame takes.  Where that residual vanishes, a lone run's
+        frame drops the row, as orthonormal_frame does, and a member of a
+        larger group leaves it, to run alone."""
+        ws, v, scratch = self.ws, self.v, self.scratch
+        np.subtract(self.w, np.multiply(self.m, self.star, out=scratch), out=v)
+        for b in ws.fixed[1:]:  # xi, in mixed mode
+            v -= np.multiply(_dots(v, b), b, out=scratch)
+        nrm = np.sqrt(_dots(v, v))
+        kept = [n > 1e-10 for n in np.ravel(nrm).tolist()]
+        if all(kept):
+            v /= nrm
+            ws.F = self.rows
+        elif len(kept) == 1:
+            ws.F = self.rows[..., :len(ws.fixed), :]
+        else:
+            self.keep([j for j, k in enumerate(kept) if k])
+            return self.frame() if self.members else None
+        self.p = None
+
+    def step(self, counter: int, square=()) -> None:
+        """One SGD step of every member from its (u, w), in the geometry of
+        its omega_tilde, on the batch of the training stream's counter:
+        drawn in full by the literal sampler, else as frame coordinates plus
+        one residual d-vector through the workspace, with the frames frame()
+        made.  The labels are the task teacher's, squared for the members
+        that square names (a curriculum's stage 1).  Leaves the residuals
+        y - yhat of the batch at (u, w) in eps, from which a record takes
+        the batch's training error, the new magnitudes in u_next and the
+        batch-mean gradients in grad, for advance."""
+        cfg, ws, B = self.cfg, self.ws, self.cfg.batch_size
+        if self.grad is None:
+            # made here, once the run has let go of its initial states, so that
+            # a lone run's gradient reuses the memory of its initial omega_tilde
+            self.grad = np.empty(self.w.shape)
+        if self.literal:
+            x = ws.train(counter).standard_normal((B, cfg.d))
+            y = cfg.teacher.evaluate(x @ self.star)
+            a = np.matmul(x, self.wtv[..., None])
+        else:
+            # a_w and a_tilde through the frame coordinates of w (which may
+            # leave the frame only by rounding) and of the frozen part
+            x, y = ws.batch(ws.train, counter, B)
+            a = np.matmul(x, self.project())
+        a_w = a[..., 0, :, 0]
+        if any(square):
+            y2 = y ** 2  # transform_teacher's square, on the task teacher's labels
+            y = y2 if all(square) else np.where(np.array(square)[:, None], y2, y)
+        pre = a[..., 1, :, 0] + self.u * a_w
+        k = cfg.student.pure_hermite_degree
+        if k is not None and k >= 2:
+            yhat, dpre = hermite_value_and_slope(k, pre)
+        else:
+            yhat, dpre = cfg.student.evaluate(pre), cfg.student.slope(pre)
+        self.eps = eps = y - yhat
+        # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
+        c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
+        self.u_next = self.u + self.lr * (np.add.reduce(c * a_w, axis=-1).reshape(self.col)[()] / B)
+        # mean(c_i x_i), lifted to the batch-mean gradient as a d-vector on
+        # the subspace path
+        if self.literal:
+            np.divide(np.matmul(c[..., None, :], x)[..., 0, :], B, out=self.grad)
+        else:
+            ws.lift(c, x, self.grad, self.scratch)
+
+    def advance(self, into: np.ndarray | None = None) -> None:
+        """The new directions w + learning_rate * u * grad, renormalized,
+        over w (whose frames then go), or into the array into; their
+        overlaps with w_star go to m."""
+        new = self.w if into is None else into
+        self.grad *= self.lr * self.u
+        np.add(self.w, self.grad, out=new)
+        new /= np.sqrt(_dots(new, new))
+        self.m = _dots(new, self.star)
+        if into is None:
+            self.ws.F = self.p = None
+
+    def held_out(self, block: int, n: int) -> list[np.ndarray]:
+        """Squared errors (y - yhat)^2 of n fresh held-out samples at each
+        member's (u, w), in its geometry, one array per member.
+
+        The error depends on an input only through its projections onto
+        (w_star, [xi,] w), so the samples are drawn as (n, f) frame
+        coordinates from the measurement stream's counter block, which is
+        exact in law for both frozen modes, and labelled once for the
+        group; the frames are frame()'s.  Labels always come from the task
+        teacher, independent of any curriculum stage.  The student's side
+        goes member by member: at n = 10 000, every (G, n) temporary would
+        take fresh pages from the system.
+        """
+        coords, _ = self.ws.batch(self.ws.measure, block, n, residual=False)
+        y, student, p = self.cfg.teacher.evaluate(coords[:, 0]), self.cfg.student, self.project()
+        return [(y - student.evaluate(coords @ q[1, :, 0] + u * (coords @ q[0, :, 0]))) ** 2
+                for u, q in zip(np.ravel(self.u), p.reshape((-1,) + p.shape[-3:]))]
+
+    def record(self, step: int) -> None:
+        """Appends each member's record at step: its order parameters
+        (geometry read off the actual vectors, so the mixed frozen mode
+        reports its true preactivation variance), the training error of the
+        batch of eps, and a held-out Monte Carlo test error."""
+        combined = np.add(self.tilde, np.multiply(self.w, self.u, out=self.scratch), out=self.scratch)
+        test = [np.mean(sq) for sq in self.held_out(step, _TEST_SAMPLES_PER_RECORD)]
+        train = np.add.reduce(self.eps * self.eps, axis=-1) / self.cfg.batch_size
+        values = (self.u, self.m, _dots(combined, self.star), _dots(combined, combined), train, test)
+        for member, row in zip(self.members, zip(*(np.ravel(v).tolist() for v in values))):
+            member.rows.append((float(step),) + row)
+
+    def keep(self, js: list[int]) -> None:
+        """Keeps the members js only, in that order (a lone run has none to keep)."""
+        self.members = [self.members[j] for j in js]
+        if not js:
+            return
+        self.square = [self.square[j] for j in js]
+        self.col = (len(js), 1)
+        for name in ("lr", "u", "u_next", "m", "wt", "grad", "eps", "p"):
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[js])
+        ws = self.ws
+        ws.rows = ws.rows[js]
+        self.bind()
+        if ws.F is not None:
+            ws.F = self.rows[..., :ws.F.shape[-2], :]
+
+    def result(self, j: int, step: int) -> RunResult:
+        """Member j's RunResult, its final state the current one, at step."""
+        member = self.members[j]
+        wt = self.wt[j] if len(self.wt) == 1 else self.wt[j].copy()
+        return RunResult(
+            *map(np.array, zip(*member.rows)),
+            exit_step=member.exit_step,
+            aligned_step=member.aligned_step,
+            switch_step=member.switch_step,
+            init_u=member.init_u,
+            init_m=member.init_m,
+            final_state=SimState(float(np.ravel(self.u)[j]), wt[0], member.omega_star, wt[1], member.xi, step),
+        )
+
+    def leave(self, js: list[int], outcomes: list, outcome) -> None:
+        """Members js leave the group, each with outcome(j) at its place in outcomes."""
+        for j in js:
+            outcomes[self.members[j].i] = outcome(j)
+        self.keep([j for j in range(len(self.members)) if j not in js])
+
+    def run(self, outcomes: list) -> None:
+        """Steps the members through their configs' schedule, and puts into
+        outcomes, at each member's place, its RunResult or the
+        NumericalBlowupError its run raises; a member that leaves to run
+        alone leaves its place None."""
+        cfg, ws = self.cfg, self.ws
+        # the literal sampler draws in line, records and all
+        with ws.drawing_ahead(0 if self.literal else cfg.n_steps, cfg.batch_size, cfg.record_every):
+            for step in range(1, cfg.n_steps + 1):
+                if not self.literal and ws.F is None:
+                    self.frame()  # each state's frame is made once
+                    if not self.members:
+                        break
+                self.step(step - 1, self.square)
+                if step == 1:
+                    # the initial state is paired with the first batch's error
+                    if ws.F is None:
+                        self.frame()
+                        if not self.members:
+                            break
+                    self.record(0)
+                self.advance()
+                self.u = self.u_next
+                us, ms = np.ravel(self.u).tolist(), np.ravel(self.m).tolist()
+                # false for NaN as well as for magnitudes beyond the limit
+                blown = [j for j, (u, m) in enumerate(zip(us, ms))
+                         if not (abs(u) <= BLOWUP_LIMIT and math.isfinite(m))]
+                if blown:
+                    self.leave(blown, outcomes, lambda j: NumericalBlowupError(f"SGD diverged at step {step}"))
+                if self.members and (step % cfg.record_every == 0 or step == cfg.n_steps):
+                    # training error of the batch this step consumed, paired
+                    # with the post-update state, whose frame the next step reuses
+                    self.frame()
+                    self.record(step)
+                if len(us) != len(self.members):
+                    us, ms = np.ravel(self.u).tolist(), np.ravel(self.m).tolist()
+                stopped = []
+                for j, (member, u, m) in enumerate(zip(self.members, us, ms)):
+                    if member.exit_step is None and max(abs(u), abs(m)) >= member.cfg.mu:
+                        member.exit_step = step
+                    if self.square[j] and m >= member.cfg.curriculum.switch_threshold:
+                        self.square[j], member.switch_step = False, step
+                    if member.aligned_step is None and m >= member.cfg.align_threshold:
+                        member.aligned_step = step
+                        if member.cfg.stop_when_aligned:
+                            stopped.append(j)
+                if stopped:
+                    self.leave(stopped, outcomes, lambda j: self.result(j, step))
+                if not self.members:
+                    break
+        for j, member in enumerate(self.members):
+            outcomes[member.i] = self.result(j, step)
 
 
 def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = None) -> SimState:
@@ -611,37 +872,15 @@ def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = N
     This is the reference implementation of the update contract; the
     subspace sampler reproduces its law at O(batch + d) cost.
     """
-    if teacher is not None:
-        cfg = replace(cfg, teacher=teacher)
-    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
-    u, w, _ = _step(cfg, state, state.u, state.omega, state.step, False, ws, None)
-    return SimState(u, w, state.omega_star, state.omega_tilde, state.xi, state.step + 1)
+    cfg = replace(cfg, sampler="literal", teacher=cfg.teacher if teacher is None else teacher)
+    group = _Lockstep([cfg], [state])
+    group.step(state.step)
+    w = np.empty(cfg.d)
+    group.advance(w)
+    return SimState(float(group.u_next), w, state.omega_star, state.omega_tilde, state.xi, state.step + 1)
 
 
 _TEST_SAMPLES_PER_RECORD = 10_000
-
-
-def _held_out_errors(
-    cfg: SimConfig, s: SimState, u: float, w: np.ndarray, n: int, block: int, ws: _Workspace,
-    F: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared errors (y - yhat)^2 of n fresh held-out samples at magnitude
-    u and direction w, in the geometry of s.
-
-    The error depends on an input only through its projections onto
-    (w_star, [xi,] w), so the samples are drawn as (n, f) frame coordinates
-    from the measurement stream's counter block, which is exact in law for
-    both frozen modes; F is the frame ws.frame(w) when the caller has made
-    it already.  Labels always come from the task teacher, independent of
-    any curriculum stage.
-    """
-    if F is None:
-        F = ws.frame(w)
-    w_coords, tilde_coords = F @ w, F @ s.omega_tilde
-    coords, _ = ws.batch(ws.measure, block, n, residual=False)
-    y = cfg.teacher.evaluate(coords[:, 0])
-    yhat = cfg.student.evaluate(coords @ tilde_coords + u * (coords @ w_coords))
-    return (y - yhat) ** 2
 
 
 class TestMseEstimate(NamedTuple):
@@ -665,8 +904,9 @@ def measure_test_mse(
     prediction, so the gap between the two columns is itself the
     concentration statement.
     """
-    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d)
-    sq = _held_out_errors(cfg, state, state.u, state.omega, int(n_samples), block, ws)
+    group = _Lockstep([cfg], [state])
+    group.frame()
+    [sq] = group.held_out(block, int(n_samples))
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
     model = ModelConfig(teacher=cfg.teacher, student=cfg.student, mu=cfg.mu, k_max=cfg.k_max)
@@ -702,6 +942,63 @@ class RunResult:
     final_state: SimState
 
 
+def _lockstep_key(cfg: SimConfig) -> tuple:
+    """All of a config that decides its run's draws, its labels and its step
+    formula: configs with one key can step together, whatever their mu,
+    learning rate, initial u and m, align threshold, curriculum and stop."""
+    return (cfg.seed, cfg.d, cfg.batch_size, cfg.n_steps, cfg.record_every, cfg.sampler,
+            cfg.frozen_mode, cfg.objective, cfg.teacher, cfg.student)
+
+
+def lockstep_groups(cfgs) -> list[list[int]]:
+    """The indices of cfgs by lockstep group (one _lockstep_key), in order of
+    first appearance.  Activation specs are keyed by their functions, so
+    configs step together only when they share their specs' objects."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_lockstep_key(cfg), []).append(i)
+    return list(groups.values())
+
+
+def _run_group(cfgs: list[SimConfig]) -> list:
+    """The outcome of each config of one lockstep group, stepped together
+    (_Lockstep.run): its RunResult, the exception its run raised, or None
+    for a member that left to run alone.  A member whose init fails leaves
+    with that exception."""
+    outcomes: list = [None] * len(cfgs)
+    started: dict[int, SimState] = {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            started[i] = init_state(cfg)
+        except Exception as exc:
+            outcomes[i] = exc
+    if started:
+        group = _Lockstep([cfgs[i] for i in started], list(started.values()))
+        group.members = [_Member(i, cfgs[i], s.omega_star, s.xi, s.u, s.m) for i, s in started.items()]
+        started.clear()  # a lone run lets go of its initial omega_tilde, which wt holds
+        group.run(outcomes)
+    return outcomes
+
+
+def run_lockstep(cfgs) -> list[RunResult | Exception | None]:
+    """run_simulation of each config of one lockstep group (lockstep_groups),
+    stepped together: per config its RunResult, or the exception its run
+    raises, bit for bit those of its run alone; or None for a config that
+    must run alone, which is every config when a warning fired or an
+    operation raised in the group (so that each run's warnings and errors
+    are its own), and a config whose frame lost a row."""
+    cfgs = list(cfgs)
+    if len(lockstep_groups(cfgs)) != 1:
+        raise ValueError("run_lockstep takes the configs of one lockstep group")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcomes = _run_group(cfgs)
+        except Exception:
+            outcomes = None
+    return [None] * len(cfgs) if caught or outcomes is None else outcomes
+
+
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Run one-pass SGD for cfg.n_steps steps (or until aligned, if asked).
 
@@ -710,71 +1007,12 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     preactivation variance), the batch training error of the step just
     taken, and a fresh held-out Monte Carlo test error.  Raises
     NumericalBlowupError when u or m stops being finite or |u| exceeds
-    BLOWUP_LIMIT.
+    BLOWUP_LIMIT.  It is the lockstep group of one (_Lockstep).
     """
-    state = init_state(cfg)
-    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d, _teacher_label(cfg))
-    literal = cfg.sampler == "literal"
-    mu = cfg.mu
-
-    rows: list[tuple[float, ...]] = []  # one per record, in RunResult's field order
-
-    def record(step: int, u: float, w: np.ndarray, m: float, eps: np.ndarray, F) -> None:
-        # combined = omega_tilde + u * omega, in the workspace's scratch
-        combined = np.add(state.omega_tilde, np.multiply(w, u, out=ws.res), out=ws.res)
-        m_eff, r = float(combined @ state.omega_star), float(combined @ combined)
-        test = _held_out_errors(cfg, state, u, w, _TEST_SAMPLES_PER_RECORD, step, ws, F)
-        rows.append((
-            float(step), u, m, m_eff, r,
-            float((eps * eps).sum()) / cfg.batch_size, float(np.mean(test)),
-        ))
-
-    square = cfg.curriculum is not None  # stage 1 squares the labels
-    exit_step = aligned_step = switch_step = None
-    u, w, m = state.u, state.omega, state.m
-    init_u, init_m = u, m
-    F = None  # the frame of w, once made; each state's frame is made once
-
-    # the literal sampler draws in line, records and all
-    with ws.drawing_ahead(0 if literal else cfg.n_steps, cfg.batch_size, cfg.record_every):
-        for step in range(1, cfg.n_steps + 1):
-            if literal:
-                F = None  # it draws x in full; only its records take a frame
-            elif F is None:
-                F = ws.frame(w)
-            u_new, w_new, eps = _step(cfg, state, u, w, step - 1, square, ws, F)
-            if step == 1:
-                # the initial state is paired with the first batch's error
-                record(0, u, w, m, eps, F)
-            u, w, F = u_new, w_new, None
-            m = float(w @ state.omega_star)
-            # false for NaN as well as for magnitudes beyond the limit
-            if not (abs(u) <= BLOWUP_LIMIT and math.isfinite(m)):
-                raise NumericalBlowupError(f"SGD diverged at step {step}")
-            if step % cfg.record_every == 0 or step == cfg.n_steps:
-                # training error of the batch this step consumed, paired with
-                # the post-update state, whose frame the next step reuses
-                F = ws.frame(w)
-                record(step, u, w, m, eps, F)
-            if exit_step is None and max(abs(u), abs(m)) >= mu:
-                exit_step = step
-            if square and m >= cfg.curriculum.switch_threshold:
-                square = False
-                switch_step = step
-            if aligned_step is None and m >= cfg.align_threshold:
-                aligned_step = step
-                if cfg.stop_when_aligned:
-                    break
-
-    return RunResult(
-        *map(np.array, zip(*rows)),
-        exit_step=exit_step,
-        aligned_step=aligned_step,
-        switch_step=switch_step,
-        init_u=init_u,
-        init_m=init_m,
-        final_state=SimState(u, w, state.omega_star, state.omega_tilde, state.xi, step),
-    )
+    [outcome] = _run_group([cfg])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class DriftEstimate(NamedTuple):
@@ -798,12 +1036,15 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m
-    ws = _Workspace(cfg.seed, (state.omega_star, state.xi), 1, cfg.d, _teacher_label(cfg))
-    F = None if cfg.sampler == "literal" else ws.frame(state.omega)  # the state's, made once
+    group = _Lockstep([cfg], [state])
+    if not group.literal:
+        group.frame()  # the state's, made once
+    w = np.empty(cfg.d)
     for j in range(n_batches):
-        u, w, _ = _step(cfg, state, state.u, state.omega, j, False, ws, F)
-        du[j] = u - state.u
-        dm[j] = float(w @ state.omega_star) - m0
+        group.step(j)
+        group.advance(w)
+        du[j] = group.u_next - state.u
+        dm[j] = group.m - m0
     return DriftEstimate(
         du=float(np.mean(du)),
         dm=float(np.mean(dm)),

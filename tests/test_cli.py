@@ -774,6 +774,63 @@ _HEADERS = {
 }
 
 
+# the CSVs of plans whose cells of one seed step together (two mu, two
+# seeds), pinned as each cell wrote them when every cell ran alone
+_GROUPED = {
+    "sgd": {
+        "sgd_linear_mu0.3_s0.csv": "731d7a270b2f8f6533ea1419f6487427b1c1a42d7130a88b877900f9ff6de7a2",
+        "sgd_linear_mu0.3_s1.csv": "24ad7afc0dcc61ca25cbdb741917ab366707e8ec106be1bdc9bc229250328845",
+        "sgd_linear_mu0.6_s0.csv": "7a019d0028ea88ad1ad00b1282ff2b3abbeb1bfdf49d7181230269a2e0ae23ab",
+        "sgd_linear_mu0.6_s1.csv": "6a297477332314050b7942f3c16e66d74dab98e2e100a2fcedc7c911e8e9d382",
+        "sgd_summary.csv": "5eec88bd48295b9460210057dc3786cd373a3fd4a08a3a000a9cbc488f775aec",
+    },
+    "curriculum": {
+        "curriculum_hermite3_mu0.3_s0.csv": "49d5948c263e54d10a73575cc6afb3179aa08c52ebf29f5e15122bb12e4c54d8",
+        "curriculum_hermite3_mu0.3_s1.csv": "8d61eb35c878e27d30442630cde77b1540e8c4456f97f82619b763ffc5e98e07",
+        "curriculum_hermite3_mu0.6_s0.csv": "e27a93f7b3c24542c8af22b40133f9ffeedfdb7dc4b21d1e6203f022e7b07e15",
+        "curriculum_hermite3_mu0.6_s1.csv": "28dab704b56e3e111ad05903523c087559f76837406dae3d2ca083e0be7425b0",
+        "sgd_summary.csv": "14889fc4f5516cdc961e8cabe3e948551911f8bd0d21365689564050682e4356",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPED))
+def test_cells_in_lockstep_write_the_csvs_of_cells_run_alone(tmp_path, name):
+    argv = [name, "--mu", "0.3,0.6", "--seeds", "0,1", "--d", "100", "--batch-size", "20",
+            "--n-steps", "5", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(_GROUPED[name])
+    for csv_name, sha256 in _GROUPED[name].items():
+        assert hashlib.sha256(read(tmp_path / csv_name).encode()).hexdigest() == sha256, csv_name
+    cells = json.loads(read(tmp_path / "manifest.json"))["cells"]
+    groups = {seed: [c["name"] for c in cells[:4] if c["name"].endswith(f"_s{seed}")] for seed in (0, 1)}
+    assert [c.get("lockstep") for c in cells] == [groups[0], groups[1], groups[0], groups[1], None]
+
+
+@pytest.mark.parametrize("rate, mus", [
+    ("1.15", ("0.1", "0.9")),  # the first diverges at step 177, in lockstep
+    ("1e200", ("0.2", "0.8")),  # both overflow, with a warning, so each runs alone
+])
+def test_a_cell_in_lockstep_gets_the_entry_of_its_one_cell_plan(tmp_path, rate, mus):
+    common = ["--learning-rate", rate, "--d", "100", "--batch-size", "20", "--n-steps", "200",
+              "--record-every", "10"]
+    assert main(["sgd", "--mu", ",".join(mus), *common, "--out", str(tmp_path / "both")]) == EXIT_BLOWUP
+    together = json.loads(read(tmp_path / "both" / "manifest.json"))["cells"]
+    for mu, cell in zip(mus, together):
+        main(["sgd", "--mu", mu, *common, "--out", str(tmp_path / mu)])
+        alone = json.loads(read(tmp_path / mu / "manifest.json"))["cells"][0]
+        for key in ("name", "status", "error", "warnings", "files", "summary"):
+            assert cell.get(key) == alone.get(key), key
+        for name in cell["files"]:
+            assert read(tmp_path / "both" / name) == read(tmp_path / mu / name)
+    if rate == "1.15":
+        assert [c["status"] for c in together] == ["blowup", "ok", "ok"]  # and the summary
+        assert together[0]["lockstep"] == together[1]["lockstep"] == [c["name"] for c in together[:2]]
+    else:
+        assert [c["warnings"] for c in together] == [{"RuntimeWarning": 1}] * 2
+        assert not any("lockstep" in c for c in together)
+
+
 def test_every_subcommand_keeps_its_csv_header():
     assert sorted(_HEADERS) == sorted(spec.name for spec in SUBCOMMANDS)
 

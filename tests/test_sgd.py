@@ -27,14 +27,14 @@ from searchphase.sgd import (
     SimState,
     _MEASURE_STREAM,
     _TRAIN_STREAM,
-    _Workspace,
-    _step,
-    _teacher_label,
+    _Lockstep,
     counter_stream,
     epoch_time_scale,
     init_state,
+    lockstep_groups,
     measure_drift,
     measure_test_mse,
+    run_lockstep,
     run_simulation,
     scaled_learning_rate,
     sgd_step,
@@ -80,6 +80,14 @@ def test_a_non_finite_rate_or_magnitude_is_refused(field, value):
     with pytest.raises(ValueError, match=field):
         SimConfig(**{**dict(teacher=LINEAR, student=LINEAR, mu=0.5, d=100, batch_size=10,
                             learning_rate=0.1, n_steps=5), field: value})
+
+
+@pytest.mark.parametrize("overlap", [-1.0, 1.0, 1.5, math.nan])
+def test_an_initial_overlap_outside_the_open_interval_is_refused(overlap):
+    # init_state used to refuse it only once the run had begun
+    with pytest.raises(ValueError, match="init_overlap"):
+        SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=100, batch_size=10,
+                  learning_rate=0.1, n_steps=5, init_overlap=overlap)
 
 
 def test_counter_rng_is_deterministic_and_separated():
@@ -397,12 +405,16 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
     later = run_simulation(replace(cfg, seed=1, n_steps=9))
     assert _state_bytes(first.final_state) == kept
     s0 = init_state(cfg)
-    ws = _Workspace(cfg.seed, (s0.omega_star, s0.xi), 1, cfg.d, _teacher_label(cfg))
-    assert ws.rows.shape == (2 + (frozen_mode == "mixed"), cfg.d)  # w_star, [xi,] w
+    group = _Lockstep([cfg], [s0])
+    ws = group.ws
+    assert ws.rows.shape == (1, 2 + (frozen_mode == "mixed"), cfg.d)  # w_star, [xi,] w
+    group.frame()
 
-    def step(s):
-        u, w, _ = _step(cfg, s0, s.u, s.omega, s.step, False, ws, ws.frame(s.omega))
-        return SimState(u, w, s0.omega_star, s0.omega_tilde, s0.xi, s.step + 1)
+    def step(s):  # a step of the kernel from s0, on the batch of s's step, into a new w
+        group.step(s.step)
+        w = np.empty(cfg.d)
+        group.advance(w)
+        return SimState(float(group.u_next), w, s0.omega_star, s0.omega_tilde, s0.xi, s.step + 1)
 
     s1 = step(s0)
     kept = _state_bytes(s1)
@@ -413,12 +425,18 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
         return [a for a in (s.omega, s.omega_star, s.omega_tilde, s.xi) if a is not None]
 
     runs = [fields(first.final_state), fields(later.final_state), fields(s0) + [s1.omega, s2.omega]]
-    buffers = [ws.rows, ws.res]
+    buffers = [ws.rows, ws.res, group.wt, group.grad, group.scratch]
     for i, run in enumerate(runs):
         others = [a for other in runs[i + 1:] for a in other] + buffers
         assert not any(np.shares_memory(a, b) for a in run for b in others)
     for w in (s0.omega, s1.omega, s2.omega):
         assert not any(np.shares_memory(w, b) for b in runs[2] if b is not w)
+    # lockstep members: each member's RunResult and final state own their arrays
+    members = run_lockstep([cfg, replace(cfg, mu=0.5), replace(cfg, mu=0.7, learning_rate=0.05)])
+    owned = [[a for a in _arrays(r) if a.dtype != object] for r in members]
+    for i, own in enumerate(owned):
+        others = [a for other in owned[i + 1:] for a in other] + buffers
+        assert not any(np.shares_memory(a, b) for a in own for b in others)
 
 
 def test_seeds_above_2_63_key_distinct_streams():
@@ -557,6 +575,108 @@ def test_drawing_ahead_keeps_every_bit(monkeypatch):
     assert inline[True] < inline[False]  # the worker drew some of the batches
     assert labelled[:len(runs)] == [0] * len(runs)  # no worker, no labels from one
     assert all(n > 0 for n in labelled[len(runs):])  # and each run took some of its labels
+
+
+def _outcome(cfg):
+    """run_simulation(cfg), or the NumericalBlowupError it raises."""
+    try:
+        return run_simulation(cfg)
+    except NumericalBlowupError as exc:
+        return exc
+
+
+def _lockstep_groups():
+    """Lockstep groups of three, named by what their members differ in."""
+    mse = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=200, batch_size=50, learning_rate=0.1,
+                    n_steps=300, record_every=7, k_max=20)
+    mixed = replace(mse, frozen_mode="mixed", objective="correlation")
+    curriculum = _DRAW_AHEAD_RUNS["curriculum"]
+    stop = _DRAW_AHEAD_RUNS["stop when aligned"]
+    blowup = SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=200, batch_size=50,
+                       learning_rate=0.05, n_steps=300, record_every=10, k_max=2)
+    literal = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=100, batch_size=50, learning_rate=0.1,
+                        n_steps=60, record_every=7, k_max=20, sampler="literal")
+    return {
+        "aligned mse": [mse, replace(mse, mu=0.6), replace(mse, mu=0.2, init_magnitude=0.3)],
+        "mixed correlation": [mixed, replace(mixed, mu=0.6), replace(mixed, learning_rate=0.2)],
+        # the third switches at once: its threshold is below its initial m
+        "curriculum": [curriculum, replace(curriculum, init_overlap=0.4),
+                       replace(curriculum, mu=0.3, curriculum=Curriculum(0.4))],
+        "stop when aligned": [stop, replace(stop, mu=0.3), replace(stop, mu=0.7, learning_rate=0.25)],
+        "blowup": [blowup, replace(blowup, learning_rate=1.2), replace(blowup, mu=0.7)],
+        "literal": [literal, replace(literal, mu=0.6), replace(literal, learning_rate=0.2)],
+    }
+
+
+@pytest.mark.parametrize("on", [False, True])
+@pytest.mark.parametrize("name", sorted(_lockstep_groups()))
+def test_lockstep_members_get_the_bits_of_their_runs_alone(monkeypatch, name, on):
+    _engage(monkeypatch, on)
+    cfgs = _lockstep_groups()[name]
+    assert lockstep_groups(cfgs) == [[0, 1, 2]]
+    alone = [_outcome(cfg) for cfg in cfgs]
+    together = run_lockstep(cfgs)
+    for a, b in zip(alone, together):
+        if isinstance(a, Exception):
+            assert type(b) is type(a) and str(b) == str(a)
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+    if name == "curriculum":
+        assert len({r.switch_step for r in alone}) == 3
+    if name == "stop when aligned":
+        assert len({r.final_state.step for r in alone}) == 3
+        assert all(r.final_state.step == r.aligned_step < 400 for r in alone)
+    if name == "blowup":
+        assert [type(r) for r in alone] == [sgd_module.RunResult, NumericalBlowupError,
+                                            sgd_module.RunResult]
+        assert str(alone[1]) == "SGD diverged at step 71"
+
+
+def test_lockstep_groups_follow_the_draws_and_the_step_formula():
+    base = _DRAW_AHEAD_RUNS["aligned re1"]
+    cfgs = [base, replace(base, mu=0.6, learning_rate=0.2, init_overlap=0.3, align_threshold=0.9,
+                          stop_when_aligned=True, curriculum=Curriculum(0.5), k_max=5),
+            replace(base, seed=1), replace(base, record_every=2), replace(base, objective="correlation"),
+            replace(base, teacher=builtin("erf"), student=builtin("erf")), replace(base, mu=0.2)]
+    # a spec made anew is another teacher to the key, though it labels alike
+    assert lockstep_groups(cfgs) == [[0, 1, 6], [2], [3], [4], [5]]
+    with pytest.raises(ValueError, match="one lockstep group"):
+        run_lockstep(cfgs[:3])
+
+
+@pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
+def test_a_member_whose_frame_loses_its_row_leaves_the_group(frozen_mode):
+    # w on w_star has no residual off the fixed rows: a lone run's frame
+    # drops the row, as orthonormal_frame does, and a member of a larger
+    # group leaves it, to run alone, while the others step on
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=50, batch_size=20, learning_rate=0.1,
+                    n_steps=5, k_max=20, frozen_mode=frozen_mode)
+    f = 2 + (frozen_mode == "mixed")
+    for cfgs in ([cfg], [cfg, replace(cfg, mu=0.6)]):
+        states = [init_state(c) for c in cfgs]
+        group = _Lockstep(cfgs, states)
+        group.members = [sgd_module._Member(i, c, s.omega_star, s.xi, s.u, s.m)
+                         for i, (c, s) in enumerate(zip(cfgs, states))]
+        group.wt[0, 0] = states[0].omega_star
+        group.m = sgd_module._dots(group.w, states[0].omega_star)
+        group.frame()
+        if len(cfgs) == 1:
+            assert group.ws.F.shape == (f - 1, cfg.d)
+        else:
+            assert [m.i for m in group.members] == [1] and group.ws.F.shape == (1, f, cfg.d)
+        group.step(0)
+        group.advance()
+        group.frame()
+        assert group.ws.F.shape[-2] == f  # the stepped w is off w_star again
+
+
+def test_a_lockstep_group_that_warns_leaves_every_member_to_run_alone():
+    steep = ActivationSpec("steep sigmoid", lambda z: 1.0 / (1.0 + np.exp(-300.0 * z)), None)
+    cfg = SimConfig(teacher=steep, student=ERF, mu=0.4, d=200, batch_size=40, learning_rate=0.05,
+                    n_steps=30, record_every=30, k_max=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # none reaches the caller
+        assert run_lockstep([cfg, replace(cfg, mu=0.6)]) == [None, None]
 
 
 @pytest.mark.parametrize("teacher", [

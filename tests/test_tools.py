@@ -14,7 +14,7 @@ def _bitdump():
     return module
 
 
-def test_bitdump_hashes_one_item_of_each_kind(capsys):
+def test_bitdump_hashes_one_item_of_each_kind(capsys, monkeypatch):
     bitdump = _bitdump()
     firsts = [next(make()) for make in bitdump.KINDS.values()]
     for name, thunk in firsts:
@@ -25,6 +25,16 @@ def test_bitdump_hashes_one_item_of_each_kind(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ", 1)[1] for line in lines] == sgd
     assert lines[0].split()[0] == lines[1].split()[0]
+    # the first SGD run alone and as the middle member of a lockstep group:
+    # one hash, and a member that leaves its group fails the dump
+    pair = ["sgd/linear aligned stop worker=off", "lockstep/linear aligned stop worker=off"]
+    assert bitdump.main(pair) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[1] for line in lines] == pair
+    assert lines[0].split()[0] == lines[1].split()[0]
+    monkeypatch.setattr(bitdump, "run_lockstep", lambda cfgs: [None] * len(cfgs))
+    assert bitdump.main(pair[1:]) == 1
+    assert "differs" in capsys.readouterr().err
     # a value, a warning and an error each change the hash
     digests = {bitdump.digest(lambda: 1.0), bitdump.digest(lambda: 2.0),
                bitdump.digest(lambda: __import__("warnings").warn("w") or 1.0),

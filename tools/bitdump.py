@@ -7,7 +7,10 @@ every array, scalar and warning (category and message) that the item
 produced, then its name.  Items are reduced flows, oscillators, committee
 flows, SGD runs, committee SGD runs and series values; each SGD and
 committee SGD run is dumped twice, with the draw-ahead worker forced off
-and forced on, so the two lines of a run must match.  Given prefixes, only
+and forced on, so the two lines of a run must match.  Last come the SGD
+runs again, each as the middle member of a lockstep group whose other
+members differ from it in mu alone; the script exits with status 1 when
+such a line differs from the line of the run alone.  Given prefixes, only
 the items whose names start with one of them run.
 
 A change that must keep every bit runs the dump at its parent commit and
@@ -49,6 +52,7 @@ from searchphase import (  # noqa: E402
     measure_test_mse,
     oscillator_trajectory,
     population_loss,
+    run_lockstep,
     run_simulation,
     scaled_learning_rate,
 )
@@ -188,6 +192,25 @@ def _sgd_runs():
         yield f"measure_drift {sampler}", partial(measure_drift, cfg, init_state(cfg), 50)
 
 
+def _lockstep(on: bool, cfg):
+    """cfg's outcome as the middle member of a lockstep group with siblings
+    at mu 0.25 and 0.75, the worker forced on or off; raises when cfg left
+    the group to run alone."""
+    group = [dataclasses.replace(cfg, mu=0.25), cfg, dataclasses.replace(cfg, mu=0.75)]
+    outcome = _worker(on, run_lockstep, group)[1]
+    if outcome is None:
+        raise RuntimeError("the run left its lockstep group")
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _lockstep_runs():
+    for name, cfg in _SGD.items():
+        for on in (False, True):
+            yield f"{name} worker={'on' if on else 'off'}", partial(_lockstep, on, cfg)
+
+
 def _committee_runs():
     runs = {
         "rank1 small": CommitteeConfig(mu=(0.5, 1.0), rank=1, d=60, batch_size=50, n_steps=40,
@@ -231,6 +254,7 @@ KINDS = {
     "sgd": _sgd_runs,
     "committee_sgd": _committee_runs,
     "series": _series,
+    "lockstep": _lockstep_runs,
 }
 
 
@@ -243,10 +267,20 @@ def items():
 
 def main(argv=None) -> int:
     prefixes = tuple(sys.argv[1:] if argv is None else argv)
-    for name, thunk in items():
-        if not prefixes or name.startswith(prefixes):
-            print(digest(thunk), name, flush=True)
-    return 0
+    thunks, hashes, code = dict(items()), {}, 0
+    for name, thunk in thunks.items():
+        if prefixes and not name.startswith(prefixes):
+            continue
+        hashes[name] = digest(thunk)
+        print(hashes[name], name, flush=True)
+        if name.startswith("lockstep/"):
+            alone = "sgd/" + name.split("/", 1)[1]
+            if alone not in hashes:
+                hashes[alone] = digest(thunks[alone])
+            if hashes[alone] != hashes[name]:
+                print(f"{name} differs from {alone}", file=sys.stderr)
+                code = 1
+    return code
 
 
 if __name__ == "__main__":
