@@ -585,25 +585,23 @@ def _execute_lockstep(plan: ExperimentPlan, cells: list[Cell]) -> list[dict]:
     """The entries of SGD cells, whose configs (built with one activation
     spec) step together in the groups sgd.lockstep_groups forms.  A group of
     two or more runs in lockstep (sgd.run_lockstep) before its cells'
-    _execute, which tables each member's own outcome, and each of its
-    entries adds its share of the group's seconds to its wall time.  The
-    entry of a cell that stepped in lockstep lists the names of the group's
-    cells under "lockstep"; a cell the group left to run alone (its outcome
-    None), and a group of one, runs inside its _execute."""
+    _execute, which tables each member's own outcome; each of its entries
+    adds its share of the group's seconds to its wall time, and lists the
+    names of the group's cells under "lockstep" when the group answered.
+    The cells of a group that did not answer (None), and a group of one,
+    run inside their _execute."""
     act = builtin(plan.values["activation"])
     configs = [_sim_config(plan, cell, act) for cell in cells]
     entries: list = [None] * len(cells)
     for group in lockstep_groups(configs):
-        outcomes, share = [None] * len(group), 0.0
-        if len(group) > 1:
-            start = time.perf_counter()
-            outcomes = run_lockstep([configs[i] for i in group])
-            share = (time.perf_counter() - start) / len(group)
-        for i, outcome in zip(group, outcomes):
+        start = time.perf_counter()
+        outcomes = run_lockstep([configs[i] for i in group]) if len(group) > 1 else None
+        share = (time.perf_counter() - start) / len(group)
+        for i, outcome in zip(group, outcomes or [None] * len(group)):
             entry = _execute(plan, cells[i].name,
                              partial(_headed, plan, cells[i], partial(_run_sgd_cell, configs[i], outcome)))
             entry["wall_time"] += share
-            if outcome is not None:
+            if outcomes:
                 entry["lockstep"] = [cells[j].name for j in group]
             entries[i] = entry
     return entries
@@ -654,22 +652,6 @@ def _openblas(getter: str, restype):
     return None
 
 
-def _openblas_threads() -> int | None:
-    """The thread count of NumPy's bundled OpenBLAS (None where there is none)."""
-    import ctypes
-
-    return _openblas("get_num_threads", ctypes.c_int)
-
-
-def _openblas_core() -> str | None:
-    """The name of the CPU core NumPy's bundled OpenBLAS chose its kernels
-    for, say SkylakeX (None where there is none)."""
-    import ctypes
-
-    core = _openblas("get_corename", ctypes.c_char_p)
-    return None if core is None else core.decode()
-
-
 def _scipy_version() -> str:
     """SciPy's version from the name of the dist-info directory beside the
     package an import would load, found without importing SciPy (and
@@ -692,22 +674,25 @@ def provenance() -> dict:
     its installed files, so a run that needs no SciPy still never imports
     it.  A value that cannot be read is None.  Cached, so every caller gets
     the one dict: copy it before changing it."""
+    import ctypes
     import platform
 
     from . import __version__
 
-    blas = _or_none(lambda: np.show_config(mode="dicts")["Build Dependencies"]["blas"]) or {}
-    return {
-        "searchphase": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": _or_none(_scipy_version),
-        "platform": _or_none(platform.platform),
-        "blas": blas.get("name"),
-        "blas_version": blas.get("version"),
-        "blas_threads": _or_none(_openblas_threads),
-        "blas_core": _or_none(_openblas_core),
-    }
+    blas = _or_none(lambda: np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+    readers = (
+        ("searchphase", lambda: __version__),
+        ("python", platform.python_version),
+        ("numpy", lambda: np.__version__),
+        ("scipy", _scipy_version),
+        ("platform", platform.platform),
+        ("blas", lambda: blas["name"]),
+        ("blas_version", lambda: blas["version"]),
+        ("blas_threads", lambda: _openblas("get_num_threads", ctypes.c_int)),
+        # the name of the CPU core OpenBLAS chose its kernels for, say SkylakeX
+        ("blas_core", lambda: _openblas("get_corename", ctypes.c_char_p).decode()),
+    )
+    return {key: _or_none(read) for key, read in readers}
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:

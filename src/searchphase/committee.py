@@ -19,8 +19,8 @@ lambda_k = (-1 + sqrt(1 + 4 D_k^2)) / (2K), independent of the rank R.
 
 The SGD counterpart, committee_sgd, draws its batches and lifts its
 batch-mean gradient through the frame sampler of the single-index
-simulator (sgd._Workspace), with the teachers as the frame's fixed rows and
-the adapters as its free ones; the sampler labels each batch with the
+simulator (sgd._Workspace), in a frame of its own whose fixed rows are the
+teachers and free rows the adapters; the sampler labels each batch with the
 teacher, y = (1/sqrt K) sum_k (w_k* . x), on the draw-ahead worker when
 one runs.
 """
@@ -283,9 +283,14 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     n_a = len(adapted)
     sqK, sqn_a = sqrt(K), sqrt(n_a)
     core = np.sum(teachers[adapted], axis=0) / sqrt(d) if n_a else np.zeros(d)
-    # the frame sampler: the K teachers are its fixed rows, the R adapters
-    # its free ones; its residual d-vector is the init's scratch
-    ws = _Workspace(cfg.seed, teachers, R, d, lambda coords: np.add.reduce(coords[:, :K], axis=1) / sqK)
+    # the frame sampler, whose residual d-vector is the init's scratch
+    ws = _Workspace(cfg.seed, d, lambda coords: np.add.reduce(coords[:, :K], axis=1) / sqK)
+    # the frame: the K teachers are its fixed rows, copied in once, the R
+    # adapters its free ones; residuals are taken against the teacher rows
+    # (strided views of teachers) themselves
+    fixed = list(teachers)
+    frame = np.empty((K + R, d))
+    frame[:K] = teachers
     draws = rng.standard_normal((R, d))
     for g in draws:
         g -= teachers.T @ (teachers @ g)
@@ -320,11 +325,12 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     init_m = m.copy()
     q = record(0, m)
 
-    with ws.drawing_ahead(cfg.n_steps, cfg.batch_size):
+    with ws.drawing_ahead(cfg.n_steps, cfg.batch_size, K + R):
         for step in range(1, cfg.n_steps + 1):
             # frame: K teacher rows (already orthonormal) + adapter residuals
-            F = ws.frame(adapters)
-            coords, y = ws.batch(ws.train, step - 1, cfg.batch_size)  # y: the teacher's labels
+            frame[K:] = adapters
+            F = orthonormal_frame(frame, fixed, ws.res)
+            coords, y = ws.batch(ws.train, step - 1, cfg.batch_size, len(F))  # y: the teacher's labels
 
             lam_star = coords[:, :K]  # teacher pre-activations
             adapter_coords = F @ adapters.T  # (f, R)
@@ -335,7 +341,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
 
             du_row = rate * (eps @ lam_a) / cfg.batch_size  # (R,)
             # shared mean-gradient direction: w = mean(eps_i x_i)
-            w = ws.lift(eps, coords, grad)
+            w = ws.lift(eps, coords, F, grad)
             u[adapted] += du_row[None, :]
             # np.outer's and np.linalg.norm's operations (the norm is
             # sqrt(add.reduce(a * a))) in their order, so every bit is kept

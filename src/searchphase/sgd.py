@@ -14,66 +14,33 @@ increment 2*gamma/delta of the reduced description.
 
 Randomness is counter-based: step t of a run draws from
 Philox(key=(seed, stream), counter=(0,0,0,t)), so trajectories are
-reproducible per (seed, stream, step) and independent of execution order.
-step_rng builds that generator; a run keeps one Philox per stream
-(counter_stream) and resets it to each step's counter, which yields the
-same draws bit for bit.
+reproducible per (seed, stream, step) and independent of execution order
+(step_rng, counter_stream).
 
-Every step runs through one kernel, _Lockstep.step, which steps a group of
-runs at once (below; a lone run is the group of one) and leaves the
-residuals y - yhat of the batch it consumed.  It draws through the group's
-frame sampler, _Workspace (the reset generators, a preallocated frame, one
-d-vector of scratch), and runs its d-vector passes in place, in the order
-of the plain expressions, so every bit is kept.  Its two samplers differ
-only in how the batch is drawn, and produce identical process laws:
+Every step runs through one kernel, _Lockstep.step, whose two samplers
+differ only in how the batch is drawn, and produce identical process laws:
 
 * "literal"   materializes the full (batch, d) Gaussian matrix;
 * "subspace"  draws only the coordinates along the active frame
-  (w_star, [xi,] w), built by orthonormal_frame, plus a single d-vector
-  for the orthogonal remainder of the batch-mean gradient, which has the
-  exact conditional law N(0, |c|^2 (I - F F^T)) given the frame
-  coordinates (_Workspace.lift).
+  (w_star, [xi,] w) plus a single d-vector for the orthogonal remainder of
+  the batch-mean gradient, which has the exact conditional law
+  N(0, |c|^2 (I - F F^T)) given the frame coordinates (_Workspace.lift).
 
 The subspace sampler is the default; it makes the cost per step
 O(batch + d) instead of O(batch * d).  Held-out test errors, of records and
-of measure_test_mse alike, draw frame coordinates through the same sampler.
-init_state builds xi and the off-w_star part of w with orthonormal_frame.
-The committee simulator draws its batches and lifts its gradient through
-_Workspace too, with the teachers as fixed rows and the adapters as free
-ones.
+of measure_test_mse alike, draw frame coordinates through the same sampler,
+and so does the committee simulator.  A long run draws its batches ahead on
+a second core, with the same bits (_Workspace.drawing_ahead); since the
+teacher's evaluate then runs in a forked worker, it must be a pure function
+of its argument.
 
 A draw depends only on (seed, stream, counter, shape), and a step's labels
-y = phi(w_star . x) only on its draws, never on mu, the learning rate or
-the initial u and m.  So runs whose configs agree on all that decides the
-draws, the labels and the step formula (_lockstep_key: seed, d, batch
-size, steps, record spacing, sampler, frozen mode, objective, teacher and
-student) step in lockstep (run_lockstep): one workspace, one worker and
-one labelling per step serve them all, and every d-vector and batch
-operation is stacked over a leading member axis, which a lone run, the
-group of one, does without.  Each stacked operation is, row by row, the
-one of a lone run: a dot product stays a ddot, a matrix-vector product
-one gemv per member, a reduction runs along a contiguous row; so each
-member gets the bits of its run alone.  A member
-that blows up or stops when aligned leaves the group with the outcome it
-would have had alone; one whose frame loses a row leaves to run alone, and
-a group in which any warning fires or an operation raises runs every
-member alone, so each run's warnings are its own.
-
-A long run draws ahead on a second core: a worker process forked for the
-run (_Workspace.drawing_ahead) draws its batches and held-out samples with
-the same generator code into a ring in shared memory, labels each step's
-batch with the task teacher, and batch takes them from there.  The main
-draws and labels in line whatever the worker has not started, so the two
-share the draws, and the bits are the same either way.  The teacher's
-evaluate therefore also runs in the worker, so it must be a pure function
-of its argument; a batch whose labelling raises or warns there is redone
-in line, where it raises or warns as it would without the worker.  Records
-label their held-out samples in the main.  No setting chooses this.  A run
-stays in line when it makes fewer than _ENGAGE_ITEMS such draws, for the
-literal sampler, for steps with d > 10 000 (whose d-vectors OpenBLAS
-already spreads over the cores), inside a daemonic process, and off x86-64
-Linux.  A worker that dies costs time only: the run goes on in line and
-ends with one RuntimeWarning.
+only on its draws, never on mu, the learning rate or the initial u and m.
+So runs whose configs share a _lockstep_key step together (run_lockstep),
+each member with the bits of its run alone.  The group answers for every
+member or for none: run_lockstep returns each member's RunResult, or the
+NumericalBlowupError its run raises alone, or None when a warning fires
+or an operation raises in the group, which stops there.
 """
 from __future__ import annotations
 
@@ -285,43 +252,31 @@ def _dots(a: np.ndarray, b: np.ndarray):
 
 
 class _Workspace:
-    """The frame sampler of a run, or of a lockstep group, which both SGD
-    simulators draw through: a counter_stream per random stream, the
-    (f, d) frame whose fixed rows (the non-None entries of fixed) are
-    copied in once, with the leading axes group (a group's member axis),
-    one d-vector res, and label, the teacher as a function of a batch's
-    frame coordinates.  frame() Gram-Schmidts the free rows against the
-    fixed ones, with res as scratch (_Lockstep.frame makes a group's);
-    batch() draws a batch's frame coordinates and then, for a step, the
-    residual into res (_draw) and labels the batch; lift(c, coords) forms
-    the batch-mean gradient and uses that residual up.  No state holds any
-    of it.  Inside drawing_ahead(), batch() takes the draws and labels of a
-    worker process when it has made them (_Ahead), with the same bits; the
-    block ends the worker, on return and on any exception alike."""
+    """The sampler that a run, or a lockstep group, and the committee
+    simulator draw through: a counter_stream per random stream, one
+    d-vector res, and label, the teacher as a function of a batch's frame
+    coordinates.  The frames are the caller's.  batch() draws a batch's
+    coordinates in a frame of f rows and then, for a step, the residual into
+    res (_draw), and labels the batch; lift() forms the batch-mean gradient
+    in the frame F and uses that residual up.  Inside drawing_ahead(),
+    batch() takes the draws and labels of a worker process when it has made
+    them (_Ahead), with the same bits; the block ends the worker, on return
+    and on any exception alike."""
 
-    def __init__(self, seed: int, fixed, n_free: int, d: int, label=None, group: tuple = ()):
+    def __init__(self, seed: int, d: int, label):
         self.train = counter_stream(seed, _TRAIN_STREAM)
         self.measure = counter_stream(seed, _MEASURE_STREAM)
-        self.fixed = [row for row in fixed if row is not None]
-        self.rows = np.empty(group + (len(self.fixed) + n_free, d))
-        self.rows[..., :len(self.fixed), :] = self.fixed
         self.res = np.empty(d)
         self.label = label
         self.ahead = None
 
-    def frame(self, free_rows) -> np.ndarray:
-        """The orthonormal frame of the fixed rows and free_rows, kept for
-        batch and lift; residuals are taken against the fixed rows' memory."""
-        self.rows[len(self.fixed):] = free_rows
-        self.F = orthonormal_frame(self.rows, self.fixed, self.res)
-        return self.F
-
     @contextmanager
-    def drawing_ahead(self, n_steps: int, batch_size: int, record_every: int = 0):
+    def drawing_ahead(self, n_steps: int, batch_size: int, f: int, record_every: int = 0):
         """Within the block, a worker process draws the run's schedule of
-        batches (_schedule) ahead for batch() to take, when the run is long
-        enough to repay it (_Ahead.start); the worker is gone on leaving."""
-        self.ahead = _Ahead.start(self, n_steps, batch_size, record_every)
+        batches (_schedule) in a frame of f rows ahead for batch() to take,
+        when the run is long enough to repay it (_Ahead.start); the worker is
+        gone on leaving."""
+        self.ahead = _Ahead.start(self, n_steps, batch_size, f, record_every)
         try:
             yield
         finally:
@@ -329,13 +284,13 @@ class _Workspace:
             if ahead is not None:
                 ahead.stop()
 
-    def batch(self, stream, step: int, n: int, residual: bool = True) -> tuple:
+    def batch(self, stream, step: int, n: int, f: int, residual: bool = True) -> tuple:
         """(n, f) standard normal frame coordinates from counter step of
         stream, then (when residual, for a step) the standard normal
         residual in res, and the batch's labels label(coords), else None:
         taken from the worker when it drew this item with this shape, else
         drawn (_draw) and labelled here."""
-        drawn, f = None, self.F.shape[-2]
+        drawn = None
         if self.ahead is not None:
             key = (_TRAIN_STREAM if stream is self.train else _MEASURE_STREAM, step)
             drawn = self.ahead.take(key, n, f, residual, self.res)
@@ -346,16 +301,17 @@ class _Workspace:
             y = self.label(coords)
         return coords, y
 
-    def lift(self, c: np.ndarray, coords: np.ndarray, out: np.ndarray, spare=None) -> np.ndarray:
+    def lift(self, c: np.ndarray, coords: np.ndarray, F: np.ndarray, out: np.ndarray,
+             spare=None) -> np.ndarray:
         """Batch-mean gradient mean(c_i x_i) as a d-vector, from the batch's
         weights c and frame coordinates: its frame part (c @ coords) / batch
         is exact, the rest has the law N(0, scale^2 (I - F^T F)), scale =
         |c| / batch, drawn as scale times the residual projected off the
-        frame.  With a group's frames, c and out carry its member axis, and
+        frame F.  With a group's frames, c and out carry its member axis, and
         every member lifts the one residual.  The gradient is written to
         out; spare, of out's shape, holds the frame part on the way (the
         residual when None, for a lone frame), and the residual is used up."""
-        F, n, res = self.F, c.shape[-1], self.res
+        n, res = c.shape[-1], self.res
         c_row = c[..., None, :]
         # (F @ res) @ F and (c @ coords / n) @ F are the gemv of F.T @ v
         np.matmul((F @ res)[..., None, :], F, out=out[..., None, :])
@@ -475,11 +431,12 @@ class _Ahead:
     stay put until the main releases the slot, when it takes the next item."""
 
     @classmethod
-    def start(cls, ws: _Workspace, n_steps: int, batch_size: int, record_every: int):
-        """The worker of a run with ws's frame, or None when the run stays in
-        line: a run with fewer than _ENGAGE_ITEMS draws to take ahead, a
-        ring slot over _RING_BYTES / 2, or no fork on this platform."""
-        f, d = ws.rows.shape[-2:]
+    def start(cls, ws: _Workspace, n_steps: int, batch_size: int, f: int, record_every: int):
+        """The worker of a run through ws with a frame of f rows, or None when
+        the run stays in line: a run with fewer than _ENGAGE_ITEMS draws to
+        take ahead, a ring slot over _RING_BYTES / 2, or no fork on this
+        platform."""
+        d = len(ws.res)
         steps = d <= _INLINE_D
         n_records = (1 + n_steps // record_every + (n_steps % record_every > 0)) if record_every else 0
         shapes = {_TRAIN_STREAM: (batch_size, f, d), _MEASURE_STREAM: (_TEST_SAMPLES_PER_RECORD, f, 0)}
@@ -619,31 +576,38 @@ class _Lockstep:
     """Runs that step together (configs with one _lockstep_key) as one
     array program over a leading member axis: each member's direction w and
     frozen part omega_tilde side by side in wt (G, 2, d), so that one
-    product projects both, and one workspace, whose rows hold each member's
-    frame (G, f, d); the members' magnitudes u, learning rates lr and
-    overlaps m = w . w_star are (G, 1) columns.  A lone run is the group of
+    product projects both, and its frame of (w_star, [xi,] w) in frames
+    (G, f, d), whose fixed rows are copied in once; the members' magnitudes
+    u, learning rates lr and overlaps m = w . w_star are (G, 1) columns, and
+    F is the frames of the current w, once made.  A lone run is the group of
     one, stepped without the member axis: its views are 1-D rows and its
     scalars NumPy scalars, so it takes the same NumPy calls as a group at
-    the cost of a run by itself.  step and advance make an SGD step, frame
-    and project the frames and frame coordinates it takes, held_out and
-    record the records; run goes through the configs' schedule, members
-    leaving on the way."""
+    the cost of a run by itself.  Each stacked operation is, row by row,
+    the one of a lone run (a dot product a ddot, _dots; a matrix-vector
+    product one gemv a member; a reduction along a contiguous row), so each
+    member gets the bits of its run alone.  step and advance make an SGD
+    step, frame and project the frames and frame coordinates it takes,
+    held_out and record the records; run goes through the configs'
+    schedule, members leaving on the way."""
 
     def __init__(self, cfgs: list[SimConfig], states: list[SimState]):
         cfg, s = cfgs[0], states[0]
         G, d = len(cfgs), cfg.d
         self.cfg, self.literal, self.lone = cfg, cfg.sampler == "literal", G == 1
         self.col = () if self.lone else (G, 1)  # the shape of a per-member scalar
-        self.ws = _Workspace(cfg.seed, (s.omega_star, s.xi), 1, d, _teacher_label(cfg), (G,))
-        self.ws.F = None  # the frames of the current w, once made
-        self.star = self.ws.fixed[0]
+        self.ws = _Workspace(cfg.seed, d, _teacher_label(cfg))
+        self.fixed = [row for row in (s.omega_star, s.xi) if row is not None]
+        self.star = self.fixed[0]
+        self.frames = np.empty((G, len(self.fixed) + 1, d))
+        self.frames[:, :len(self.fixed)] = self.fixed
         self.lr = np.array([c.learning_rate for c in cfgs]).reshape(self.col)[()]
         self.u = np.array([st.u for st in states]).reshape(self.col)[()]
         self.wt = np.empty((G, 2, d))
         for row, st in zip(self.wt, states):
             row[0], row[1] = st.omega, st.omega_tilde
-        self.grad = self.p = self.u_next = self.eps = None
-        self.members: list[_Member] = []  # a run's, once it sets them
+        self.F = self.grad = self.p = self.u_next = self.eps = None
+        self.members = [_Member(i, c, st.omega_star, st.xi, st.u, st.m)
+                        for i, (c, st) in enumerate(zip(cfgs, states))]
         self.square = [c.curriculum is not None for c in cfgs]  # which members square their labels
         self.bind()
         self.m = _dots(self.w, self.star)
@@ -654,16 +618,19 @@ class _Lockstep:
         the member axis for a lone run, and the scratch, which for a lone
         run is the workspace's residual, as in orthonormal_frame and the
         lift."""
-        ws, member = self.ws, 0 if self.lone else slice(None)
-        self.wtv, self.rows = self.wt[member], ws.rows[member]
+        member = 0 if self.lone else slice(None)
+        self.wtv, self.rows = self.wt[member], self.frames[member]
         self.w, self.tilde = self.wtv[..., 0, :], self.wtv[..., 1, :]
-        self.v = self.rows[..., len(ws.fixed), :]
-        self.scratch = ws.res if self.lone else np.empty(self.w.shape)
+        self.v = self.rows[..., -1, :]
+        self.scratch = self.ws.res if self.lone else np.empty(self.w.shape)
 
     def project(self) -> np.ndarray:
-        """F @ w and F @ omega_tilde of each member, (2, f, 1) a member, made once per frame."""
+        """F @ w and F @ omega_tilde of each member, (2, f, 1) a member, made
+        once per frame, and the frame first when it is not made yet."""
         if self.p is None:
-            self.p = np.matmul(self.ws.F[..., None, :, :], self.wtv[..., None])
+            if self.F is None:
+                self.frame()
+            self.p = np.matmul(self.F[..., None, :, :], self.wtv[..., None])
         return self.p
 
     def frame(self) -> None:
@@ -671,31 +638,28 @@ class _Lockstep:
         would: w's residual against the fixed rows, normalized; against
         w_star it takes m, which holds w . w_star, the dot product
         orthonormal_frame takes.  Where that residual vanishes, a lone run's
-        frame drops the row, as orthonormal_frame does, and a member of a
-        larger group leaves it, to run alone."""
-        ws, v, scratch = self.ws, self.v, self.scratch
+        frame drops the row, as orthonormal_frame does, and a group raises."""
+        v, scratch = self.v, self.scratch
         np.subtract(self.w, np.multiply(self.m, self.star, out=scratch), out=v)
-        for b in ws.fixed[1:]:  # xi, in mixed mode
+        for b in self.fixed[1:]:  # xi, in mixed mode
             v -= np.multiply(_dots(v, b), b, out=scratch)
         nrm = np.sqrt(_dots(v, v))
-        kept = [n > 1e-10 for n in np.ravel(nrm).tolist()]
-        if all(kept):
+        if all(n > 1e-10 for n in np.ravel(nrm).tolist()):
             v /= nrm
-            ws.F = self.rows
-        elif len(kept) == 1:
-            ws.F = self.rows[..., :len(ws.fixed), :]
+            self.F = self.rows
+        elif self.lone:
+            self.F = self.rows[:-1]
         else:
-            self.keep([j for j, k in enumerate(kept) if k])
-            return self.frame() if self.members else None
+            raise ArithmeticError("a member's frame lost its row")
         self.p = None
 
     def step(self, counter: int, square=()) -> None:
         """One SGD step of every member from its (u, w), in the geometry of
         its omega_tilde, on the batch of the training stream's counter:
         drawn in full by the literal sampler, else as frame coordinates plus
-        one residual d-vector through the workspace, with the frames frame()
-        made.  The labels are the task teacher's, squared for the members
-        that square names (a curriculum's stage 1).  Leaves the residuals
+        one residual d-vector through the workspace, in the frames of w.
+        The labels are the task teacher's, squared for the members that
+        square names (a curriculum's stage 1).  Leaves the residuals
         y - yhat of the batch at (u, w) in eps, from which a record takes
         the batch's training error, the new magnitudes in u_next and the
         batch-mean gradients in grad, for advance."""
@@ -711,8 +675,9 @@ class _Lockstep:
         else:
             # a_w and a_tilde through the frame coordinates of w (which may
             # leave the frame only by rounding) and of the frozen part
-            x, y = ws.batch(ws.train, counter, B)
-            a = np.matmul(x, self.project())
+            p = self.project()
+            x, y = ws.batch(ws.train, counter, B, self.F.shape[-2])
+            a = np.matmul(x, p)
         a_w = a[..., 0, :, 0]
         if any(square):
             y2 = y ** 2  # transform_teacher's square, on the task teacher's labels
@@ -732,7 +697,7 @@ class _Lockstep:
         if self.literal:
             np.divide(np.matmul(c[..., None, :], x)[..., 0, :], B, out=self.grad)
         else:
-            ws.lift(c, x, self.grad, self.scratch)
+            ws.lift(c, x, self.F, self.grad, self.scratch)
 
     def advance(self, into: np.ndarray | None = None) -> None:
         """The new directions w + learning_rate * u * grad, renormalized,
@@ -744,7 +709,7 @@ class _Lockstep:
         new /= np.sqrt(_dots(new, new))
         self.m = _dots(new, self.star)
         if into is None:
-            self.ws.F = self.p = None
+            self.F = self.p = None
 
     def held_out(self, block: int, n: int) -> list[np.ndarray]:
         """Squared errors (y - yhat)^2 of n fresh held-out samples at each
@@ -754,13 +719,14 @@ class _Lockstep:
         (w_star, [xi,] w), so the samples are drawn as (n, f) frame
         coordinates from the measurement stream's counter block, which is
         exact in law for both frozen modes, and labelled once for the
-        group; the frames are frame()'s.  Labels always come from the task
-        teacher, independent of any curriculum stage.  The student's side
-        goes member by member: at n = 10 000, every (G, n) temporary would
-        take fresh pages from the system.
+        group.  Labels always come from the task teacher, independent of
+        any curriculum stage.  The student's side goes member by member: at
+        n = 10 000, every (G, n) temporary would take fresh pages from the
+        system.
         """
-        coords, _ = self.ws.batch(self.ws.measure, block, n, residual=False)
-        y, student, p = self.cfg.teacher.evaluate(coords[:, 0]), self.cfg.student, self.project()
+        p = self.project()
+        coords, _ = self.ws.batch(self.ws.measure, block, n, self.F.shape[-2], residual=False)
+        y, student = self.cfg.teacher.evaluate(coords[:, 0]), self.cfg.student
         return [(y - student.evaluate(coords @ q[1, :, 0] + u * (coords @ q[0, :, 0]))) ** 2
                 for u, q in zip(np.ravel(self.u), p.reshape((-1,) + p.shape[-3:]))]
 
@@ -769,28 +735,12 @@ class _Lockstep:
         (geometry read off the actual vectors, so the mixed frozen mode
         reports its true preactivation variance), the training error of the
         batch of eps, and a held-out Monte Carlo test error."""
-        combined = np.add(self.tilde, np.multiply(self.w, self.u, out=self.scratch), out=self.scratch)
         test = [np.mean(sq) for sq in self.held_out(step, _TEST_SAMPLES_PER_RECORD)]
+        combined = np.add(self.tilde, np.multiply(self.w, self.u, out=self.scratch), out=self.scratch)
         train = np.add.reduce(self.eps * self.eps, axis=-1) / self.cfg.batch_size
         values = (self.u, self.m, _dots(combined, self.star), _dots(combined, combined), train, test)
         for member, row in zip(self.members, zip(*(np.ravel(v).tolist() for v in values))):
             member.rows.append((float(step),) + row)
-
-    def keep(self, js: list[int]) -> None:
-        """Keeps the members js only, in that order (a lone run has none to keep)."""
-        self.members = [self.members[j] for j in js]
-        if not js:
-            return
-        self.square = [self.square[j] for j in js]
-        self.col = (len(js), 1)
-        for name in ("lr", "u", "u_next", "m", "wt", "grad", "eps", "p"):
-            if getattr(self, name) is not None:
-                setattr(self, name, getattr(self, name)[js])
-        ws = self.ws
-        ws.rows = ws.rows[js]
-        self.bind()
-        if ws.F is not None:
-            ws.F = self.rows[..., :ws.F.shape[-2], :]
 
     def result(self, j: int, step: int) -> RunResult:
         """Member j's RunResult, its final state the current one, at step."""
@@ -807,32 +757,34 @@ class _Lockstep:
         )
 
     def leave(self, js: list[int], outcomes: list, outcome) -> None:
-        """Members js leave the group, each with outcome(j) at its place in outcomes."""
+        """Members js leave the group, each with outcome(j) at its place in
+        outcomes; the others stay in their order, and their frames are made
+        again when next needed (a lone run has none to keep)."""
         for j in js:
             outcomes[self.members[j].i] = outcome(j)
-        self.keep([j for j in range(len(self.members)) if j not in js])
+        keep = [j for j in range(len(self.members)) if j not in js]
+        self.members = [self.members[j] for j in keep]
+        if keep:
+            self.square = [self.square[j] for j in keep]
+            self.col = (len(keep), 1)
+            for name in ("lr", "u", "u_next", "m", "wt", "grad", "eps", "frames"):
+                setattr(self, name, getattr(self, name)[keep])
+            self.F = self.p = None
+            self.bind()
 
-    def run(self, outcomes: list) -> None:
-        """Steps the members through their configs' schedule, and puts into
-        outcomes, at each member's place, its RunResult or the
-        NumericalBlowupError its run raises; a member that leaves to run
-        alone leaves its place None."""
+    def run(self) -> list:
+        """Steps the members through their configs' schedule, and returns
+        each member's RunResult, or the NumericalBlowupError its run raises,
+        at its place among the configs."""
         cfg, ws = self.cfg, self.ws
+        outcomes: list = [None] * len(self.members)
         # the literal sampler draws in line, records and all
-        with ws.drawing_ahead(0 if self.literal else cfg.n_steps, cfg.batch_size, cfg.record_every):
+        with ws.drawing_ahead(0 if self.literal else cfg.n_steps, cfg.batch_size, self.frames.shape[-2],
+                              cfg.record_every):
             for step in range(1, cfg.n_steps + 1):
-                if not self.literal and ws.F is None:
-                    self.frame()  # each state's frame is made once
-                    if not self.members:
-                        break
                 self.step(step - 1, self.square)
                 if step == 1:
-                    # the initial state is paired with the first batch's error
-                    if ws.F is None:
-                        self.frame()
-                        if not self.members:
-                            break
-                    self.record(0)
+                    self.record(0)  # the initial state is paired with the first batch's error
                 self.advance()
                 self.u = self.u_next
                 us, ms = np.ravel(self.u).tolist(), np.ravel(self.m).tolist()
@@ -844,7 +796,6 @@ class _Lockstep:
                 if self.members and (step % cfg.record_every == 0 or step == cfg.n_steps):
                     # training error of the batch this step consumed, paired
                     # with the post-update state, whose frame the next step reuses
-                    self.frame()
                     self.record(step)
                 if len(us) != len(self.members):
                     us, ms = np.ravel(self.u).tolist(), np.ravel(self.m).tolist()
@@ -864,6 +815,7 @@ class _Lockstep:
                     break
         for j, member in enumerate(self.members):
             outcomes[member.i] = self.result(j, step)
+        return outcomes
 
 
 def sgd_step(cfg: SimConfig, state: SimState, teacher: ActivationSpec | None = None) -> SimState:
@@ -904,9 +856,9 @@ def measure_test_mse(
     prediction, so the gap between the two columns is itself the
     concentration statement.
     """
-    group = _Lockstep([cfg], [state])
-    group.frame()
-    [sq] = group.held_out(block, int(n_samples))
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    [sq] = _Lockstep([cfg], [state]).held_out(block, int(n_samples))
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
     model = ModelConfig(teacher=cfg.teacher, student=cfg.student, mu=cfg.mu, k_max=cfg.k_max)
@@ -960,43 +912,22 @@ def lockstep_groups(cfgs) -> list[list[int]]:
     return list(groups.values())
 
 
-def _run_group(cfgs: list[SimConfig]) -> list:
-    """The outcome of each config of one lockstep group, stepped together
-    (_Lockstep.run): its RunResult, the exception its run raised, or None
-    for a member that left to run alone.  A member whose init fails leaves
-    with that exception."""
-    outcomes: list = [None] * len(cfgs)
-    started: dict[int, SimState] = {}
-    for i, cfg in enumerate(cfgs):
-        try:
-            started[i] = init_state(cfg)
-        except Exception as exc:
-            outcomes[i] = exc
-    if started:
-        group = _Lockstep([cfgs[i] for i in started], list(started.values()))
-        group.members = [_Member(i, cfgs[i], s.omega_star, s.xi, s.u, s.m) for i, s in started.items()]
-        started.clear()  # a lone run lets go of its initial omega_tilde, which wt holds
-        group.run(outcomes)
-    return outcomes
-
-
-def run_lockstep(cfgs) -> list[RunResult | Exception | None]:
+def run_lockstep(cfgs) -> list[RunResult | NumericalBlowupError] | None:
     """run_simulation of each config of one lockstep group (lockstep_groups),
-    stepped together: per config its RunResult, or the exception its run
-    raises, bit for bit those of its run alone; or None for a config that
-    must run alone, which is every config when a warning fired or an
-    operation raised in the group (so that each run's warnings and errors
-    are its own), and a config whose frame lost a row."""
+    stepped together: per config its RunResult, or the NumericalBlowupError
+    its run raises, bit for bit those of its run alone; or None for the
+    whole group when a warning fired or an operation raised in it, where
+    the group stops (so that each run, run alone, has its own warnings and
+    errors)."""
     cfgs = list(cfgs)
     if len(lockstep_groups(cfgs)) != 1:
         raise ValueError("run_lockstep takes the configs of one lockstep group")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcomes = _run_group(cfgs)
-        except Exception:
-            outcomes = None
-    return [None] * len(cfgs) if caught or outcomes is None else outcomes
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _Lockstep(cfgs, [init_state(cfg) for cfg in cfgs]).run()
+    except Exception:
+        return None
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
@@ -1009,7 +940,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     NumericalBlowupError when u or m stops being finite or |u| exceeds
     BLOWUP_LIMIT.  It is the lockstep group of one (_Lockstep).
     """
-    [outcome] = _run_group([cfg])
+    # no name keeps the initial state, whose omega_tilde wt copies, so the
+    # first step's gradient can take its memory
+    [outcome] = _Lockstep([cfg], [init_state(cfg)]).run()
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -1036,9 +969,7 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m
-    group = _Lockstep([cfg], [state])
-    if not group.literal:
-        group.frame()  # the state's, made once
+    group = _Lockstep([cfg], [state])  # its first step makes the state's frame, kept for all
     w = np.empty(cfg.d)
     for j in range(n_batches):
         group.step(j)

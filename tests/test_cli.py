@@ -661,8 +661,7 @@ def test_provenance_records_none_for_what_cannot_be_read(monkeypatch):
     monkeypatch.setattr(np, "show_config", fail)
     monkeypatch.setattr(importlib.util, "find_spec", fail)
     monkeypatch.setattr(platform, "platform", fail)
-    monkeypatch.setattr("searchphase.cli._openblas_threads", fail)
-    monkeypatch.setattr("searchphase.cli._openblas_core", fail)
+    monkeypatch.setattr("searchphase.cli._openblas", fail)
     got = provenance.__wrapped__()  # uncached
     unread = ("scipy", "platform", "blas", "blas_version", "blas_threads", "blas_core")
     assert [got[k] for k in unread] == [None] * 6

@@ -365,6 +365,15 @@ def test_held_out_error_matches_literal_draws(frozen_mode):
     assert abs(est.mc - ref) < 4.0 * math.hypot(est.stderr, ref_stderr)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1, -3, 1.7])
+def test_measure_test_mse_refuses_fewer_than_two_samples(n_samples):
+    # below two samples the mean and stderr are NaN or silently one sample's
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=40, batch_size=20, learning_rate=0.2,
+                    n_steps=5, k_max=40)
+    with pytest.raises(ValueError, match="n_samples must be >= 2"):
+        measure_test_mse(cfg, init_state(cfg), n_samples=n_samples)
+
+
 def test_counter_stream_draws_match_step_rng():
     # the run's one reset Philox serves the batch and residual draws of a
     # freshly built step_rng, whatever it served before
@@ -406,9 +415,7 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
     assert _state_bytes(first.final_state) == kept
     s0 = init_state(cfg)
     group = _Lockstep([cfg], [s0])
-    ws = group.ws
-    assert ws.rows.shape == (1, 2 + (frozen_mode == "mixed"), cfg.d)  # w_star, [xi,] w
-    group.frame()
+    assert group.frames.shape == (1, 2 + (frozen_mode == "mixed"), cfg.d)  # w_star, [xi,] w
 
     def step(s):  # a step of the kernel from s0, on the batch of s's step, into a new w
         group.step(s.step)
@@ -425,7 +432,7 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
         return [a for a in (s.omega, s.omega_star, s.omega_tilde, s.xi) if a is not None]
 
     runs = [fields(first.final_state), fields(later.final_state), fields(s0) + [s1.omega, s2.omega]]
-    buffers = [ws.rows, ws.res, group.wt, group.grad, group.scratch]
+    buffers = [group.frames, group.ws.res, group.wt, group.grad, group.scratch]
     for i, run in enumerate(runs):
         others = [a for other in runs[i + 1:] for a in other] + buffers
         assert not any(np.shares_memory(a, b) for a in run for b in others)
@@ -647,36 +654,54 @@ def test_lockstep_groups_follow_the_draws_and_the_step_formula():
 @pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
 def test_a_member_whose_frame_loses_its_row_leaves_the_group(frozen_mode):
     # w on w_star has no residual off the fixed rows: a lone run's frame
-    # drops the row, as orthonormal_frame does, and a member of a larger
-    # group leaves it, to run alone, while the others step on
+    # drops the row, as orthonormal_frame does, and regains it once w is
+    # off w_star again; a group of two ends its attempt
     cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=50, batch_size=20, learning_rate=0.1,
                     n_steps=5, k_max=20, frozen_mode=frozen_mode)
     f = 2 + (frozen_mode == "mixed")
     for cfgs in ([cfg], [cfg, replace(cfg, mu=0.6)]):
         states = [init_state(c) for c in cfgs]
         group = _Lockstep(cfgs, states)
-        group.members = [sgd_module._Member(i, c, s.omega_star, s.xi, s.u, s.m)
-                         for i, (c, s) in enumerate(zip(cfgs, states))]
         group.wt[0, 0] = states[0].omega_star
         group.m = sgd_module._dots(group.w, states[0].omega_star)
+        if len(cfgs) == 2:
+            with pytest.raises(ArithmeticError, match="lost its row"):
+                group.frame()
+            continue
         group.frame()
-        if len(cfgs) == 1:
-            assert group.ws.F.shape == (f - 1, cfg.d)
-        else:
-            assert [m.i for m in group.members] == [1] and group.ws.F.shape == (1, f, cfg.d)
+        assert group.F.shape == (f - 1, cfg.d)
         group.step(0)
         group.advance()
         group.frame()
-        assert group.ws.F.shape[-2] == f  # the stepped w is off w_star again
+        assert group.F.shape == (f, cfg.d)  # the stepped w is off w_star again
+
+
+_STEEP = ActivationSpec("steep sigmoid", lambda z: 1.0 / (1.0 + np.exp(-300.0 * z)), None)
 
 
 def test_a_lockstep_group_that_warns_leaves_every_member_to_run_alone():
-    steep = ActivationSpec("steep sigmoid", lambda z: 1.0 / (1.0 + np.exp(-300.0 * z)), None)
-    cfg = SimConfig(teacher=steep, student=ERF, mu=0.4, d=200, batch_size=40, learning_rate=0.05,
+    cfg = SimConfig(teacher=_STEEP, student=ERF, mu=0.4, d=200, batch_size=40, learning_rate=0.05,
                     n_steps=30, record_every=30, k_max=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # none reaches the caller
-        assert run_lockstep([cfg, replace(cfg, mu=0.6)]) == [None, None]
+        assert run_lockstep([cfg, replace(cfg, mu=0.6)]) is None
+
+
+def test_a_lockstep_group_stops_at_its_first_warning(monkeypatch):
+    cfg = SimConfig(teacher=_STEEP, student=ERF, mu=0.4, d=200, batch_size=40, learning_rate=0.05,
+                    n_steps=300, record_every=30, k_max=20)
+    steps = []
+    step = _Lockstep.step
+
+    def counted(self, *args):
+        steps.append(args[0])
+        return step(self, *args)
+
+    monkeypatch.setattr(_Lockstep, "step", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_lockstep([cfg, replace(cfg, mu=0.6)]) is None
+    assert 0 < len(steps) < cfg.n_steps
 
 
 @pytest.mark.parametrize("teacher", [

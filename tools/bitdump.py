@@ -10,7 +10,8 @@ committee SGD run is dumped twice, with the draw-ahead worker forced off
 and forced on, so the two lines of a run must match.  Last come the SGD
 runs again, each as the middle member of a lockstep group whose other
 members differ from it in mu alone; the script exits with status 1 when
-such a line differs from the line of the run alone.  Given prefixes, only
+such a line differs from the line of the run alone, as it does when the
+group does not answer.  Given prefixes, only
 the items whose names start with one of them run.
 
 A change that must keep every bit runs the dump at its parent commit and
@@ -194,12 +195,13 @@ def _sgd_runs():
 
 def _lockstep(on: bool, cfg):
     """cfg's outcome as the middle member of a lockstep group with siblings
-    at mu 0.25 and 0.75, the worker forced on or off; raises when cfg left
-    the group to run alone."""
+    at mu 0.25 and 0.75, the worker forced on or off; raises when the group
+    did not answer."""
     group = [dataclasses.replace(cfg, mu=0.25), cfg, dataclasses.replace(cfg, mu=0.75)]
-    outcome = _worker(on, run_lockstep, group)[1]
-    if outcome is None:
-        raise RuntimeError("the run left its lockstep group")
+    outcomes = _worker(on, run_lockstep, group)
+    if outcomes is None:
+        raise RuntimeError("the lockstep group did not answer")
+    outcome = outcomes[1]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
