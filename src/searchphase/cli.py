@@ -460,6 +460,9 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     exit epochs (averaged over seeds when repeated).  Exit epochs are fit
     against tau(mu) * log(d) / 2 with one global scale and offset, and the
     report carries the rank correlation and pointwise relative residuals.
+    The rank correlation is Spearman's: the Pearson correlation of average
+    ranks, as ``scipy.stats.spearmanr`` computes it.  Fewer than two finite
+    points, or a column constant over them, is refused.
     """
     with open(theory_csv, newline="") as fh:
         _, t_cols, t_data = parse_csv_text(fh.read())
@@ -499,18 +502,19 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     mask = np.isfinite(predicted) & np.isfinite(exit_epoch)
     if int(mask.sum()) < 2:
         raise ValidationError([("compare", "fewer than two finite points to align")])
+    x, y = predicted[mask], exit_epoch[mask]
+    constant = [name for name, col in (("predicted_epoch", x), ("exit_epoch", y))
+                if np.all(col == col[0])]
+    if constant:
+        raise ValidationError([("compare", f"{c} is constant over the finite points") for c in constant])
 
-    scale, offset = np.polyfit(predicted[mask], exit_epoch[mask], 1)
+    scale, offset = np.polyfit(x, y, 1)
     fitted = scale * predicted + offset
     denom = np.where(np.abs(exit_epoch) > 0, np.abs(exit_epoch), 1.0)
     residual = np.where(mask, (exit_epoch - fitted) / denom, np.nan)
-    from scipy import stats  # imported here: it is most of the cost of importing this module
-
-    spearman = stats.spearmanr(predicted[mask], exit_epoch[mask])
-    rho = float(getattr(spearman, "statistic", getattr(spearman, "correlation", np.nan)))
     return {
         "n_points": int(mask.sum()),
-        "spearman": rho,
+        "spearman": _spearman(x, y),
         "scale": float(scale),
         "offset": float(offset),
         "max_abs_relative_residual": float(np.nanmax(np.abs(residual))),
@@ -521,6 +525,21 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
         "fitted_epoch": [float(v) for v in fitted],
         "relative_residual": [float(v) for v in residual],
     }
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rank correlation of two columns, neither of them constant.
+
+    The average ranks are exact half-integers, and their Pearson correlation
+    is taken over the stacked (n, 2) array, as ``scipy.stats.spearmanr``
+    takes it: so the value has its bits, which ``np.corrcoef(rx, ry)`` does
+    not always have."""
+
+    def ranks(a: np.ndarray) -> np.ndarray:
+        _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+    return float(np.corrcoef(np.column_stack((ranks(x), ranks(y))), rowvar=False)[1, 0])
 
 
 def _compare_inputs(plan: ExperimentPlan, cell: Cell) -> tuple[str, str]:

@@ -45,6 +45,7 @@ or an operation raises in the group, which stops there.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import signal
 import sys
@@ -856,8 +857,8 @@ def measure_test_mse(
     prediction, so the gap between the two columns is itself the
     concentration statement.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValueError("n_samples must be an integer >= 2")
     [sq] = _Lockstep([cfg], [state]).held_out(block, int(n_samples))
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
@@ -964,8 +965,8 @@ def measure_drift(cfg: SimConfig, state: SimState, n_batches: int) -> DriftEstim
     Each batch uses its own counter (one-pass discipline preserved); the
     state itself is never advanced.
     """
-    if n_batches < 2:
-        raise ValueError("n_batches must be >= 2")
+    if not isinstance(n_batches, numbers.Integral) or n_batches < 2:
+        raise ValueError("n_batches must be an integer >= 2")
     du = np.empty(n_batches)
     dm = np.empty(n_batches)
     m0 = state.m

@@ -38,6 +38,7 @@ from searchphase.cli import (
     write_csv,
     _fmt,
     _OUTPUT_FIELDS,
+    _spearman,
 )
 
 
@@ -236,7 +237,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 
 def test_linear_and_hermite_runs_never_import_scipy(tmp_path):
-    # SciPy loads only when an erf or sigmoid spec is built (and in compare)
+    # SciPy loads only when an erf or sigmoid spec is built
     code = f"""
 import sys
 import searchphase, searchphase.cli
@@ -248,6 +249,11 @@ assert searchphase.cli.main(["sgd", "--activation", "linear", "--mu", "0.3", "--
                              "--d", "100", "--batch-size", "20", "--n-steps", "5",
                              "--out", out + "/sgd"]) == 0
 assert searchphase.cli.main(["tau", "--activations", "linear", "--out", out + "/tau"]) == 0
+searchphase.cli.write_csv(out + "/theory.csv", {{}}, ["mu", "tau"], [(0.3, 2.0), (0.6, 3.5), (0.9, 9.0)])
+searchphase.cli.write_csv(out + "/exper.csv", {{"d": 1000}}, ["mu", "exit_epoch"],
+                          [(0.3, 7.0), (0.6, 12.0), (0.9, 12.0)])
+assert searchphase.cli.main(["compare", "--theory", out + "/theory.csv",
+                             "--experiment", out + "/exper.csv", "--out", out + "/compare"]) == 0
 he3 = builtin("hermite3")
 run_simulation(SimConfig(teacher=he3, student=he3, mu=0.3, d=100, batch_size=20,
                          learning_rate=0.05, n_steps=2))
@@ -365,6 +371,30 @@ def test_compare_recovers_exact_scaling(tmp_path):
     assert report["max_abs_relative_residual"] < 1e-9
 
 
+def test_spearman_is_scipy_spearmanr_bit_for_bit():
+    # compared by bytes, over continuous, tied, reversed, n = 2 and near-1e300 columns
+    from scipy import stats
+
+    rng = np.random.default_rng(7)
+    cases = [([1.0, 2.0], [3.0, -1.0]), ([0.1, 0.2, 0.3], [9.0, 5.0, 1.0])]
+    for n in (2, 3, 5, 8, 20):
+        for _ in range(40):
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            ties = rng.integers(0, 3, n).astype(float)
+            cases += [(x, y), (ties, y), (x, rng.integers(0, 4, n).astype(float)),
+                      (ties, rng.integers(0, 2, n) * 2.5), (x, -x[::-1]), (x, x[::-1]),
+                      (x * 1e300, y * 3e299), (np.abs(x) * 1e300, ties)]
+    checked = 0
+    for x, y in cases:
+        x, y = np.asarray(x), np.asarray(y)
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        expected = np.float64(stats.spearmanr(x, y).statistic).tobytes()
+        assert np.float64(_spearman(x, y)).tobytes() == expected, (x, y)
+        checked += 1
+    assert checked > 1500
+
+
 def test_compare_rejects_mismatched_grids(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -387,6 +417,8 @@ def test_compare_rejects_missing_columns(tmp_path):
     ({}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)], "missing metadata key 'd'"),
     ({"d": 1000}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, math.nan)],
      "fewer than two finite points"),
+    ({"d": 1000}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 5.0)],
+     "exit_epoch is constant over the finite points"),
 ])
 def test_compare_refusals_fail_the_cell(tmp_path, metadata, columns, rows, message):
     theory, exper = synthetic_compare_inputs(tmp_path, [0.3, 0.6])

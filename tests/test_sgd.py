@@ -365,13 +365,30 @@ def test_held_out_error_matches_literal_draws(frozen_mode):
     assert abs(est.mc - ref) < 4.0 * math.hypot(est.stderr, ref_stderr)
 
 
-@pytest.mark.parametrize("n_samples", [0, 1, -3, 1.7])
+@pytest.mark.parametrize("n_samples", [0, 1, -3, 1.7, 2.5])
 def test_measure_test_mse_refuses_fewer_than_two_samples(n_samples):
-    # below two samples the mean and stderr are NaN or silently one sample's
+    # below two samples the mean and stderr are NaN or silently one sample's,
+    # and a non-integer count would be truncated
     cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=40, batch_size=20, learning_rate=0.2,
                     n_steps=5, k_max=40)
-    with pytest.raises(ValueError, match="n_samples must be >= 2"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
         measure_test_mse(cfg, init_state(cfg), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_batches", [0, 1, 2.5])
+def test_measure_drift_refuses_fewer_than_two_batches(n_batches):
+    cfg = SimConfig(teacher=LINEAR, student=LINEAR, mu=0.4, d=40, batch_size=20, learning_rate=0.2,
+                    n_steps=5, k_max=2)
+    with pytest.raises(ValueError, match="n_batches must be an integer >= 2"):
+        measure_drift(cfg, init_state(cfg), n_batches)
+
+
+def test_measure_counts_take_numpy_integers():
+    cfg = SimConfig(teacher=LINEAR, student=LINEAR, mu=0.4, d=40, batch_size=20, learning_rate=0.2,
+                    n_steps=5, k_max=2)
+    state = init_state(cfg)
+    assert measure_test_mse(cfg, state, np.int64(50)) == measure_test_mse(cfg, state, 50)
+    assert measure_drift(cfg, state, np.int32(3)).du == measure_drift(cfg, state, 3).du
 
 
 def test_counter_stream_draws_match_step_rng():

@@ -5,7 +5,8 @@
 Runs a fixed set of items and prints one line per item: the SHA-256 of
 every array, scalar and warning (category and message) that the item
 produced, then its name.  Items are reduced flows, oscillators, committee
-flows, SGD runs, committee SGD runs and series values; each SGD and
+flows, SGD runs, committee SGD runs, series values and comparison reports
+(``compare_theory_experiment`` on fixed synthetic CSVs); each SGD and
 committee SGD run is dumped twice, with the draw-ahead worker forced off
 and forced on, so the two lines of a run must match.  Last come the SGD
 runs again, each as the middle member of a lockstep group whose other
@@ -26,6 +27,7 @@ import hashlib
 import math
 import os
 import sys
+import tempfile
 import warnings
 from functools import partial
 
@@ -58,6 +60,7 @@ from searchphase import (  # noqa: E402
     scaled_learning_rate,
 )
 from searchphase import sgd as _sgd  # noqa: E402
+from searchphase.cli import compare_theory_experiment, write_csv  # noqa: E402
 
 LINEAR, ERF, RELU, SIGMOID, HE2, HE3, HE4 = (
     builtin(n) for n in ("linear", "erf", "relu", "sigmoid", "hermite2", "hermite3", "hermite4"))
@@ -248,6 +251,26 @@ def _series():
     yield "erf slope", partial(ERF.slope, z)
 
 
+def _compare_item(mu, tau, exit_epoch) -> dict:
+    """The report on a theory CSV of (mu, tau) and an experiment CSV of
+    (mu, exit_epoch) at d = 1000."""
+    with tempfile.TemporaryDirectory() as tmp:
+        theory, exper = os.path.join(tmp, "theory.csv"), os.path.join(tmp, "exper.csv")
+        write_csv(theory, {}, ["mu", "tau"], zip(mu, tau))
+        write_csv(exper, {"d": 1000}, ["mu", "exit_epoch"], zip(mu, exit_epoch))
+        return compare_theory_experiment(theory, exper)
+
+
+def _compares():
+    mu = (0.1, 0.3, 0.5, 0.7, 0.9)
+    tau = [(1.0 + math.sqrt(1.0 + 4.0 * (1.0 - m) ** 2)) / (2.0 * (1.0 - m) ** 2) for m in mu]
+    exact = [t * math.log(1000.0) / 2.0 for t in tau]
+    yield "exact scaling", partial(_compare_item, mu, tau, exact)
+    tied = (3.5, 3.5, 8.25, 40.0, 40.0)
+    yield "tied exit epochs", partial(_compare_item, mu, tau, tied)
+    yield "reversed ranking", partial(_compare_item, mu, tau, [1.07 * e for e in reversed(exact)])
+
+
 # kind -> its items; the first item of each kind is a small one
 KINDS = {
     "flow": _flows,
@@ -256,6 +279,7 @@ KINDS = {
     "sgd": _sgd_runs,
     "committee_sgd": _committee_runs,
     "series": _series,
+    "compare": _compares,
     "lockstep": _lockstep_runs,
 }
 
