@@ -1,4 +1,4 @@
-"""Experiment runner: sweeps, CSV/SVG artifacts, and comparison reports.
+"""Experiment runner: sweeps, CSV artifacts, and comparison reports.
 
 Each subcommand is one entry of :data:`SUBCOMMANDS`: its fields (parser,
 default, check, scalar setting or sweep axis), how its cells are named,
@@ -10,7 +10,7 @@ which run one after another.  validate_plan builds and so checks every
 cell's config; a runner takes only that config, returns a table of what it
 computed and touches no path.  :func:`_execute`, the one writer, turns each
 table into one CSV artifact and one entry of the ``manifest.json`` that
-indexes them.  Optional SVG line plots are a pure function of the CSV text.
+indexes them.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ EXIT_VALIDATION = 1
 EXIT_PARTIAL = 2
 EXIT_BLOWUP = 3
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
 
 class ValidationError(Exception):
     """Invalid plan or configuration; carries (field, message) pairs."""
@@ -69,7 +67,7 @@ class AlignmentError(Exception):
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
     """One experiment: a kind and the value of each field of its subcommand,
-    keyed by field name (out and format included)."""
+    keyed by field name (out included)."""
 
     kind: str
     values: dict
@@ -88,7 +86,7 @@ def plan_hash(plan: ExperimentPlan) -> str:
         "kind": plan.kind,
         "settings": {f.name: values[f.name] for f in fields if f.section == "run"},
         "sweep": {f.name: values[f.name] for f in fields if f.section == "sweep"},
-        "emit": values["format"],
+        "emit": "csv",  # a constant, so every plan and output directory keeps its old hash
         "seed": values.get("seed", 0),
     }
     text = json.dumps(payload, sort_keys=True, default=str)
@@ -133,7 +131,7 @@ def validate_plan(plan: ExperimentPlan) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# CSV / SVG
+# CSV
 # ---------------------------------------------------------------------------
 
 
@@ -148,8 +146,8 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"  # also nan, inf and -inf
 
 
-def write_csv(path: str, metadata: dict, columns, rows) -> str:
-    """Write a `#`-headed, LF-terminated CSV with deterministic formatting; return its text."""
+def write_csv(path: str, metadata: dict, columns, rows) -> None:
+    """Write a `#`-headed, LF-terminated CSV with deterministic formatting."""
     lines = []
     for key in sorted(metadata):
         value = metadata[key]
@@ -161,15 +159,15 @@ def write_csv(path: str, metadata: dict, columns, rows) -> str:
     text = "\n".join(lines) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    return text
 
 
 def parse_csv_text(text: str):
-    """Inverse of write_csv: (metadata, columns, columns-as-float-arrays)."""
+    """Inverse of write_csv: (metadata, columns, columns-as-float-arrays).
+    A row whose cell count is not the header's raises ValueError."""
     metadata: dict[str, str] = {}
     columns: list[str] = []
     rows: list[list[float]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -182,110 +180,14 @@ def parse_csv_text(text: str):
         if not columns:
             columns = [c.strip() for c in cells]
             continue
+        if len(cells) != len(columns):
+            raise ValueError(f"line {number} has {len(cells)} cells, the header {len(columns)}")
         rows.append([float(c) for c in cells])
     data = {
         name: np.array([row[i] for row in rows], dtype=float)
         for i, name in enumerate(columns)
     }
     return metadata, columns, data
-
-
-def _plot_spec(kind: str, columns):
-    if kind == "tau_curve":
-        return "mu", ["tau"], True
-    if kind == "singularity_scan":
-        return "degree", ["root_mu"], False
-    if kind == "committee_run":
-        ys = [c for c in columns if c.startswith("rho_")]
-        return "t_epoch", ys or columns[1:2], False
-    if kind in ("sgd_summary", "compare"):
-        ys = [c for c in columns if c.endswith("epoch")]
-        return "mu", ys or columns[1:2], True
-    x = "t" if "t" in columns else "t_epoch"
-    ys = [c for c in ("u", "m", "m_eff") if c in columns]
-    return x, ys or columns[1:2], False
-
-
-def render_svg(csv_text: str) -> str:
-    """Render a line plot of a CSV artifact.  Pure function of the text."""
-    metadata, columns, data = parse_csv_text(csv_text)
-    kind = metadata.get("kind", "")
-    x_col, y_cols, log_y = _plot_spec(kind, columns)
-    width, height = 720, 460
-    left, right, top, bottom = 70, 24, 42, 52
-
-    series = []
-    for name in y_cols:
-        x = data.get(x_col, np.array([]))
-        y = data.get(name, np.array([]))
-        mask = np.isfinite(x) & np.isfinite(y)
-        if log_y:
-            mask &= y > 0
-        if mask.any():
-            yy = np.log10(y[mask]) if log_y else y[mask]
-            series.append((name, x[mask], yy))
-
-    title = metadata.get("title", kind or "data")
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
-    ]
-    if not series:
-        out.append(
-            f'<text x="{width / 2:.2f}" y="{height / 2:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">no finite data</text></svg>'
-        )
-        return "\n".join(out) + "\n"
-
-    x_lo = min(float(s[1].min()) for s in series)
-    x_hi = max(float(s[1].max()) for s in series)
-    y_lo = min(float(s[2].min()) for s in series)
-    y_hi = max(float(s[2].max()) for s in series)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-
-    def sx(v):
-        return left + (v - x_lo) / (x_hi - x_lo) * (width - left - right)
-
-    def sy(v):
-        return height - bottom - (v - y_lo) / (y_hi - y_lo) * (height - top - bottom)
-
-    out.append(
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="black"/>'
-    )
-    out.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>')
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_lo + frac * (y_hi - y_lo)
-        out.append(
-            f'<text x="{sx(xv):.2f}" y="{height - bottom + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xv:.4g}</text>'
-        )
-        label = 10.0**yv if log_y else yv
-        out.append(
-            f'<text x="{left - 6}" y="{sy(yv) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label:.4g}</text>'
-        )
-    out.append(
-        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_col}</text>'
-    )
-    for i, (name, xs, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(xs, ys))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        out.append(
-            f'<text x="{width - right - 6}" y="{top + 16 + 15 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">{name}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +363,20 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     against tau(mu) * log(d) / 2 with one global scale and offset, and the
     report carries the rank correlation and pointwise relative residuals.
     The rank correlation is Spearman's: the Pearson correlation of average
-    ranks, as ``scipy.stats.spearmanr`` computes it.  Fewer than two finite
-    points, or a column constant over them, is refused.
+    ranks, as ``scipy.stats.spearmanr`` computes it.  A file that does not
+    parse (say, a row longer or shorter than its header), fewer than two
+    finite points, or a column constant over them, is refused.
     """
-    with open(theory_csv, newline="") as fh:
-        _, t_cols, t_data = parse_csv_text(fh.read())
-    with open(experiment_csv, newline="") as fh:
-        e_meta, e_cols, e_data = parse_csv_text(fh.read())
+
+    def read(name: str, path: str):
+        with open(path, newline="") as fh:
+            try:
+                return parse_csv_text(fh.read())
+            except ValueError as exc:
+                raise ValidationError([(name, f"{path}: {exc}")]) from None
+
+    _, t_cols, t_data = read("theory_csv", theory_csv)
+    e_meta, e_cols, e_data = read("experiment_csv", experiment_csv)
     problems = []
     for col in ("mu", "tau"):
         if col not in t_cols:
@@ -564,11 +473,10 @@ def _run_compare_cell(paths: tuple[str, str]) -> tuple:
 
 def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dict:
     """The one writer: table() gives (metadata, columns, rows, summary), which
-    become name.csv, name.svg rendered from that text when the plan emits SVG,
-    and the manifest entry (with the summary unless it is None).  An exception
-    sets the status: "blowup" for NumericalBlowupError, else "failed".  Every
-    warning the cell raises is counted by category, and the counts go into
-    entry["warnings"] when there are any."""
+    become name.csv and the manifest entry (with the summary unless it is
+    None).  An exception sets the status: "blowup" for NumericalBlowupError,
+    else "failed".  Every warning the cell raises is counted by category,
+    and the counts go into entry["warnings"] when there are any."""
     entry = {"name": name, "status": "ok", "files": [], "wall_time": 0.0, "error": None}
     counts: Counter[str] = Counter()
 
@@ -581,13 +489,8 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
         warnings.showwarning = count
         try:
             metadata, columns, rows, summary = table()
-            path = os.path.join(plan.values["out"], name)
-            text = write_csv(path + ".csv", metadata, columns, rows)
+            write_csv(os.path.join(plan.values["out"], name + ".csv"), metadata, columns, rows)
             entry["files"].append(name + ".csv")
-            if plan.values["format"] == "both":
-                with open(path + ".svg", "w", newline="") as fh:
-                    fh.write(render_svg(text))
-                entry["files"].append(name + ".svg")
             if summary is not None:
                 entry["summary"] = summary
         except Exception as exc:
@@ -756,7 +659,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
         "plan": _or_none(lambda: json.loads(json.dumps(plan.values, sort_keys=True, default=str))),
         "kind": plan.kind,
         "seed": plan.values.get("seed", 0),
-        "emit": plan.values["format"],
         "cells": entries,
         "provenance": dict(provenance()),  # a copy: the cached dict stays as read
     }
@@ -832,8 +734,8 @@ class Field:
     """One plan value: the parser of its raw text, its default and its check.
 
     section is the value's INI section: "run" (a scalar setting), "sweep"
-    (an axis, checked element by element) or "output" (where and how
-    artifacts are written, and the committee's seed).  flag is True for
+    (an axis, checked element by element) or "output" (where artifacts are
+    written, and the committee's seed).  flag is True for
     the flag spelled after the name, a string for another flag, or False
     for a value only a config file sets.
     """
@@ -895,8 +797,6 @@ def _with_defaults(fields: tuple[Field, ...], **defaults) -> tuple[Field, ...]:
 _OUTPUT_FIELDS = (
     Field("out", str, None, _require(bool, "a nonempty path"), section="output",
           help="output directory"),
-    Field("format", str, "csv", choices=("csv", "both"), section="output",
-          help="artifact format"),
 )
 
 _ACTIVATION = Field("activation", str, "linear", _activation)
@@ -1025,7 +925,9 @@ SPECS = {spec.kind: spec for spec in SUBCOMMANDS}
 
 
 def load_config(path: str) -> dict[str, dict[str, str]]:
-    """Read an INI config: [run] scalars, [sweep] axes, [output] values."""
+    """Read an INI config: [run] scalars, [sweep] axes, [output] values.
+    Any other section, [DEFAULT] included, is refused: its keys would
+    otherwise be ignored or blamed on the sections that inherit them."""
     if not os.path.isfile(path):
         raise ValidationError([("config", f"file not found: {path!r}")])
     parser = configparser.ConfigParser(interpolation=None)
@@ -1033,6 +935,12 @@ def load_config(path: str) -> dict[str, dict[str, str]]:
         parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError([("config", str(exc))]) from exc
+    problems = [("config", f"unknown section [{section}]")
+                for section in parser.sections() if section not in ("run", "sweep", "output")]
+    if parser.defaults():
+        problems.append(("config", f"[DEFAULT] keys are not read: {', '.join(parser.defaults())}"))
+    if problems:
+        raise ValidationError(problems)
     return {section: dict(parser[section]) for section in parser.sections()}
 
 

@@ -32,7 +32,6 @@ from searchphase.cli import (
     parse_csv_text,
     plan_from_args,
     plan_hash,
-    render_svg,
     run_plan,
     validate_plan,
     write_csv,
@@ -47,10 +46,9 @@ def read(path):
         return fh.read()
 
 
-def tau_plan(out, mu=(0.2, 0.5, 0.8), activations=("linear",), emit="csv"):
+def tau_plan(out, mu=(0.2, 0.5, 0.8), activations=("linear",)):
     return ExperimentPlan(kind="tau_curve", values={
-        "activations": list(activations), "mu": list(mu), "k_max": 25,
-        "out": str(out), "format": emit,
+        "activations": list(activations), "mu": list(mu), "k_max": 25, "out": str(out),
     })
 
 
@@ -90,6 +88,18 @@ def test_plan_hash_tracks_content():
     c = tau_plan("x", mu=(0.2, 0.5))
     assert plan_hash(a) == plan_hash(b)
     assert plan_hash(a) != plan_hash(c)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["tau", "--activations", "linear", "--mu", "0.2,0.5,0.8", "--out", "x"], "4d8453338ddcfbbf"),
+    (["sgd", "--mu", "0.3,0.6", "--seeds", "0,1", "--d", "100", "--out", "y"], "100f510469d273df"),
+    (["committee", "--ranks", "2", "--d", "50", "--out", "z"], "8a5b4594038f0b3b"),
+])
+def test_plan_hash_is_pinned(argv, want):
+    # an output directory is refused unless its manifest's plan_hash matches,
+    # so a changed hash would orphan every directory written before it
+    args = build_parser().parse_args(argv)
+    assert plan_hash(plan_from_args(args.kind, args)) == want
 
 
 def test_validation_catches_bad_plans(tmp_path):
@@ -140,8 +150,7 @@ def test_tau_run_is_deterministic(tmp_path):
 
 
 def test_manifest_lists_exactly_the_artifacts(tmp_path):
-    code = main(["tau", "--activations", "linear", "--mu", "0.3,0.6",
-                 "--format", "both", "--out", str(tmp_path)])
+    code = main(["tau", "--activations", "linear", "--mu", "0.3,0.6", "--out", str(tmp_path)])
     assert code == EXIT_OK
     manifest = json.loads(read(tmp_path / "manifest.json"))
     listed = {f for entry in manifest["cells"] for f in entry["files"]}
@@ -151,52 +160,17 @@ def test_manifest_lists_exactly_the_artifacts(tmp_path):
     assert all(entry["status"] == "ok" for entry in manifest["cells"])
 
 
-def test_svg_is_a_pure_function_of_the_csv(tmp_path):
-    code = main(["tau", "--activations", "linear", "--mu", "0.2,0.4,0.6",
-                 "--format", "both", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    csv_text = read(tmp_path / "tau_linear.csv")
-    svg_disk = read(tmp_path / "tau_linear.svg")
-    assert render_svg(csv_text) == svg_disk
-    assert render_svg(csv_text) == render_svg(csv_text)
-    assert svg_disk.lstrip().startswith("<svg")
-
-
-def test_svgs_of_roots_and_committee_runs(tmp_path):
-    code = main(["singularity", "--activations", "hermite3,erf", "--format", "both",
-                 "--out", str(tmp_path / "sing")])
-    assert code == EXIT_OK
-    # one root: both axes span a single value, so each is widened by 1
-    svg = read(tmp_path / "sing" / "sing_hermite3.svg")
-    assert ">degree</text>" in svg and ">root_mu</text>" in svg and "<polyline" in svg
-    assert ">3.25</text>" in svg and ">1.321</text>" in svg
-    # erf has no root, so nothing is drawn
-    svg = read(tmp_path / "sing" / "sing_erf.svg")
-    assert "no finite data" in svg and "<polyline" not in svg
-
-    code = main(["committee", "--ranks", "2", "--d", "50", "--n-steps", "10",
-                 "--record-every", "5", "--format", "both", "--out", str(tmp_path / "comm")])
-    assert code == EXIT_OK
-    csv_text = read(tmp_path / "comm" / "committee_mu0.5_r2.csv")
-    svg = read(tmp_path / "comm" / "committee_mu0.5_r2.svg")
-    assert svg == render_svg(csv_text)
-    assert ">t_epoch</text>" in svg and svg.count("<polyline") == 2
-    assert ">rho_1</text>" in svg and ">rho_2</text>" in svg
-
-
 def test_sgd_manifest_indexes_every_artifact_and_svg(tmp_path):
     code = main(["sgd", "--mu", "0.3,0.6", "--seeds", "0,1", "--d", "100",
-                 "--batch-size", "50", "--n-steps", "30",
-                 "--format", "both", "--out", str(tmp_path)])
+                 "--batch-size", "50", "--n-steps", "30", "--out", str(tmp_path)])
     assert code == EXIT_OK
     manifest = json.loads(read(tmp_path / "manifest.json"))
     listed = [f for entry in manifest["cells"] for f in entry["files"]]
     present = {p.name for p in tmp_path.iterdir() if p.name != "manifest.json"}
     assert sorted(listed) == sorted(present)
-    assert {"sgd_summary.csv", "sgd_summary.svg"} <= present
+    assert "sgd_summary.csv" in present
     for entry in manifest["cells"]:
-        assert entry["files"] == [entry["name"] + ".csv", entry["name"] + ".svg"]
-        assert read(tmp_path / entry["files"][1]) == render_svg(read(tmp_path / entry["files"][0]))
+        assert entry["files"] == [entry["name"] + ".csv"]
     *cells, summary = manifest["cells"]
     assert len(cells) == 4 and all("summary" in entry for entry in cells)
     assert summary["name"] == "sgd_summary" and "summary" not in summary
@@ -419,6 +393,11 @@ def test_compare_rejects_missing_columns(tmp_path):
      "fewer than two finite points"),
     ({"d": 1000}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 5.0)],
      "exit_epoch is constant over the finite points"),
+    # a row longer or shorter than the header names its line
+    ({"d": 1000}, ["mu", "seed", "exit_epoch"], [(0.3, 0, 5.0), (0.6, 0, 20.0, 7)],
+     "line 4 has 4 cells, the header 3"),
+    ({"d": 1000}, ["mu", "seed", "exit_epoch"], [(0.3, 0, 5.0), (0.6, 20.0)],
+     "line 4 has 2 cells, the header 3"),
 ])
 def test_compare_refusals_fail_the_cell(tmp_path, metadata, columns, rows, message):
     theory, exper = synthetic_compare_inputs(tmp_path, [0.3, 0.6])
@@ -485,7 +464,13 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
     ["curriculum", "--k-max", "5"],
     ["sgd", "--config", "[run]\nk_max = 2\n"],  # the text of the config file
     ["curriculum", "--config", "[output]\nseed = 3\n"],
-    ["tau", "--format", "svg"],  # csv or both
+    ["tau", "--format", "svg"],
+    # artifacts are CSV only: format is no field
+    ["tau", "--format", "csv"],
+    ["tau", "--config", "[output]\nformat = csv\n"],
+    # the sections of a config are run, sweep and output
+    ["sgd", "--config", "[DEFAULT]\nd = 7\nbogus = 1\n"],
+    ["sgd", "--config", "[plot]\n"],
 ])
 def test_usage_errors_exit_validation(tmp_path, capsys, argv):
     if "--config" in argv:
@@ -884,7 +869,7 @@ def test_csv_headers_are_pinned(tmp_path, name):
         assert hashlib.sha256(text.encode()).hexdigest() == sha256, csv_name
 
 
-# one other value of each field of each _HEADERS plan, bar out and format
+# one other value of each field of each _HEADERS plan, bar out
 _OTHER_SGD = {"activation": "erf", "mu": "0.4", "seeds": "1", "d": "120", "batch_size": "30",
               "learning_rate": "0.1", "n_steps": "6", "frozen_mode": "mixed",
               "objective": "correlation", "sampler": "literal", "align_threshold": "0.05",
@@ -913,7 +898,7 @@ _HEADER_ONLY = {("singularity", "k_max")}
 @pytest.mark.parametrize("name", sorted(_HEADERS))
 def test_no_flag_is_inert(tmp_path, name):
     spec = next(s for s in SUBCOMMANDS if s.name == name)
-    fields = [f.name for f in _OUTPUT_FIELDS + spec.fields if f.name not in ("out", "format")]
+    fields = [f.name for f in _OUTPUT_FIELDS + spec.fields if f.name != "out"]
     other = dict(_OTHER[name])
     assert sorted(other) == sorted(fields)
     argv = _HEADERS[name][0]
