@@ -471,12 +471,18 @@ def _run_compare_cell(paths: tuple[str, str]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# the step events a run's metadata may hold, which its entry gathers under "events"
+_STEP_EVENTS = ("exit_step", "aligned_step", "switch_step", "onset_step")
+
+
 def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dict:
     """The one writer: table() gives (metadata, columns, rows, summary), which
     become name.csv and the manifest entry (with the summary unless it is
-    None).  An exception sets the status: "blowup" for NumericalBlowupError,
-    else "failed".  Every warning the cell raises is counted by category,
-    and the counts go into entry["warnings"] when there are any."""
+    None, and the metadata's _STEP_EVENTS, when it has any, under
+    "events").  An exception sets the status: "blowup" for
+    NumericalBlowupError, else "failed".  Every warning the cell raises is
+    counted by category, and the counts go into entry["warnings"] when
+    there are any."""
     entry = {"name": name, "status": "ok", "files": [], "wall_time": 0.0, "error": None}
     counts: Counter[str] = Counter()
 
@@ -493,6 +499,9 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
             entry["files"].append(name + ".csv")
             if summary is not None:
                 entry["summary"] = summary
+            events = {key: metadata[key] for key in _STEP_EVENTS if key in metadata}
+            if events:
+                entry["events"] = events
         except Exception as exc:
             entry["status"] = "blowup" if isinstance(exc, NumericalBlowupError) else "failed"
             known = isinstance(exc, (NumericalBlowupError, AlignmentError, ValidationError))

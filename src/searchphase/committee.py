@@ -32,7 +32,7 @@ from math import inf, isfinite, sqrt
 import numpy as np
 
 from .ode import BLOWUP_LIMIT, NumericalBlowupError, _n_steps, fixed_step
-from .sgd import _INIT_STREAM, _Workspace, orthonormal_frame, step_rng
+from .sgd import _INIT_STREAM, _refuse_non_integers, _Workspace, orthonormal_frame, step_rng
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class CommitteeConfig:
     onset_threshold: float = 0.3
 
     def __post_init__(self):
+        _refuse_non_integers(self, ("rank", "d", "batch_size", "n_steps", "record_every", "seed"))
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         if len(self.mu) < 1:
             raise ValueError("need at least one direction")

@@ -108,6 +108,7 @@ class SimConfig:
     k_max: int = 25
 
     def __post_init__(self):
+        _refuse_non_integers(self, ("d", "batch_size", "n_steps", "record_every", "seed"))
         if not (0.0 < self.mu < 1.0):
             raise ValueError("mu must lie strictly inside (0, 1)")
         if self.d < 4:
@@ -132,6 +133,14 @@ class SimConfig:
             raise ValueError("align_threshold must lie in (0, 1]")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must lie in [0, 2**64)")
+
+
+def _refuse_non_integers(cfg, names) -> None:
+    """Raises ValueError naming the first of cfg's fields names whose value
+    is not an integer (a NumPy integer is one)."""
+    for name in names:
+        if not isinstance(getattr(cfg, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
 
 
 def step_rng(seed: int, stream: int, step: int) -> np.random.Generator:
@@ -199,7 +208,8 @@ def init_state(cfg: SimConfig) -> SimState:
     init_overlap (default +1/sqrt(d)) against w_star, the rest of it random
     in the orthogonal complement; u starts at init_magnitude (default
     1/sqrt(d)).  In mixed mode xi is a random unit vector orthogonal to
-    w_star and the frozen part is mu*w_star + (1-mu)*xi.
+    w_star and the frozen part is mu*w_star + (1-mu)*xi.  w_star, [xi,] and
+    w are the rows of one (f, d) array, in that order.
     """
     rng = step_rng(cfg.seed, _INIT_STREAM, 0)
     overlap = cfg.init_overlap if cfg.init_overlap is not None else 1.0 / np.sqrt(cfg.d)
@@ -246,10 +256,10 @@ def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
 
 def _dots(a: np.ndarray, b: np.ndarray):
     """The dot products of the rows of a with those of b, or with the one
-    vector b: a NumPy scalar for 1-D a, else a (G, 1) column.  Each is the
+    vector b: a Python float for 1-D a, else a (G, 1) column.  Each is the
     ddot of a 1-D a @ b, where a matrix-vector a @ b (a gemv) rounds
     otherwise."""
-    return a @ b if a.ndim == 1 else np.matmul(a[:, None, :], b[..., None])[:, 0]
+    return float(a @ b) if a.ndim == 1 else np.matmul(a[:, None, :], b[..., None])[:, 0]
 
 
 class _Workspace:
@@ -582,8 +592,10 @@ class _Lockstep:
     u, learning rates lr and overlaps m = w . w_star are (G, 1) columns, and
     F is the frames of the current w, once made.  A lone run is the group of
     one, stepped without the member axis: its views are 1-D rows and its
-    scalars NumPy scalars, so it takes the same NumPy calls as a group at
-    the cost of a run by itself.  Each stacked operation is, row by row,
+    scalars Python floats, and when it owns its initial state (own), its
+    frame is that state's rows w_star, [xi,] w, whose last row frame()
+    overwrites once wt holds w; so it steps at the cost, in time and in
+    d-vectors, of a run by itself.  Each stacked operation is, row by row,
     the one of a lone run (a dot product a ddot, _dots; a matrix-vector
     product one gemv a member; a reduction along a contiguous row), so each
     member gets the bits of its run alone.  step and advance make an SGD
@@ -591,27 +603,40 @@ class _Lockstep:
     held_out and record the records; run goes through the configs'
     schedule, members leaving on the way."""
 
-    def __init__(self, cfgs: list[SimConfig], states: list[SimState]):
+    def __init__(self, cfgs: list[SimConfig], states: list[SimState], own: bool = False):
         cfg, s = cfgs[0], states[0]
         G, d = len(cfgs), cfg.d
         self.cfg, self.literal, self.lone = cfg, cfg.sampler == "literal", G == 1
         self.col = () if self.lone else (G, 1)  # the shape of a per-member scalar
+        self.sqrt = math.sqrt if self.lone else np.sqrt
         self.ws = _Workspace(cfg.seed, d, _teacher_label(cfg))
         self.fixed = [row for row in (s.omega_star, s.xi) if row is not None]
         self.star = self.fixed[0]
-        self.frames = np.empty((G, len(self.fixed) + 1, d))
-        self.frames[:, :len(self.fixed)] = self.fixed
-        self.lr = np.array([c.learning_rate for c in cfgs]).reshape(self.col)[()]
-        self.u = np.array([st.u for st in states]).reshape(self.col)[()]
+        self.lr = self.scalars([c.learning_rate for c in cfgs])
+        self.u = self.scalars([st.u for st in states])
         self.wt = np.empty((G, 2, d))
         for row, st in zip(self.wt, states):
             row[0], row[1] = st.omega, st.omega_tilde
+        if own and self.lone:
+            self.frames = s.omega_star.base[None]  # init_state's (f, d) rows
+        else:
+            self.frames = np.empty((G, len(self.fixed) + 1, d))
+            self.frames[:, :len(self.fixed)] = self.fixed
         self.F = self.grad = self.p = self.u_next = self.eps = None
         self.members = [_Member(i, c, st.omega_star, st.xi, st.u, st.m)
                         for i, (c, st) in enumerate(zip(cfgs, states))]
         self.square = [c.curriculum is not None for c in cfgs]  # which members square their labels
         self.bind()
         self.m = _dots(self.w, self.star)
+
+    def scalars(self, xs):
+        """xs, a sequence of one value a member, as the members' scalar: a
+        Python float for a lone run, else a (G, 1) column."""
+        return float(xs[0]) if self.lone else np.reshape(xs, self.col)
+
+    def listed(self, x) -> list:
+        """The members' scalar x as a list of Python floats."""
+        return [x] if self.lone else np.ravel(x).tolist()
 
     def bind(self) -> None:
         """The views the kernel takes, made again when the members change:
@@ -644,8 +669,8 @@ class _Lockstep:
         np.subtract(self.w, np.multiply(self.m, self.star, out=scratch), out=v)
         for b in self.fixed[1:]:  # xi, in mixed mode
             v -= np.multiply(_dots(v, b), b, out=scratch)
-        nrm = np.sqrt(_dots(v, v))
-        if all(n > 1e-10 for n in np.ravel(nrm).tolist()):
+        nrm = self.sqrt(_dots(v, v))
+        if nrm > 1e-10 if self.lone else (nrm > 1e-10).all():
             v /= nrm
             self.F = self.rows
         elif self.lone:
@@ -692,7 +717,7 @@ class _Lockstep:
         self.eps = eps = y - yhat
         # c_i with -grad_w(sample i) = u c_i x_i and -grad_u(sample i) = c_i (w . x_i)
         c = 2.0 * eps * dpre if cfg.objective == "mse" else y * dpre
-        self.u_next = self.u + self.lr * (np.add.reduce(c * a_w, axis=-1).reshape(self.col)[()] / B)
+        self.u_next = self.u + self.lr * (self.scalars(np.add.reduce(c * a_w, axis=-1, keepdims=True)) / B)
         # mean(c_i x_i), lifted to the batch-mean gradient as a d-vector on
         # the subspace path
         if self.literal:
@@ -707,7 +732,7 @@ class _Lockstep:
         new = self.w if into is None else into
         self.grad *= self.lr * self.u
         np.add(self.w, self.grad, out=new)
-        new /= np.sqrt(_dots(new, new))
+        new /= self.sqrt(_dots(new, new))
         self.m = _dots(new, self.star)
         if into is None:
             self.F = self.p = None
@@ -788,7 +813,7 @@ class _Lockstep:
                     self.record(0)  # the initial state is paired with the first batch's error
                 self.advance()
                 self.u = self.u_next
-                us, ms = np.ravel(self.u).tolist(), np.ravel(self.m).tolist()
+                us, ms = self.listed(self.u), self.listed(self.m)
                 # false for NaN as well as for magnitudes beyond the limit
                 blown = [j for j, (u, m) in enumerate(zip(us, ms))
                          if not (abs(u) <= BLOWUP_LIMIT and math.isfinite(m))]
@@ -799,7 +824,7 @@ class _Lockstep:
                     # with the post-update state, whose frame the next step reuses
                     self.record(step)
                 if len(us) != len(self.members):
-                    us, ms = np.ravel(self.u).tolist(), np.ravel(self.m).tolist()
+                    us, ms = self.listed(self.u), self.listed(self.m)
                 stopped = []
                 for j, (member, u, m) in enumerate(zip(self.members, us, ms)):
                     if member.exit_step is None and max(abs(u), abs(m)) >= member.cfg.mu:
@@ -926,7 +951,7 @@ def run_lockstep(cfgs) -> list[RunResult | NumericalBlowupError] | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _Lockstep(cfgs, [init_state(cfg) for cfg in cfgs]).run()
+            return _Lockstep(cfgs, [init_state(cfg) for cfg in cfgs], own=True).run()
     except Exception:
         return None
 
@@ -941,9 +966,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     NumericalBlowupError when u or m stops being finite or |u| exceeds
     BLOWUP_LIMIT.  It is the lockstep group of one (_Lockstep).
     """
-    # no name keeps the initial state, whose omega_tilde wt copies, so the
-    # first step's gradient can take its memory
-    [outcome] = _Lockstep([cfg], [init_state(cfg)]).run()
+    # the run owns its initial state, and no name keeps it: its rows become
+    # the run's frame, and once wt copies omega_tilde, the first step's
+    # gradient can take that memory
+    [outcome] = _Lockstep([cfg], [init_state(cfg)], own=True).run()
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

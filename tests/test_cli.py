@@ -176,6 +176,25 @@ def test_sgd_manifest_indexes_every_artifact_and_svg(tmp_path):
     assert summary["name"] == "sgd_summary" and "summary" not in summary
 
 
+def test_a_run_cell_gathers_its_step_events(tmp_path):
+    # the README curriculum command: its entry holds the exit, aligned and
+    # switch steps of its CSV header under "events", and its summary keeps
+    # its keys; a committee cell's holds its onset step
+    [argv] = [argv for argv in _readme_commands() if argv[1] == "curriculum"]
+    assert main(argv[1:-2] + ["--out", str(tmp_path / "curr")]) == EXIT_OK
+    manifest = json.loads(read(tmp_path / "curr" / "manifest.json"))
+    cell, summary = manifest["cells"]
+    meta, _, _ = parse_csv_text(read(tmp_path / "curr" / cell["files"][0]))
+    assert cell["events"] == {key: int(meta[key]) for key in ("exit_step", "aligned_step", "switch_step")}
+    assert set(cell["summary"]) == {"exit_epoch", "aligned_epoch", "mu", "seed"}
+    assert "events" not in summary
+    code = main(["committee", "--mu", "0.5", "--ranks", "1", "--d", "200", "--n-steps", "50",
+                 "--out", str(tmp_path / "comm")])
+    assert code == EXIT_OK
+    [cell] = json.loads(read(tmp_path / "comm" / "manifest.json"))["cells"]
+    assert cell["events"] == {"onset_step": None}
+
+
 def test_committee_artifact_has_one_row_per_record(tmp_path):
     code = main(["committee", "--mu", "0.5", "--ranks", "2", "--d", "200",
                  "--n-steps", "50", "--out", str(tmp_path)])

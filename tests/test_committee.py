@@ -36,6 +36,12 @@ def test_config_validation():
         CommitteeConfig(mu=(0.5, 1.0), rank=2, d=4)
     with pytest.raises(ValueError):
         CommitteeConfig(mu=(0.5,), rank=1, onset_threshold=1.0)
+    # a non-integer count, rank or seed is refused, not truncated or failed on deep in NumPy
+    for name, value in (("seed", 2.7), ("record_every", 2.5), ("d", 50.0), ("n_steps", 6.0),
+                        ("batch_size", 10.0), ("rank", 1.5)):
+        with pytest.raises(ValueError, match=name):
+            CommitteeConfig(**{"mu": (0.5, 1.0), "rank": 1, "n_steps": 6, name: value})
+    CommitteeConfig(mu=(0.5, 1.0), rank=np.int64(2), d=np.int32(60), seed=np.uint64(2**63))
 
 
 def test_linear_rates_closed_form_and_rank_independence():

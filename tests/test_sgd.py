@@ -9,8 +9,10 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,6 +69,12 @@ def test_config_validation():
             SimConfig(**bad)
     with pytest.raises(ValueError):
         Curriculum(switch_threshold=1.0)
+    # a non-integer count or seed is refused, not truncated or failed on deep in NumPy
+    for name, value in (("seed", 1.5), ("record_every", 2.5), ("d", 50.0), ("n_steps", 6.0),
+                        ("batch_size", 10.0)):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{**good, "n_steps": 6, name: value})
+    SimConfig(**dict(good, d=np.int64(100), n_steps=np.int32(5), seed=np.uint64(2**63)))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -411,13 +419,37 @@ def _state_bytes(s):
 
 @pytest.mark.parametrize("sampler", ["subspace", "literal"])
 def test_measure_drift_leaves_its_state_alone(sampler):
+    # and so do sgd_step and measure_test_mse: a caller's state is never a
+    # run's frame
     cfg = SimConfig(teacher=ERF, student=ERF, mu=0.3, d=80, batch_size=40, learning_rate=0.1,
-                    n_steps=1, frozen_mode="mixed", sampler=sampler, k_max=20)
+                    n_steps=1, frozen_mode="mixed", sampler=sampler, k_max=40)
     st_ = init_state(cfg)
     before = _state_bytes(st_)
-    first = measure_drift(cfg, st_, 6)
-    assert _state_bytes(st_) == before
-    assert measure_drift(cfg, st_, 6) == first
+    for call in (partial(measure_drift, cfg, st_, 6), partial(sgd_step, cfg, st_),
+                 partial(measure_test_mse, cfg, st_, 500)):
+        first = call()
+        assert _state_bytes(st_) == before
+        again = call()
+        if isinstance(first, SimState):
+            first, again = _state_bytes(first), _state_bytes(again)
+        assert again == first
+
+
+@pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
+def test_a_lone_run_holds_each_d_vector_once(frozen_mode):
+    # the kernel's d-vectors are the frame rows w_star, [xi,] v, then w,
+    # omega_tilde, the residual and the gradient: f + 4 of them, since the
+    # run's initial rows become its frame, copied nowhere
+    d, f = 200_000, 2 + (frozen_mode == "mixed")
+    cfg = SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=d, batch_size=50, learning_rate=0.1,
+                    n_steps=3, record_every=2, frozen_mode=frozen_mode, k_max=2)
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (f + 4.5) * 8 * d, peak / (8 * d)
 
 
 @pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])

@@ -26,16 +26,19 @@ def test_bitdump_hashes_one_item_of_each_kind(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" ", 1)[1] for line in lines] == sgd
     assert lines[0].split()[0] == lines[1].split()[0]
-    # the first SGD run alone and as the middle member of a lockstep group:
-    # one hash, and a group that does not answer fails the dump
-    pair = ["sgd/linear aligned stop worker=off", "lockstep/linear aligned stop worker=off"]
-    assert bitdump.main(pair) == 0
+    # the first SGD run alone, as the middle member of a lockstep group and
+    # as the group of one: one hash, and a group that does not answer fails
+    # the dump
+    runs = ["sgd/linear aligned stop worker=off", "lockstep/linear aligned stop worker=off",
+            "lockstep/linear aligned stop worker=off alone"]
+    assert bitdump.main(runs) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" ", 1)[1] for line in lines] == pair
-    assert lines[0].split()[0] == lines[1].split()[0]
+    assert [line.split(" ", 1)[1] for line in lines] == runs
+    assert lines[0].split()[0] == lines[1].split()[0] == lines[2].split()[0]
     monkeypatch.setattr(bitdump, "run_lockstep", lambda cfgs: None)
-    assert bitdump.main(pair[1:]) == 1
-    assert "differs" in capsys.readouterr().err
+    for name in runs[1:]:
+        assert bitdump.main([name]) == 1
+        assert "differs" in capsys.readouterr().err
     # a value, a warning and an error each change the hash
     digests = {bitdump.digest(lambda: 1.0), bitdump.digest(lambda: 2.0),
                bitdump.digest(lambda: __import__("warnings").warn("w") or 1.0),

@@ -10,10 +10,11 @@ flows, SGD runs, committee SGD runs, series values and comparison reports
 committee SGD run is dumped twice, with the draw-ahead worker forced off
 and forced on, so the two lines of a run must match.  Last come the SGD
 runs again, each as the middle member of a lockstep group whose other
-members differ from it in mu alone; the script exits with status 1 when
-such a line differs from the line of the run alone, as it does when the
-group does not answer.  Given prefixes, only
-the items whose names start with one of them run.
+members differ from it in mu alone, and then each through run_lockstep as
+the group of one (the items named "... alone"); the script exits with
+status 1 when such a line differs from the line of the run alone, as it
+does when the group does not answer.  Given prefixes, only the items
+whose names start with one of them run.
 
 A change that must keep every bit runs the dump at its parent commit and
 at the change, each from its own checkout, and diffs the two outputs.  The
@@ -196,24 +197,26 @@ def _sgd_runs():
         yield f"measure_drift {sampler}", partial(measure_drift, cfg, init_state(cfg), 50)
 
 
-def _lockstep(on: bool, cfg):
-    """cfg's outcome as the middle member of a lockstep group with siblings
-    at mu 0.25 and 0.75, the worker forced on or off; raises when the group
-    did not answer."""
-    group = [dataclasses.replace(cfg, mu=0.25), cfg, dataclasses.replace(cfg, mu=0.75)]
+def _lockstep(on: bool, cfg, alone: bool = False):
+    """cfg's outcome through run_lockstep, the worker forced on or off: as
+    the group of one when alone, else as the middle member of a group with
+    siblings at mu 0.25 and 0.75; raises when the group did not answer."""
+    group = [cfg] if alone else [dataclasses.replace(cfg, mu=0.25), cfg, dataclasses.replace(cfg, mu=0.75)]
     outcomes = _worker(on, run_lockstep, group)
     if outcomes is None:
         raise RuntimeError("the lockstep group did not answer")
-    outcome = outcomes[1]
+    outcome = outcomes[len(group) // 2]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def _lockstep_runs():
-    for name, cfg in _SGD.items():
-        for on in (False, True):
-            yield f"{name} worker={'on' if on else 'off'}", partial(_lockstep, on, cfg)
+    for alone in (False, True):
+        for name, cfg in _SGD.items():
+            for on in (False, True):
+                item = f"{name} worker={'on' if on else 'off'}{' alone' * alone}"
+                yield item, partial(_lockstep, on, cfg, alone)
 
 
 def _committee_runs():
@@ -300,7 +303,7 @@ def main(argv=None) -> int:
         hashes[name] = digest(thunk)
         print(hashes[name], name, flush=True)
         if name.startswith("lockstep/"):
-            alone = "sgd/" + name.split("/", 1)[1]
+            alone = "sgd/" + name.split("/", 1)[1].removesuffix(" alone")
             if alone not in hashes:
                 hashes[alone] = digest(thunks[alone])
             if hashes[alone] != hashes[name]:
