@@ -24,9 +24,7 @@ class ActivationSpec:
     derivative is a callable when analytic, or None (slope then falls back
     to a central difference).  pure_hermite_degree is set when the function
     IS a probabilists' Hermite polynomial of unit variance, enabling
-    closed-form coefficients; an SGD step then takes a student of degree 2
-    or more and its slope from one pass of the Hermite recurrence
-    (hermite_value_and_slope), not from evaluate and derivative.
+    closed-form coefficients and the SGD step's hermite_value_and_slope.
     """
 
     name: str
@@ -70,12 +68,8 @@ def builtin(name: str) -> ActivationSpec:
     """Look up a builtin activation by name.
 
     Known names: linear, erf, relu, sigmoid, and hermite(k) (alias
-    hermiteK, e.g. hermite3) for integer k >= 1.
-
-    Raises
-    ------
-    KeyError
-        For unknown names.
+    hermiteK, e.g. hermite3) for an integer k from 1 to 169; any other
+    name raises KeyError.
     """
     if name == "linear":
         # identically He_1, so the closed-form coefficient path applies
@@ -106,8 +100,9 @@ def builtin(name: str) -> ActivationSpec:
     m = _HERMITE_NAME.match(name)
     if m:
         k = int(m.group(1) or m.group(2))
-        if k < 1:
-            raise KeyError(f"hermite degree must be >= 1, got {name!r}")
+        # above 169, k! * k overflows a float, and with it default_delta's 1/(k! k)
+        if not 1 <= k <= 169:
+            raise KeyError(f"hermite degree must lie in [1, 169], got {name!r}")
         return ActivationSpec(
             name=name,
             evaluate=lambda z, k=k: eval_scaled_hermite(k, 1.0, z),

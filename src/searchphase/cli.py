@@ -1,16 +1,11 @@
 """Experiment runner: sweeps, CSV artifacts, and comparison reports.
 
-Each subcommand is one entry of :data:`SUBCOMMANDS`: its fields (parser,
-default, check, scalar setting or sweep axis), how its cells are named,
-its CSV header (kind, title and the plan values it copies), the builder of
-a cell's config and its cell runner.  The argparse flags, the INI config
-sections, plan validation, the cell expansion and the headers are all
-generated from that table.  A plan expands into independent sweep cells,
-which run one after another.  validate_plan builds and so checks every
-cell's config; a runner takes only that config, returns a table of what it
-computed and touches no path.  :func:`_execute`, the one writer, turns each
-table into one CSV artifact and one entry of the ``manifest.json`` that
-indexes them.
+Each subcommand is one Subcommand row of :data:`SUBCOMMANDS`, from which
+the argparse flags, the INI config sections, plan validation, the cell
+expansion and the CSV headers are all generated.  A plan expands into
+sweep cells, which run one after another; a cell runner touches no path,
+and :func:`_execute`, the one writer, turns its table into the cell's CSV
+and its entry of the ``manifest.json`` that indexes them.
 """
 
 from __future__ import annotations
@@ -361,11 +356,10 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
     The theory artifact supplies tau(mu); the experiment artifact supplies
     exit epochs (averaged over seeds when repeated).  Exit epochs are fit
     against tau(mu) * log(d) / 2 with one global scale and offset, and the
-    report carries the rank correlation and pointwise relative residuals.
-    The rank correlation is Spearman's: the Pearson correlation of average
-    ranks, as ``scipy.stats.spearmanr`` computes it.  A file that does not
-    parse (say, a row longer or shorter than its header), fewer than two
-    finite points, or a column constant over them, is refused.
+    report carries Spearman's rank correlation and pointwise relative
+    residuals.  A file that does not parse (say, a row longer or shorter
+    than its header), a d that is not a finite number above 1, fewer than
+    two finite points, or a column constant over them, is refused.
     """
 
     def read(name: str, path: str):
@@ -377,15 +371,19 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
 
     _, t_cols, t_data = read("theory_csv", theory_csv)
     e_meta, e_cols, e_data = read("experiment_csv", experiment_csv)
-    problems = []
-    for col in ("mu", "tau"):
-        if col not in t_cols:
-            problems.append(("theory_csv", f"missing column {col!r}"))
-    for col in ("mu", "exit_epoch"):
-        if col not in e_cols:
-            problems.append(("experiment_csv", f"missing column {col!r}"))
+    problems = [(name, f"missing column {col!r}")
+                for name, cols, needed in (("theory_csv", t_cols, ("mu", "tau")),
+                                           ("experiment_csv", e_cols, ("mu", "exit_epoch")))
+                for col in needed if col not in cols]
+    try:
+        d = float(e_meta.get("d", "nan"))
+    except ValueError:
+        d = math.nan
     if "d" not in e_meta:
         problems.append(("experiment_csv", "missing metadata key 'd'"))
+    elif not 1.0 < d < math.inf:
+        problems.append(("experiment_csv",
+                         f"metadata key 'd' must be a finite number above 1, got {e_meta['d']!r}"))
     if problems:
         raise ValidationError(problems)
 
@@ -406,7 +404,6 @@ def compare_theory_experiment(theory_csv: str, experiment_csv: str) -> dict:
         return float(values.mean()) if len(values) else float("nan")
 
     exit_epoch = np.array([mean_exit(float(mu)) for mu in e_mu])
-    d = float(e_meta["d"])
     predicted = tau * math.log(d) / 2.0
     mask = np.isfinite(predicted) & np.isfinite(exit_epoch)
     if int(mask.sum()) < 2:
@@ -456,14 +453,13 @@ def _compare_inputs(plan: ExperimentPlan, cell: Cell) -> tuple[str, str]:
 
 
 def _run_compare_cell(paths: tuple[str, str]) -> tuple:
+    """The report as the table: its lists are the columns, in report order,
+    and its scalars the metadata."""
     report = compare_theory_experiment(*paths)
-    keys = ("spearman", "scale", "offset", "n_points", "max_abs_relative_residual")
-    metadata = {key: report[key] for key in keys}
-    columns = ["mu", "tau", "predicted_epoch", "exit_epoch", "fitted_epoch", "relative_residual"]
-    return metadata, columns, zip(*(report[c] for c in columns)), {
-        "spearman": report["spearman"],
-        "max_abs_relative_residual": report["max_abs_relative_residual"],
-    }
+    columns = [key for key, value in report.items() if isinstance(value, list)]
+    metadata = {key: value for key, value in report.items() if key not in columns}
+    summary = {key: report[key] for key in ("spearman", "max_abs_relative_residual")}
+    return metadata, columns, zip(*(report[c] for c in columns)), summary
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +594,9 @@ def _scipy_version() -> str:
 @cache
 def provenance() -> dict:
     """What made this process's numbers, read once per process for the
-    manifest: the searchphase, Python, NumPy and SciPy versions, the
-    platform, the BLAS NumPy was built with, its thread count (the bits
-    of a run with d > 10 000 depend on it) and, for OpenBLAS, the core its
-    kernels were chosen for.  SciPy's version is read from
-    its installed files, so a run that needs no SciPy still never imports
-    it.  A value that cannot be read is None.  Cached, so every caller gets
-    the one dict: copy it before changing it."""
+    manifest, among them the BLAS thread count, on which the bits of a run
+    with d > 10 000 depend.  A value that cannot be read is None.  Cached,
+    so every caller gets the one dict: copy it before changing it."""
     import ctypes
     import platform
 
@@ -633,9 +625,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     2 = partial failure, 3 = numerical blowup; raises ValidationError
     (exit code 1) before touching any cell when the plan is invalid or the
     output directory holds another plan's (or an unreadable) manifest or
-    cannot be made (say, where a path names a regular file).  The manifest
-    also records the effective plan (its values) and the process's
-    provenance().
+    cannot be made (say, where a path names a regular file).
     """
     problems = validate_plan(plan)
     if problems:
@@ -776,14 +766,12 @@ class Subcommand:
     has one cell per combination, and cell_name and title are formatted
     with the plan values and the cell parameters.  build(plan, cell) makes a
     cell's config, raising ValueError where plan values conflict;
-    validate_plan builds every cell's to check it, and run takes it alone.
-    A cell's CSV header holds the kind, the title, the meta values taken
-    from the same dict, and the metadata of the table run returns,
-    (metadata, columns, rows, summary), for _execute to write; that metadata
-    is what the run computed.  summarize, when set, returns one more artifact
-    from the finished cells' entries as (name, table), table a callable
-    giving such a table, or None.  The cells of the SGD subcommands run
-    together where they can (_execute_lockstep).
+    validate_plan builds every cell's to check it, and run takes it alone
+    and returns the table (metadata, columns, rows, summary) of what it
+    computed, which _headed heads.  summarize, when set, returns one more
+    artifact from the finished cells' entries as (name, table), table a
+    callable giving such a table, or None.  The cells of the SGD
+    subcommands run together where they can (_execute_lockstep).
     """
 
     name: str

@@ -14,15 +14,7 @@ search problem coupled only through q and through C = U^T U:
     dm_{k,r}/dt = (1/K) [ D_k u_{k,r} (1 - m_{k,r}^2)
                           - sum_{s != r} C_{rs} (m_{k,s} - m_{k,r} q_{rs}) ]
 
-with D_k = 1 - mu_k.  Its per-direction escape rate is
-lambda_k = (-1 + sqrt(1 + 4 D_k^2)) / (2K), independent of the rank R.
-
-The SGD counterpart, committee_sgd, draws its batches and lifts its
-batch-mean gradient through the frame sampler of the single-index
-simulator (sgd._Workspace), in a frame of its own whose fixed rows are the
-teachers and free rows the adapters; the sampler labels each batch with the
-teacher, y = (1/sqrt K) sum_k (w_k* . x), on the draw-ahead worker when
-one runs.
+with D_k = 1 - mu_k.  committee_sgd is the SGD counterpart.
 """
 from __future__ import annotations
 
@@ -32,7 +24,7 @@ from math import inf, isfinite, sqrt
 import numpy as np
 
 from .ode import BLOWUP_LIMIT, NumericalBlowupError, _n_steps, fixed_step
-from .sgd import _INIT_STREAM, _refuse_non_integers, _Workspace, orthonormal_frame, step_rng
+from .sgd import _INIT_STREAM, _check_run_fields, _Workspace, orthonormal_frame, step_rng
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,7 @@ class CommitteeConfig:
     onset_threshold: float = 0.3
 
     def __post_init__(self):
-        _refuse_non_integers(self, ("rank", "d", "batch_size", "n_steps", "record_every", "seed"))
+        _check_run_fields(self, ("rank", "d", "batch_size", "n_steps", "record_every", "seed"))
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         if len(self.mu) < 1:
             raise ValueError("need at least one direction")
@@ -60,16 +52,8 @@ class CommitteeConfig:
             raise ValueError("rank must be >= 1")
         if self.d < len(self.mu) + self.rank + 1:
             raise ValueError("d too small for the requested directions")
-        if self.batch_size < 1 or self.n_steps < 1:
-            raise ValueError("batch_size and n_steps must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if not (0.0 < self.learning_rate < inf):
-            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 < self.onset_threshold < 1.0):
             raise ValueError("onset_threshold must lie in (0, 1)")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must lie in [0, 2**64)")
 
     @property
     def n_directions(self) -> int:
@@ -264,16 +248,10 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     sum_{k adapted} w_k*/sqrt(d) plus an orthonormal remainder, giving every
     adapted pair the pinned initial overlap 1/sqrt(d); adapted magnitudes
     start at 1/sqrt(d).  Updates are batch means of per-sample gradients of
-    (y - yhat)^2; adapters are renormalized to unit length each step.  The
-    batch is sampled through its exact frame law by the SGD simulator's
-    frame sampler, sgd._Workspace: coordinates along the frame of
-    (teachers, adapters), rebuilt in place each step, and the batch-mean
-    gradient lifted from one residual d-vector, so the cost per step is
-    O(batch + d).  Step t draws from counter t - 1 of the training stream;
-    a long run draws ahead on a second core, where the teacher's labels
-    add.reduce(coords[:, :K], axis=1) / sqrt(K) are made with the draws,
-    with the same bits (_Workspace.drawing_ahead).  The main keeps the
-    student's side, lam_star @ mu_vec and every other product.
+    (y - yhat)^2; adapters are renormalized to unit length each step.  Step
+    t samples its batch through the single-index simulator's sgd._Workspace
+    from counter t - 1 of the training stream, in a frame of (teachers,
+    adapters) rebuilt in place each step, and the workspace labels it.
     Raises NumericalBlowupError when a magnitude or overlap stops being
     finite or a magnitude exceeds BLOWUP_LIMIT.
     """
@@ -328,7 +306,6 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
 
     with ws.drawing_ahead(cfg.n_steps, cfg.batch_size, K + R):
         for step in range(1, cfg.n_steps + 1):
-            # frame: K teacher rows (already orthonormal) + adapter residuals
             frame[K:] = adapters
             F = orthonormal_frame(frame, fixed, ws.res)
             coords, y = ws.batch(ws.train, step - 1, cfg.batch_size, len(F))  # y: the teacher's labels

@@ -5,16 +5,6 @@ variance r, written He_k^[r], with
 
     E[He_k^[r](z) He_m^[r](z)] = delta_km * k! * r^k  for z ~ N(0, r).
 
-The module provides evaluation by the three-term recurrence, coefficient
-extraction by Gauss-Hermite quadrature, the closed form for pure Hermite
-activations, conversion to the unit-variance basis, and the product
-expansion needed for squared labels.
-
-CoefficientSource is the reduced theory's one source of coefficients:
-prepared once per (activation, k_max) and called per r, it gives
-sigma_k[r] / r^k and sigmabar_k[r] / r^k, by the closed form for a pure
-Hermite activation and by project_activation's quadrature otherwise.
-
 Conventions
 -----------
 A unit-variance coefficient vector c represents
@@ -48,16 +38,10 @@ class DegenerateFunctionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Hermite rule for E[f(x)] with x ~ N(0,1).
-
-    Parameters
-    ----------
-    nodes : ndarray
-        Quadrature abscissas on the standard-normal scale.
-    weights : ndarray
-        Positive weights summing to 1 (probabilists' normalization).
-
-    A rule of n nodes is exact for polynomials of degree <= 2n - 1.
+    """Gauss-Hermite rule for E[f(x)] with x ~ N(0,1): abscissas on the
+    standard-normal scale and positive weights summing to 1 (probabilists'
+    normalization).  A rule of n nodes is exact for polynomials of degree
+    <= 2n - 1.
     """
 
     nodes: np.ndarray
@@ -85,18 +69,8 @@ def eval_scaled_hermite(k: int, r: float, z):
 
     He_{k+1}^[r](z) = z He_k^[r](z) - k r He_{k-1}^[r](z), He_0 = 1, He_1 = z.
 
-    Parameters
-    ----------
-    k : int
-        Degree, >= 0.
-    r : float
-        Variance of the Gaussian measure, positive and finite.
-    z : float or ndarray
-
-    Returns
-    -------
-    float or ndarray
-        A new array (or a float for scalar z), never z itself.
+    The degree k is >= 0 and the variance r positive and finite.  Returns a
+    new array (or a float for scalar z), never z itself.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -208,20 +182,8 @@ def project_activation(f, r: float, k_max: int) -> HermiteCoefficients:
         sigmabar_k[r] = r^{(k+1)/2} E[x He_k(x) f'(sqrt(r) x)]
 
     The expectations use the cached Gauss-Hermite rule of order 2*k_max + 10.
-
-    Parameters
-    ----------
-    f : ActivationSpec
-        Needs ``evaluate`` and ``slope`` (the derivative, or its central
-        difference when there is none).
-    r : float
-        Variance, positive and finite.
-    k_max : int
-        Highest retained degree.
-
-    Returns
-    -------
-    HermiteCoefficients
+    f needs ``evaluate`` and ``slope`` (the derivative, or its central
+    difference when there is none); r is positive and finite.
     """
     _check_variance(r)
     if k_max < 0:
@@ -260,8 +222,9 @@ def _pure_rescaled(layout, r: float, k_max: int, out=None) -> tuple[np.ndarray, 
 
 
 class CoefficientSource:
-    """(sigma_k[r] / r^k, sigmabar_k[r] / r^k) for k = 0..k_max of one
-    activation, prepared once per (f, k_max) and called per r.
+    """The reduced theory's one source of coefficients: (sigma_k[r] / r^k,
+    sigmabar_k[r] / r^k) for k = 0..k_max of one activation, prepared once
+    per (f, k_max) and called per r.
 
     A pure Hermite activation (``f.pure_hermite_degree`` set, at most k_max)
     holds the layout of its closed form and never touches quadrature; any
@@ -365,13 +328,9 @@ def square_expansion(c: np.ndarray) -> np.ndarray:
 
 
 def information_exponent(c: np.ndarray) -> int:
-    """Smallest degree k >= 1 with |c_k| > 1e-10.
-
-    Raises
-    ------
-    DegenerateFunctionError
-        If every coefficient of degree >= 1 is below tolerance.
-    """
+    """Smallest degree k >= 1 with |c_k| > 1e-10; raises
+    DegenerateFunctionError if every coefficient of degree >= 1 is below
+    tolerance."""
     c = np.asarray(c, dtype=float)
     for k in range(1, len(c)):
         if abs(c[k]) > 1e-10:

@@ -7,15 +7,7 @@ The full flow integrates
 
 with L the population loss of a ModelConfig (the (1 - m^2) factor is the
 spherical constraint on the trainable direction, delta the config's time
-rescaling).  The linearized flow du/dt = B u + A m, dm/dt = A u is solved in
-closed form from a SearchPhaseLinearization.  A scalar damped-oscillator
-change of variables m = tanh(g) is provided for the late phase.
-
-fixed_step is the one integrator of the package: one RK4 or Euler step of
-a pair (u, m), two floats or two arrays of one shape.  integrate_flow steps
-the two Python floats of the order parameters through it, the oscillator
-here its (g, g') and the committee flow its (U, M) arrays, so no flow builds
-an array per stage.
+rescaling), next to its linearization and its late-phase oscillator form.
 """
 from __future__ import annotations
 
@@ -104,7 +96,8 @@ class TrajectoryRecord:
 def fixed_step(f: Callable, u, m, dt: float, method: str = "rk4") -> tuple:
     """One step of the pair (u, m)' = f(u, m) by explicit Euler or classical
     RK4; u and m are floats or arrays of one shape, and f returns a pair of
-    the same kind."""
+    the same kind.  It is the package's one integrator, and a pair of floats
+    (integrate_flow's) builds no array per stage."""
     a1, b1 = f(u, m)
     if method == "euler":
         return u + dt * a1, m + dt * b1

@@ -12,35 +12,8 @@ the correlation objective 1 - y*yhat), after which w is renormalized to the
 unit sphere.  One SGD step at learning rate gamma corresponds to a flow-time
 increment 2*gamma/delta of the reduced description.
 
-Randomness is counter-based: step t of a run draws from
-Philox(key=(seed, stream), counter=(0,0,0,t)), so trajectories are
-reproducible per (seed, stream, step) and independent of execution order
-(step_rng, counter_stream).
-
-Every step runs through one kernel, _Lockstep.step, whose two samplers
-differ only in how the batch is drawn, and produce identical process laws:
-
-* "literal"   materializes the full (batch, d) Gaussian matrix;
-* "subspace"  draws only the coordinates along the active frame
-  (w_star, [xi,] w) plus a single d-vector for the orthogonal remainder of
-  the batch-mean gradient, which has the exact conditional law
-  N(0, |c|^2 (I - F F^T)) given the frame coordinates (_Workspace.lift).
-
-The subspace sampler is the default; it makes the cost per step
-O(batch + d) instead of O(batch * d).  Held-out test errors, of records and
-of measure_test_mse alike, draw frame coordinates through the same sampler,
-and so does the committee simulator.  A long run draws its batches ahead on
-a second core, with the same bits (_Workspace.drawing_ahead); since the
-teacher's evaluate then runs in a forked worker, it must be a pure function
-of its argument.
-
-A draw depends only on (seed, stream, counter, shape), and a step's labels
-only on its draws, never on mu, the learning rate or the initial u and m.
-So runs whose configs share a _lockstep_key step together (run_lockstep),
-each member with the bits of its run alone.  The group answers for every
-member or for none: run_lockstep returns each member's RunResult, or the
-NumericalBlowupError its run raises alone, or None when a warning fires
-or an operation raises in the group, which stops there.
+Every step runs through one kernel, _Lockstep.step, and every draw through
+one counter-based sampler, _Workspace.
 """
 from __future__ import annotations
 
@@ -108,15 +81,11 @@ class SimConfig:
     k_max: int = 25
 
     def __post_init__(self):
-        _refuse_non_integers(self, ("d", "batch_size", "n_steps", "record_every", "seed"))
+        _check_run_fields(self, ("d", "batch_size", "n_steps", "record_every", "seed"))
         if not (0.0 < self.mu < 1.0):
             raise ValueError("mu must lie strictly inside (0, 1)")
         if self.d < 4:
             raise ValueError("d must be at least 4")
-        if self.batch_size < 1 or self.n_steps < 1:
-            raise ValueError("batch_size and n_steps must be positive")
-        if not (0.0 < self.learning_rate < math.inf):
-            raise ValueError("learning_rate must be positive and finite")
         if self.init_magnitude is not None and not math.isfinite(self.init_magnitude):
             raise ValueError("init_magnitude must be finite")
         if self.init_overlap is not None and not (-1.0 < self.init_overlap < 1.0):
@@ -127,20 +96,26 @@ class SimConfig:
             raise ValueError("objective must be 'mse' or 'correlation'")
         if self.sampler not in ("subspace", "literal"):
             raise ValueError("sampler must be 'subspace' or 'literal'")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
         if not (0.0 < self.align_threshold <= 1.0):
             raise ValueError("align_threshold must lie in (0, 1]")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must lie in [0, 2**64)")
 
 
-def _refuse_non_integers(cfg, names) -> None:
-    """Raises ValueError naming the first of cfg's fields names whose value
-    is not an integer (a NumPy integer is one)."""
-    for name in names:
+def _check_run_fields(cfg, integers) -> None:
+    """The checks of the fields a SimConfig and a CommitteeConfig share:
+    raises ValueError naming the first of cfg's fields integers whose value
+    is not an integer (a NumPy integer is one), or a batch_size, n_steps,
+    learning_rate, record_every or seed out of its range."""
+    for name in integers:
         if not isinstance(getattr(cfg, name), numbers.Integral):
             raise ValueError(f"{name} must be an integer")
+    if cfg.batch_size < 1 or cfg.n_steps < 1:
+        raise ValueError("batch_size and n_steps must be positive")
+    if not (0.0 < cfg.learning_rate < math.inf):
+        raise ValueError("learning_rate must be positive and finite")
+    if cfg.record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if not (0 <= cfg.seed < 2**64):
+        raise ValueError("seed must lie in [0, 2**64)")
 
 
 def step_rng(seed: int, stream: int, step: int) -> np.random.Generator:
@@ -265,14 +240,10 @@ def _dots(a: np.ndarray, b: np.ndarray):
 class _Workspace:
     """The sampler that a run, or a lockstep group, and the committee
     simulator draw through: a counter_stream per random stream, one
-    d-vector res, and label, the teacher as a function of a batch's frame
-    coordinates.  The frames are the caller's.  batch() draws a batch's
-    coordinates in a frame of f rows and then, for a step, the residual into
-    res (_draw), and labels the batch; lift() forms the batch-mean gradient
-    in the frame F and uses that residual up.  Inside drawing_ahead(),
-    batch() takes the draws and labels of a worker process when it has made
-    them (_Ahead), with the same bits; the block ends the worker, on return
-    and on any exception alike."""
+    d-vector res for a step's residual, and label, the teacher as a function
+    of a batch's frame coordinates, which the worker of drawing_ahead runs
+    after a fork, so it must be a pure function of its argument.  The
+    frames are the caller's."""
 
     def __init__(self, seed: int, d: int, label):
         self.train = counter_stream(seed, _TRAIN_STREAM)
@@ -285,8 +256,9 @@ class _Workspace:
     def drawing_ahead(self, n_steps: int, batch_size: int, f: int, record_every: int = 0):
         """Within the block, a worker process draws the run's schedule of
         batches (_schedule) in a frame of f rows ahead for batch() to take,
-        when the run is long enough to repay it (_Ahead.start); the worker is
-        gone on leaving."""
+        with the same bits, when the run is long enough to repay it
+        (_Ahead.start); the worker is gone on leaving, on return and on any
+        exception alike."""
         self.ahead = _Ahead.start(self, n_steps, batch_size, f, record_every)
         try:
             yield
@@ -317,11 +289,12 @@ class _Workspace:
         """Batch-mean gradient mean(c_i x_i) as a d-vector, from the batch's
         weights c and frame coordinates: its frame part (c @ coords) / batch
         is exact, the rest has the law N(0, scale^2 (I - F^T F)), scale =
-        |c| / batch, drawn as scale times the residual projected off the
-        frame F.  With a group's frames, c and out carry its member axis, and
-        every member lifts the one residual.  The gradient is written to
-        out; spare, of out's shape, holds the frame part on the way (the
-        residual when None, for a lone frame), and the residual is used up."""
+        |c| / batch, given the frame coordinates, drawn as scale times the
+        residual projected off the frame F.  With a group's frames, c and out
+        carry its member axis, and every member lifts the one residual.  The
+        gradient is written to out; spare, of out's shape, holds the frame
+        part on the way (the residual when None, for a lone frame), and the
+        residual is used up."""
         n, res = c.shape[-1], self.res
         c_row = c[..., None, :]
         # (F @ res) @ F and (c @ coords / n) @ F are the gemv of F.T @ v
@@ -433,13 +406,10 @@ class _Ahead:
     claims each item before it looks at its slot.  If the worker has not
     started the item, the main draws it in line, and the worker, which
     reads the claim again after marking the item started, skips it; so the
-    main never waits for the worker to reach an item.  The worker also
-    skips an item whose labelling raised, for the main to redo in line.
-    While the worker ends an item the main needs, the main claims and draws
-    the next items the worker has not started, and holds them, so the two
-    share the draws.  Either way the main gets the bits of an in-line draw.
-    The coordinates and labels it takes from a slot are views of it, which
-    stay put until the main releases the slot, when it takes the next item."""
+    main never waits for the worker to reach an item, and gets the bits of
+    an in-line draw either way.  The coordinates and labels it takes from a
+    slot are views of it, which stay put until the main releases the slot,
+    when it takes the next item."""
 
     @classmethod
     def start(cls, ws: _Workspace, n_steps: int, batch_size: int, f: int, record_every: int):
@@ -525,7 +495,8 @@ class _Ahead:
         """Item j's (coordinates, residual, labels), views of its slot, once
         the worker has drawn it; None when it skipped the item or died.
         While it draws, the main draws the next unclaimed items the worker
-        has not started, up to two past j, and holds them."""
+        has not started, up to two past j, and holds them, so the two share
+        the draws."""
         ctrl, status, spins = self.ctrl, 2 + j % len(self.slots), 0
         while ctrl[status] == 3 * j + 1:
             k = self.claimed
@@ -598,16 +569,12 @@ class _Lockstep:
     d-vectors, of a run by itself.  Each stacked operation is, row by row,
     the one of a lone run (a dot product a ddot, _dots; a matrix-vector
     product one gemv a member; a reduction along a contiguous row), so each
-    member gets the bits of its run alone.  step and advance make an SGD
-    step, frame and project the frames and frame coordinates it takes,
-    held_out and record the records; run goes through the configs'
-    schedule, members leaving on the way."""
+    member gets the bits of its run alone."""
 
     def __init__(self, cfgs: list[SimConfig], states: list[SimState], own: bool = False):
         cfg, s = cfgs[0], states[0]
         G, d = len(cfgs), cfg.d
         self.cfg, self.literal, self.lone = cfg, cfg.sampler == "literal", G == 1
-        self.col = () if self.lone else (G, 1)  # the shape of a per-member scalar
         self.sqrt = math.sqrt if self.lone else np.sqrt
         self.ws = _Workspace(cfg.seed, d, _teacher_label(cfg))
         self.fixed = [row for row in (s.omega_star, s.xi) if row is not None]
@@ -632,7 +599,7 @@ class _Lockstep:
     def scalars(self, xs):
         """xs, a sequence of one value a member, as the members' scalar: a
         Python float for a lone run, else a (G, 1) column."""
-        return float(xs[0]) if self.lone else np.reshape(xs, self.col)
+        return float(xs[0]) if self.lone else np.reshape(xs, (-1, 1))
 
     def listed(self, x) -> list:
         """The members' scalar x as a list of Python floats."""
@@ -745,10 +712,9 @@ class _Lockstep:
         (w_star, [xi,] w), so the samples are drawn as (n, f) frame
         coordinates from the measurement stream's counter block, which is
         exact in law for both frozen modes, and labelled once for the
-        group.  Labels always come from the task teacher, independent of
-        any curriculum stage.  The student's side goes member by member: at
-        n = 10 000, every (G, n) temporary would take fresh pages from the
-        system.
+        group, by the task teacher.  The student's side goes member by
+        member: at n = 10 000, every (G, n) temporary would take fresh pages
+        from the system.
         """
         p = self.project()
         coords, _ = self.ws.batch(self.ws.measure, block, n, self.F.shape[-2], residual=False)
@@ -792,7 +758,6 @@ class _Lockstep:
         self.members = [self.members[j] for j in keep]
         if keep:
             self.square = [self.square[j] for j in keep]
-            self.col = (len(keep), 1)
             for name in ("lr", "u", "u_next", "m", "wt", "grad", "eps", "frames"):
                 setattr(self, name, getattr(self, name)[keep])
             self.F = self.p = None
@@ -874,13 +839,12 @@ def measure_test_mse(
 ) -> TestMseEstimate:
     """Fresh-sample MC estimate of E[(y - yhat)^2] next to the series value.
 
-    The n_samples inputs are drawn as frame coordinates from counter block
-    `block` of the measurement stream, like a record's; stderr is the ddof-0
-    standard deviation of the squared errors over sqrt(n_samples).  The
-    series value is twice the reduced population loss at the measured
-    (u, m), m clipped to [-1, 1]; in mixed mode it is the aligned-theory
-    prediction, so the gap between the two columns is itself the
-    concentration statement.
+    The n_samples inputs are drawn as a record's (_Lockstep.held_out), from
+    counter block `block`; stderr is the ddof-0 standard deviation of the
+    squared errors over sqrt(n_samples).  The series value is twice the
+    reduced population loss at the measured (u, m), m clipped to [-1, 1];
+    in mixed mode it is the aligned-theory prediction, so the gap between
+    the two columns is itself the concentration statement.
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise ValueError("n_samples must be an integer >= 2")
@@ -941,10 +905,9 @@ def lockstep_groups(cfgs) -> list[list[int]]:
 def run_lockstep(cfgs) -> list[RunResult | NumericalBlowupError] | None:
     """run_simulation of each config of one lockstep group (lockstep_groups),
     stepped together: per config its RunResult, or the NumericalBlowupError
-    its run raises, bit for bit those of its run alone; or None for the
-    whole group when a warning fired or an operation raised in it, where
-    the group stops (so that each run, run alone, has its own warnings and
-    errors)."""
+    its run raises, bit for bit those of its run alone; or None when a
+    warning fired or an operation raised in the group, which stops there
+    (so that each run, run alone, has its own warnings and errors)."""
     cfgs = list(cfgs)
     if len(lockstep_groups(cfgs)) != 1:
         raise ValueError("run_lockstep takes the configs of one lockstep group")
@@ -957,18 +920,12 @@ def run_lockstep(cfgs) -> list[RunResult | NumericalBlowupError] | None:
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
-    """Run one-pass SGD for cfg.n_steps steps (or until aligned, if asked).
-
-    Records every record_every-th step: the order parameters (geometry read
-    off the actual vectors, so the mixed frozen mode reports its true
-    preactivation variance), the batch training error of the step just
-    taken, and a fresh held-out Monte Carlo test error.  Raises
-    NumericalBlowupError when u or m stops being finite or |u| exceeds
-    BLOWUP_LIMIT.  It is the lockstep group of one (_Lockstep).
+    """Run one-pass SGD for cfg.n_steps steps (or until aligned, if asked),
+    recording the initial state, every record_every-th step and the last
+    (_Lockstep.record).  Raises NumericalBlowupError when u or m stops being
+    finite or |u| exceeds BLOWUP_LIMIT.
     """
-    # the run owns its initial state, and no name keeps it: its rows become
-    # the run's frame, and once wt copies omega_tilde, the first step's
-    # gradient can take that memory
+    # no name keeps the initial state, so that the run owns its memory (_Lockstep)
     [outcome] = _Lockstep([cfg], [init_state(cfg)], own=True).run()
     if isinstance(outcome, Exception):
         raise outcome

@@ -8,27 +8,10 @@ Everything here lives on the two order parameters
 with derived quantities m_eff = mu + u*m (effective alignment) and
 r = mu^2 + u^2 + 2*mu*u*m (pre-activation variance).  The student's scaled
 Hermite coefficients are re-evaluated at the instantaneous r; the teacher's
-live at variance 1.
-
-Numerical note: both units take their coefficients from the one source in
-hermite, the teacher at r = 1 (cached per teacher and k_max) and the
-student at r through a CoefficientSource.  Series are computed with
-coefficients rescaled by r^{-k} (sigma_k / r^k stays O(1) as r -> 0) so
-that small-mu linearizations do not underflow.  Pure Hermite units take the
-closed form there, which never touches quadrature.
-
-Each ModelConfig builds its SeriesKernel once, on first use (``cfg.series``):
-phi, the degrees and factorials, the state-independent leftmost factors of
-the sums and the student's CoefficientSource.  The loss, the gradients, the
-correlation objective, the linearization and the flow's right-hand side all
-evaluate through it, so a call does only the state-dependent arithmetic,
-in the same operations and order as the series written out in full.  Its
-gradient_sums, the flow's inner loop, also writes into a private scratch
-made on its first call: m_eff^k and the student's coefficients land in
-preallocated rows, and the four sums are two row-wise reduces of (2, n)
-products.  That saves NumPy calls, not operations: every element is
-computed from the same operands in the same order, and a row-wise reduce
-sums each row as the 1-D reduce of that row does, so every bit is kept.
+live at variance 1.  Series are computed with coefficients rescaled by
+r^{-k} (sigma_k / r^k stays O(1) as r -> 0) so that small-mu
+linearizations do not underflow, each through its ModelConfig's
+SeriesKernel.
 """
 from __future__ import annotations
 
@@ -74,8 +57,7 @@ class SeriesConvergenceWarning(UserWarning):
 class ModelConfig:
     """One (teacher, student, mu) setting of the reduced model.
 
-    delta is the time rescaling of the flow; when None it defaults to
-    1/(k*! * k*) for a pure Hermite student of degree k*, else 1.
+    delta is the time rescaling of the flow, default_delta(student) when None.
     """
 
     teacher: ActivationSpec
@@ -167,7 +149,9 @@ def _teacher_coefficients_cached(teacher: ActivationSpec, k_max: int) -> np.ndar
 
 class SeriesKernel:
     """The state-independent part of a ModelConfig's series, built once per
-    config as ``cfg.series``.
+    config as ``cfg.series``, through which the loss, the gradients, the
+    correlation objective, the linearization and the flow's right-hand side
+    evaluate, so that a call does only the state-dependent arithmetic.
 
     It holds the teacher's phi_k, the degrees ks and 1/k!, ks - 1, the
     leftmost factors of the gradient sums, (k/k!) phi_k for k >= 1 and

@@ -23,6 +23,9 @@ def test_unknown_name_raises_key_error():
         builtin("gelu")
     with pytest.raises(KeyError):
         builtin("hermite(0)")
+    # 170! * 170 overflows a float, so default_delta could not be formed
+    with pytest.raises(KeyError, match="169"):
+        builtin("hermite(170)")
 
 
 def test_pure_degrees():

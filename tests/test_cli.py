@@ -417,6 +417,13 @@ def test_compare_rejects_missing_columns(tmp_path):
      "line 4 has 4 cells, the header 3"),
     ({"d": 1000}, ["mu", "seed", "exit_epoch"], [(0.3, 0, 5.0), (0.6, 20.0)],
      "line 4 has 2 cells, the header 3"),
+    # d sets log(d): anything but a finite number above 1 is refused, by its value
+    ({"d": "abc"}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)],
+     "metadata key 'd' must be a finite number above 1, got 'abc'"),
+    ({"d": 0}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)], "above 1, got '0'"),
+    ({"d": -5}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)], "above 1, got '-5'"),
+    ({"d": 1}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)], "above 1, got '1'"),
+    ({"d": math.inf}, ["mu", "exit_epoch"], [(0.3, 5.0), (0.6, 9.0)], "above 1, got 'inf'"),
 ])
 def test_compare_refusals_fail_the_cell(tmp_path, metadata, columns, rows, message):
     theory, exper = synthetic_compare_inputs(tmp_path, [0.3, 0.6])
@@ -490,6 +497,8 @@ def test_unknown_config_key_is_a_validation_error(tmp_path, capsys):
     # the sections of a config are run, sweep and output
     ["sgd", "--config", "[DEFAULT]\nd = 7\nbogus = 1\n"],
     ["sgd", "--config", "[plot]\n"],
+    # no hermite degree above 169: its delta 1/(k! k) overflows
+    ["tau", "--activations", "hermite170", "--k-max", "170", "--mu", "0.5"],
 ])
 def test_usage_errors_exit_validation(tmp_path, capsys, argv):
     if "--config" in argv:

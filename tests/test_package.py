@@ -38,3 +38,10 @@ def test_perfbench_and_readme_imports_resolve_on_the_public_surface():
     names = searchphase.__all__
     assert len(set(names)) == len(names)
     assert not any(isinstance(getattr(searchphase, n), types.ModuleType) for n in names)
+
+
+def test_every_public_name_keeps_its_docstring():
+    # a dataclass or NamedTuple without a docstring gets "Name(field, ...)" as its __doc__
+    for name in searchphase.__all__:
+        doc = getattr(searchphase, name).__doc__
+        assert doc and doc.strip() and not doc.startswith(name + "("), name

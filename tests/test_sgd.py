@@ -77,6 +77,24 @@ def test_config_validation():
     SimConfig(**dict(good, d=np.int64(100), n_steps=np.int32(5), seed=np.uint64(2**63)))
 
 
+@pytest.mark.parametrize("make", [
+    partial(SimConfig, teacher=LINEAR, student=LINEAR, mu=0.5, d=100),
+    partial(CommitteeConfig, mu=(0.5, 1.0), rank=1, d=100),
+], ids=["SimConfig", "CommitteeConfig"])
+@pytest.mark.parametrize("fault, message", [
+    ({"batch_size": 0}, "batch_size and n_steps must be positive"),
+    ({"n_steps": 0}, "batch_size and n_steps must be positive"),
+    ({"learning_rate": math.nan}, "learning_rate must be positive and finite"),
+    ({"record_every": 0}, "record_every must be >= 1"),
+    ({"seed": -1}, "seed must lie in [0, 2**64)"),
+    ({"seed": 2**64}, "seed must lie in [0, 2**64)"),
+])
+def test_both_configs_refuse_a_shared_field_alike(make, fault, message):
+    with pytest.raises(ValueError) as exc:
+        make(**{"batch_size": 10, "learning_rate": 0.1, "n_steps": 5, **fault})
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", math.nan),
     ("learning_rate", math.inf),
