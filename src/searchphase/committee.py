@@ -263,7 +263,7 @@ def committee_sgd(cfg: CommitteeConfig) -> CommitteeRunResult:
     sqK, sqn_a = sqrt(K), sqrt(n_a)
     core = np.sum(teachers[adapted], axis=0) / sqrt(d) if n_a else np.zeros(d)
     # the frame sampler, whose residual d-vector is the init's scratch
-    ws = _Workspace(cfg.seed, d, lambda coords: np.add.reduce(coords[:, :K], axis=1) / sqK)
+    ws = _Workspace(cfg.seed, np.empty(d), lambda coords: np.add.reduce(coords[:, :K], axis=1) / sqK)
     # the frame: the K teachers are its fixed rows, copied in once, the R
     # adapters its free ones; residuals are taken against the teacher rows
     # (strided views of teachers) themselves

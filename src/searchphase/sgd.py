@@ -203,13 +203,21 @@ def init_state(cfg: SimConfig) -> SimState:
     omega *= np.sqrt(1.0 - overlap * overlap)
     omega += np.multiply(w_star, overlap, out=scratch)
     omega /= math.sqrt(omega @ omega)
-    omega_tilde = np.multiply(w_star, cfg.mu, out=scratch)
-    if xi is not None:
-        omega_tilde += (1.0 - cfg.mu) * xi
+    omega_tilde = _frozen_part(cfg.mu, w_star, xi, scratch)
     u0 = cfg.init_magnitude if cfg.init_magnitude is not None else 1.0 / np.sqrt(cfg.d)
     return SimState(
         u=float(u0), omega=omega, omega_star=w_star, omega_tilde=omega_tilde, xi=xi, step=0
     )
+
+
+def _frozen_part(mu, w_star: np.ndarray, xi: np.ndarray | None, out: np.ndarray, spare=None) -> np.ndarray:
+    """The frozen part mu * w_star [+ (1 - mu) * xi], written to out and
+    returned; spare, of out's shape or None for a new array, holds
+    (1 - mu) * xi on the way.  With a column of mu, a row a member."""
+    np.multiply(w_star, mu, out=out)
+    if xi is not None:
+        out += np.multiply(xi, 1.0 - mu, out=spare)
+    return out
 
 
 def orthonormal_frame(F: np.ndarray, rows, scratch: np.ndarray) -> np.ndarray:
@@ -239,16 +247,17 @@ def _dots(a: np.ndarray, b: np.ndarray):
 
 class _Workspace:
     """The sampler that a run, or a lockstep group, and the committee
-    simulator draw through: a counter_stream per random stream, one
-    d-vector res for a step's residual, and label, the teacher as a function
-    of a batch's frame coordinates, which the worker of drawing_ahead runs
-    after a fork, so it must be a pure function of its argument.  The
-    frames are the caller's."""
+    simulator draw through: a counter_stream per random stream, res, the
+    caller's d-vector for a step's residual, and label, the teacher as a
+    function of a batch's frame coordinates, which the worker of
+    drawing_ahead runs after a fork, so it must be a pure function of its
+    argument.  The frames are the caller's too; a lone _Lockstep's res is
+    the row of its frozen part, so that the run holds f + 3 d-vectors."""
 
-    def __init__(self, seed: int, d: int, label):
+    def __init__(self, seed: int, res: np.ndarray, label):
         self.train = counter_stream(seed, _TRAIN_STREAM)
         self.measure = counter_stream(seed, _MEASURE_STREAM)
-        self.res = np.empty(d)
+        self.res = res
         self.label = label
         self.ahead = None
 
@@ -559,42 +568,60 @@ class _Lockstep:
     array program over a leading member axis: each member's direction w and
     frozen part omega_tilde side by side in wt (G, 2, d), so that one
     product projects both, and its frame of (w_star, [xi,] w) in frames
-    (G, f, d), whose fixed rows are copied in once; the members' magnitudes
-    u, learning rates lr and overlaps m = w . w_star are (G, 1) columns, and
-    F is the frames of the current w, once made.  A lone run is the group of
-    one, stepped without the member axis: its views are 1-D rows and its
-    scalars Python floats, and when it owns its initial state (own), its
-    frame is that state's rows w_star, [xi,] w, whose last row frame()
-    overwrites once wt holds w; so it steps at the cost, in time and in
-    d-vectors, of a run by itself.  Each stacked operation is, row by row,
-    the one of a lone run (a dot product a ddot, _dots; a matrix-vector
-    product one gemv a member; a reduction along a contiguous row), so each
-    member gets the bits of its run alone."""
+    (G, f, d), whose fixed rows are copied in once; the members' mu,
+    magnitudes u, learning rates lr and overlaps m = w . w_star are (G, 1)
+    columns, and F is the frames of the current w, once made.  The frozen
+    part is made, not kept: wt's second row is remade from the fixed rows
+    (_frozen_part, init_state's operations) each time a frame is projected
+    and for a final state; in between it is the scratch of frame() and of
+    the lift.  A lone run is the group of one, stepped without the member
+    axis: its views are 1-D rows, its scalars Python floats, and its
+    workspace's residual wt's second row; when it owns its initial state
+    (own), its frame is that state's rows w_star, [xi,] w, whose last row
+    frame() overwrites once wt holds w.  So it holds f + 3 d-vectors, the
+    frame rows, w, the residual and the gradient, the fewest the lift
+    allows, as it needs the residual and the gradient at once.  Each
+    stacked operation is, row by row, the one of a lone run (a dot product
+    a ddot, _dots; a matrix-vector product one gemv a member; a reduction
+    along a contiguous row), so each member gets the bits of its run
+    alone."""
 
     def __init__(self, cfgs: list[SimConfig], states: list[SimState], own: bool = False):
         cfg, s = cfgs[0], states[0]
         G, d = len(cfgs), cfg.d
         self.cfg, self.literal, self.lone = cfg, cfg.sampler == "literal", G == 1
         self.sqrt = math.sqrt if self.lone else np.sqrt
-        self.ws = _Workspace(cfg.seed, d, _teacher_label(cfg))
         self.fixed = [row for row in (s.omega_star, s.xi) if row is not None]
-        self.star = self.fixed[0]
+        self.star, self.xi = s.omega_star, s.xi
+        self.mu = self.scalars([c.mu for c in cfgs])
         self.lr = self.scalars([c.learning_rate for c in cfgs])
         self.u = self.scalars([st.u for st in states])
+        # each st.m is read before v, which may be a state's w, is written
+        self.members = [_Member(i, c, st.omega_star, st.xi, st.u, st.m)
+                        for i, (c, st) in enumerate(zip(cfgs, states))]
         self.wt = np.empty((G, 2, d))
         for row, st in zip(self.wt, states):
-            row[0], row[1] = st.omega, st.omega_tilde
+            row[0] = st.omega
+        self.ws = _Workspace(cfg.seed, self.wt[0, 1] if self.lone else np.empty(d), _teacher_label(cfg))
         if own and self.lone:
             self.frames = s.omega_star.base[None]  # init_state's (f, d) rows
         else:
             self.frames = np.empty((G, len(self.fixed) + 1, d))
             self.frames[:, :len(self.fixed)] = self.fixed
         self.F = self.grad = self.p = self.u_next = self.eps = None
-        self.members = [_Member(i, c, st.omega_star, st.xi, st.u, st.m)
-                        for i, (c, st) in enumerate(zip(cfgs, states))]
         self.square = [c.curriculum is not None for c in cfgs]  # which members square their labels
         self.bind()
         self.m = _dots(self.w, self.star)
+        # a state's frozen part must be the one the kernel remakes; record 0
+        # takes its geometry now, through the free rows v, as record does
+        _frozen_part(self.mu, self.star, self.xi, self.tilde, self.v)
+        for row, st in zip(self.wt[:, 1], states):
+            tilde = np.asarray(st.omega_tilde)
+            if tilde.dtype != row.dtype or not np.array_equal(tilde.view(np.uint64), row.view(np.uint64)):
+                raise ValueError("omega_tilde must be its config's frozen part, mu * omega_star "
+                                 "[+ (1 - mu) * xi], bit for bit")
+        combined = np.add(self.tilde, np.multiply(self.w, self.u, out=self.v), out=self.v)
+        self.start = (_dots(combined, self.star), _dots(combined, combined))
 
     def scalars(self, xs):
         """xs, a sequence of one value a member, as the members' scalar: a
@@ -608,21 +635,21 @@ class _Lockstep:
     def bind(self) -> None:
         """The views the kernel takes, made again when the members change:
         wt, w, omega_tilde, the frame rows and their free rows v, without
-        the member axis for a lone run, and the scratch, which for a lone
-        run is the workspace's residual, as in orthonormal_frame and the
-        lift."""
+        the member axis for a lone run."""
         member = 0 if self.lone else slice(None)
         self.wtv, self.rows = self.wt[member], self.frames[member]
         self.w, self.tilde = self.wtv[..., 0, :], self.wtv[..., 1, :]
         self.v = self.rows[..., -1, :]
-        self.scratch = self.ws.res if self.lone else np.empty(self.w.shape)
 
     def project(self) -> np.ndarray:
         """F @ w and F @ omega_tilde of each member, (2, f, 1) a member, made
-        once per frame, and the frame first when it is not made yet."""
+        once per frame, and the frame first when it is not made yet; the
+        frozen part is remade for it, through the gradient's buffer, which
+        is free whenever a frame is projected."""
         if self.p is None:
             if self.F is None:
                 self.frame()
+            _frozen_part(self.mu, self.star, self.xi, self.tilde, self.grad)
             self.p = np.matmul(self.F[..., None, :, :], self.wtv[..., None])
         return self.p
 
@@ -632,7 +659,7 @@ class _Lockstep:
         w_star it takes m, which holds w . w_star, the dot product
         orthonormal_frame takes.  Where that residual vanishes, a lone run's
         frame drops the row, as orthonormal_frame does, and a group raises."""
-        v, scratch = self.v, self.scratch
+        v, scratch = self.v, self.tilde  # the frozen part's row, remade after it (project)
         np.subtract(self.w, np.multiply(self.m, self.star, out=scratch), out=v)
         for b in self.fixed[1:]:  # xi, in mixed mode
             v -= np.multiply(_dots(v, b), b, out=scratch)
@@ -661,6 +688,10 @@ class _Lockstep:
             # made here, once the run has let go of its initial states, so that
             # a lone run's gradient reuses the memory of its initial omega_tilde
             self.grad = np.empty(self.w.shape)
+        # the literal sampler projects too: it reads the remade frozen part in
+        # wt, and its first record, taken while the gradient is in use, finds
+        # its frame made
+        p = self.project()
         if self.literal:
             x = ws.train(counter).standard_normal((B, cfg.d))
             y = cfg.teacher.evaluate(x @ self.star)
@@ -668,7 +699,6 @@ class _Lockstep:
         else:
             # a_w and a_tilde through the frame coordinates of w (which may
             # leave the frame only by rounding) and of the frozen part
-            p = self.project()
             x, y = ws.batch(ws.train, counter, B, self.F.shape[-2])
             a = np.matmul(x, p)
         a_w = a[..., 0, :, 0]
@@ -690,7 +720,7 @@ class _Lockstep:
         if self.literal:
             np.divide(np.matmul(c[..., None, :], x)[..., 0, :], B, out=self.grad)
         else:
-            ws.lift(c, x, self.F, self.grad, self.scratch)
+            ws.lift(c, x, self.F, self.grad, self.tilde)
 
     def advance(self, into: np.ndarray | None = None) -> None:
         """The new directions w + learning_rate * u * grad, renormalized,
@@ -728,15 +758,19 @@ class _Lockstep:
         reports its true preactivation variance), the training error of the
         batch of eps, and a held-out Monte Carlo test error."""
         test = [np.mean(sq) for sq in self.held_out(step, _TEST_SAMPLES_PER_RECORD)]
-        combined = np.add(self.tilde, np.multiply(self.w, self.u, out=self.scratch), out=self.scratch)
+        geometry = self.start  # record 0's, while the gradient is in use
+        if step:  # omega_tilde + u w in the gradient's buffer, free after advance
+            combined = np.add(self.tilde, np.multiply(self.w, self.u, out=self.grad), out=self.grad)
+            geometry = (_dots(combined, self.star), _dots(combined, combined))
         train = np.add.reduce(self.eps * self.eps, axis=-1) / self.cfg.batch_size
-        values = (self.u, self.m, _dots(combined, self.star), _dots(combined, combined), train, test)
+        values = (self.u, self.m, *geometry, train, test)
         for member, row in zip(self.members, zip(*(np.ravel(v).tolist() for v in values))):
             member.rows.append((float(step),) + row)
 
     def result(self, j: int, step: int) -> RunResult:
         """Member j's RunResult, its final state the current one, at step."""
         member = self.members[j]
+        _frozen_part(self.mu, self.star, self.xi, self.tilde, self.grad)
         wt = self.wt[j] if len(self.wt) == 1 else self.wt[j].copy()
         return RunResult(
             *map(np.array, zip(*member.rows)),
@@ -758,7 +792,7 @@ class _Lockstep:
         self.members = [self.members[j] for j in keep]
         if keep:
             self.square = [self.square[j] for j in keep]
-            for name in ("lr", "u", "u_next", "m", "wt", "grad", "eps", "frames"):
+            for name in ("mu", "lr", "u", "u_next", "m", "wt", "grad", "eps", "frames"):
                 setattr(self, name, getattr(self, name)[keep])
             self.F = self.p = None
             self.bind()
@@ -848,6 +882,8 @@ def measure_test_mse(
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise ValueError("n_samples must be an integer >= 2")
+    if not isinstance(block, numbers.Integral) or not 0 <= block < 2**64:
+        raise ValueError("block must be an integer in [0, 2**64)")
     [sq] = _Lockstep([cfg], [state]).held_out(block, int(n_samples))
     mc = float(np.mean(sq))
     stderr = float(np.std(sq) / np.sqrt(sq.size))
@@ -922,7 +958,8 @@ def run_lockstep(cfgs) -> list[RunResult | NumericalBlowupError] | None:
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Run one-pass SGD for cfg.n_steps steps (or until aligned, if asked),
     recording the initial state, every record_every-th step and the last
-    (_Lockstep.record).  Raises NumericalBlowupError when u or m stops being
+    (_Lockstep.record), with f + 3 d-vectors held for f frame rows
+    (_Lockstep).  Raises NumericalBlowupError when u or m stops being
     finite or |u| exceeds BLOWUP_LIMIT.
     """
     # no name keeps the initial state, so that the run owns its memory (_Lockstep)

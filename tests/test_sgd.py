@@ -394,11 +394,15 @@ def test_held_out_error_matches_literal_draws(frozen_mode):
 @pytest.mark.parametrize("n_samples", [0, 1, -3, 1.7, 2.5])
 def test_measure_test_mse_refuses_fewer_than_two_samples(n_samples):
     # below two samples the mean and stderr are NaN or silently one sample's,
-    # and a non-integer count would be truncated
+    # and a non-integer count would be truncated; so would a block, and a
+    # block is no counter outside [0, 2**64)
     cfg = SimConfig(teacher=ERF, student=ERF, mu=0.4, d=40, batch_size=20, learning_rate=0.2,
                     n_steps=5, k_max=40)
     with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
         measure_test_mse(cfg, init_state(cfg), n_samples=n_samples)
+    for block in (1.5, 1.9, np.float64(2.0), -1, 2**64):
+        with pytest.raises(ValueError, match=r"block must be an integer in \[0, 2\*\*64\)"):
+            measure_test_mse(cfg, init_state(cfg), block=block)
 
 
 @pytest.mark.parametrize("n_batches", [0, 1, 2.5])
@@ -414,6 +418,8 @@ def test_measure_counts_take_numpy_integers():
                     n_steps=5, k_max=2)
     state = init_state(cfg)
     assert measure_test_mse(cfg, state, np.int64(50)) == measure_test_mse(cfg, state, 50)
+    assert measure_test_mse(cfg, state, 50, np.uint64(3)) == measure_test_mse(cfg, state, 50, 3)
+    measure_test_mse(cfg, state, 50, np.uint64(2**64 - 1))
     assert measure_drift(cfg, state, np.int32(3)).du == measure_drift(cfg, state, 3).du
 
 
@@ -455,9 +461,10 @@ def test_measure_drift_leaves_its_state_alone(sampler):
 
 @pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
 def test_a_lone_run_holds_each_d_vector_once(frozen_mode):
-    # the kernel's d-vectors are the frame rows w_star, [xi,] v, then w,
-    # omega_tilde, the residual and the gradient: f + 4 of them, since the
-    # run's initial rows become its frame, copied nowhere
+    # the kernel's d-vectors are the frame rows w_star, [xi,] v, then w, the
+    # residual and the gradient: f + 3 of them, since the run's initial rows
+    # become its frame, copied nowhere, and the frozen part is remade in the
+    # residual's row when a frame is projected
     d, f = 200_000, 2 + (frozen_mode == "mixed")
     cfg = SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=d, batch_size=50, learning_rate=0.1,
                     n_steps=3, record_every=2, frozen_mode=frozen_mode, k_max=2)
@@ -467,7 +474,43 @@ def test_a_lone_run_holds_each_d_vector_once(frozen_mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (f + 4.5) * 8 * d, peak / (8 * d)
+    assert peak <= (f + 4) * 8 * d, peak / (8 * d)
+
+
+@pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
+@pytest.mark.parametrize("sampler", ["subspace", "literal"])
+@pytest.mark.parametrize("mu", [0.03, 0.97])
+def test_a_final_state_keeps_the_initial_frozen_part(mu, sampler, frozen_mode):
+    # a run remakes its frozen part rather than carry it, alone and as a
+    # member of a group, and ends with init_state's bytes, also when it
+    # stops aligned between records (at mu 0.03)
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=mu, d=60, batch_size=30, learning_rate=0.1,
+                    n_steps=40, record_every=7, frozen_mode=frozen_mode, sampler=sampler, k_max=20,
+                    stop_when_aligned=True, align_threshold=0.3, init_overlap=0.25)
+    want = init_state(cfg).omega_tilde.tobytes()
+    assert run_simulation(cfg).final_state.omega_tilde.tobytes() == want
+    cfgs = [replace(cfg, mu=0.5), cfg, replace(cfg, mu=1.0 - mu)]
+    members = run_lockstep(cfgs)
+    assert [r.final_state.omega_tilde.tobytes() for r in members] == [
+        init_state(c).omega_tilde.tobytes() for c in cfgs]
+
+
+@pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
+def test_a_state_whose_frozen_part_is_not_its_configs_is_refused(frozen_mode):
+    # the kernel remakes omega_tilde from mu, w_star and xi, so a state that
+    # carries another one is refused rather than silently replaced
+    cfg = SimConfig(teacher=ERF, student=ERF, mu=0.3, d=80, batch_size=40, learning_rate=0.1,
+                    n_steps=1, frozen_mode=frozen_mode, k_max=40)
+    st_ = init_state(cfg)
+    other_mu = replace(st_, omega_tilde=0.35 * st_.omega_star)
+    bad = [other_mu]
+    if frozen_mode == "mixed":
+        bad.append(replace(st_, omega_tilde=cfg.mu * st_.omega_star + (1.0 - cfg.mu) * -st_.xi))
+    for state in bad:
+        for call in (partial(measure_drift, cfg, state, 3), partial(sgd_step, cfg, state),
+                     partial(measure_test_mse, cfg, state, 100)):
+            with pytest.raises(ValueError, match="omega_tilde"):
+                call()
 
 
 @pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
@@ -499,7 +542,7 @@ def test_runs_and_states_share_no_buffers(frozen_mode):
         return [a for a in (s.omega, s.omega_star, s.omega_tilde, s.xi) if a is not None]
 
     runs = [fields(first.final_state), fields(later.final_state), fields(s0) + [s1.omega, s2.omega]]
-    buffers = [group.frames, group.ws.res, group.wt, group.grad, group.scratch]
+    buffers = [group.frames, group.ws.res, group.wt, group.grad]
     for i, run in enumerate(runs):
         others = [a for other in runs[i + 1:] for a in other] + buffers
         assert not any(np.shares_memory(a, b) for a in run for b in others)

@@ -179,6 +179,9 @@ _SGD = {
                          n_steps=60, record_every=7, k_max=20, sampler="literal"),
     "d20000": SimConfig(teacher=LINEAR, student=LINEAR, mu=0.5, d=20_000, batch_size=100,
                         learning_rate=0.1, n_steps=40, record_every=10, k_max=2),
+    "d20000 mixed": SimConfig(teacher=ERF, student=ERF, mu=0.4, d=20_000, batch_size=100,
+                              learning_rate=0.1, n_steps=40, record_every=10, k_max=20,
+                              frozen_mode="mixed", seed=6),
 }
 
 
