@@ -23,12 +23,12 @@ import time
 import warnings
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 
 import numpy as np
 
-from .activations import ActivationSpec, builtin
+from . import activations
 from .committee import CommitteeConfig, committee_linear_rates, committee_sgd
 from .ode import FlowSettings, NumericalBlowupError, integrate_flow
 from .sgd import Curriculum, SimConfig, lockstep_groups, run_lockstep, run_simulation, scaled_learning_rate
@@ -216,13 +216,24 @@ def _headed(plan: ExperimentPlan, cell: Cell, run: Callable[[], tuple] | None = 
     return {**header, **metadata}, columns, rows, summary
 
 
+# one spec per activation name, so that the configs of one name share it, and
+# SGD cells of one seed step together (sgd.lockstep_groups keys on the spec)
+builtin = cache(activations.builtin)
+
+
+def _config(cls, plan: ExperimentPlan, cell: Cell, **given):
+    """cls(**given), each of its other fields taking the cell's or plan's
+    value of that name where there is one (the cell's first)."""
+    values = {**plan.values, **cell.params}
+    return cls(**{**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **given})
+
+
 def _model_configs(plan: ExperimentPlan, cell: Cell) -> list[ModelConfig]:
     """The reduced model of a tau, singularity or ode cell at each mu it
     evaluates; a singularity scan's grid, inside (0, 1), is stood for by 0.5."""
     act = builtin(cell.params.get("activation") or plan.values["activation"])
-    k_max = plan.values["k_max"]
     mus = [cell.params["mu"]] if "mu" in cell.params else plan.values.get("mu", [0.5])
-    return [ModelConfig(teacher=act, student=act, mu=mu, k_max=k_max) for mu in mus]
+    return [_config(ModelConfig, plan, cell, teacher=act, student=act, mu=mu) for mu in mus]
 
 
 def _run_tau_cell(models: list[ModelConfig]) -> tuple:
@@ -242,15 +253,8 @@ def _run_singularity_cell(models: list[ModelConfig]) -> tuple:
 
 def _ode_configs(plan: ExperimentPlan, cell: Cell) -> tuple:
     """The reduced model, initial state and integration controls of an ode cell."""
-    cfg = plan.values
-    settings = FlowSettings(
-        dt=cfg["dt"],
-        t_max=cfg["t_max"],
-        exit_fraction=cfg["exit_fraction"],
-        method=cfg["method"],
-        record_every=cfg["record_every"],
-    )
-    return _model_configs(plan, cell)[0], OrderParameterState(u=cfg["u0"], m=cfg["m0"]), settings
+    start = OrderParameterState(u=plan.values["u0"], m=plan.values["m0"])
+    return _model_configs(plan, cell)[0], start, _config(FlowSettings, plan, cell)
 
 
 def _run_ode_cell(configs: tuple[ModelConfig, OrderParameterState, FlowSettings]) -> tuple:
@@ -262,33 +266,11 @@ def _run_ode_cell(configs: tuple[ModelConfig, OrderParameterState, FlowSettings]
     return metadata, ["t", "u", "m", "m_eff", "r", "loss"], rows, summary
 
 
-def _sim_config(plan: ExperimentPlan, cell: Cell, act: ActivationSpec | None = None) -> SimConfig:
-    """The cell's SimConfig; act, when given, is the plan's activation spec,
-    which cells must share to step together (builtin makes a new one per call)."""
-    cfg = plan.values
-    curriculum = None
-    if plan.kind == "curriculum_run":
-        curriculum = Curriculum(switch_threshold=cfg["switch_threshold"])
-    act = builtin(cfg["activation"]) if act is None else act
-    lr = cfg.get("learning_rate")
-    if lr is None:
-        lr = scaled_learning_rate(0.01, act)
-    return SimConfig(
-        teacher=act,
-        student=act,
-        mu=cell.params["mu"],
-        d=cfg["d"],
-        batch_size=cfg["batch_size"],
-        learning_rate=lr,
-        n_steps=cfg["n_steps"],
-        seed=cell.params["seed"],
-        frozen_mode=cfg["frozen_mode"],
-        objective=cfg["objective"],
-        sampler=cfg["sampler"],
-        align_threshold=cfg["align_threshold"],
-        record_every=cfg["record_every"],
-        curriculum=curriculum,
-    )
+def _sim_config(plan: ExperimentPlan, cell: Cell) -> SimConfig:
+    act, lr = builtin(plan.values["activation"]), plan.values["learning_rate"]
+    curriculum = _config(Curriculum, plan, cell) if plan.kind == "curriculum_run" else None
+    return _config(SimConfig, plan, cell, teacher=act, student=act, curriculum=curriculum,
+                   learning_rate=scaled_learning_rate(0.01, act) if lr is None else lr)
 
 
 def _run_sgd_cell(sim: SimConfig, result=None) -> tuple:
@@ -318,18 +300,8 @@ def _run_sgd_cell(sim: SimConfig, result=None) -> tuple:
 
 
 def _committee_config(plan: ExperimentPlan, cell: Cell) -> CommitteeConfig:
-    cfg = plan.values
-    return CommitteeConfig(
-        mu=(cell.params["mu"],) + (1.0,) * (cfg["n_directions"] - 1),
-        rank=cell.params["rank"],
-        d=cfg["d"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        n_steps=cfg["n_steps"],
-        seed=cfg["seed"],
-        record_every=cfg["record_every"],
-        onset_threshold=cfg["onset_threshold"],
-    )
+    mu = (cell.params["mu"],) + (1.0,) * (plan.values["n_directions"] - 1)
+    return _config(CommitteeConfig, plan, cell, mu=mu)
 
 
 def _run_committee_cell(committee: CommitteeConfig) -> tuple:
@@ -509,16 +481,14 @@ def _execute(plan: ExperimentPlan, name: str, table: Callable[[], tuple]) -> dic
 
 
 def _execute_lockstep(plan: ExperimentPlan, cells: list[Cell]) -> list[dict]:
-    """The entries of SGD cells, whose configs (built with one activation
-    spec) step together in the groups sgd.lockstep_groups forms.  A group of
-    two or more runs in lockstep (sgd.run_lockstep) before its cells'
-    _execute, which tables each member's own outcome; each of its entries
-    adds its share of the group's seconds to its wall time, and lists the
-    names of the group's cells under "lockstep" when the group answered.
-    The cells of a group that did not answer (None), and a group of one,
-    run inside their _execute."""
-    act = builtin(plan.values["activation"])
-    configs = [_sim_config(plan, cell, act) for cell in cells]
+    """The entries of SGD cells, whose configs step together in the groups
+    sgd.lockstep_groups forms.  A group of two or more runs in lockstep
+    (sgd.run_lockstep) before its cells' _execute, which tables each
+    member's own outcome; each of its entries adds its share of the group's
+    seconds to its wall time, and lists the names of the group's cells
+    under "lockstep" when the group answered.  The cells of a group that
+    did not answer (None), and a group of one, run inside their _execute."""
+    configs = [_sim_config(plan, cell) for cell in cells]
     entries: list = [None] * len(cells)
     for group in lockstep_groups(configs):
         start = time.perf_counter()
@@ -712,7 +682,7 @@ def _is_positive(v) -> bool:
     return v > 0 and math.isfinite(v)
 
 
-def _resolvable(name: str) -> ActivationSpec | None:
+def _resolvable(name: str) -> activations.ActivationSpec | None:
     try:
         return builtin(name)
     except (KeyError, ValueError):

@@ -576,17 +576,21 @@ class _Lockstep:
     and for a final state; in between it is the scratch of frame() and of
     the lift.  A lone run is the group of one, stepped without the member
     axis: its views are 1-D rows, its scalars Python floats, and its
-    workspace's residual wt's second row; when it owns its initial state
-    (own), its frame is that state's rows w_star, [xi,] w, whose last row
-    frame() overwrites once wt holds w.  So it holds f + 3 d-vectors, the
-    frame rows, w, the residual and the gradient, the fewest the lift
-    allows, as it needs the residual and the gradient at once.  Each
-    stacked operation is, row by row, the one of a lone run (a dot product
-    a ddot, _dots; a matrix-vector product one gemv a member; a reduction
-    along a contiguous row), so each member gets the bits of its run
-    alone."""
+    workspace's residual wt's second row; given no states, it draws its
+    initial state, and its frame is that state's rows w_star, [xi,] w, whose
+    last row frame() overwrites once wt holds w.  So it holds f + 3
+    d-vectors, the frame rows, w, the residual and the gradient, the fewest
+    the lift allows, as it needs the residual and the gradient at once.
+    Each stacked operation is, row by row, the one of a lone run (a dot
+    product a ddot, _dots; a matrix-vector product one gemv a member; a
+    reduction along a contiguous row), so each member gets the bits of its
+    run alone."""
 
-    def __init__(self, cfgs: list[SimConfig], states: list[SimState], own: bool = False):
+    def __init__(self, cfgs: list[SimConfig], states: list[SimState] | None = None):
+        own = states is None  # drawn here, where no caller keeps them, so the run owns their memory
+        states = [init_state(c) for c in cfgs] if own else states
+        if any((st.xi is None) != (c.frozen_mode == "aligned") for c, st in zip(cfgs, states)):
+            raise ValueError("xi must be None in aligned mode and a vector in mixed mode")
         cfg, s = cfgs[0], states[0]
         G, d = len(cfgs), cfg.d
         self.cfg, self.literal, self.lone = cfg, cfg.sampler == "literal", G == 1
@@ -950,7 +954,7 @@ def run_lockstep(cfgs) -> list[RunResult | NumericalBlowupError] | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _Lockstep(cfgs, [init_state(cfg) for cfg in cfgs], own=True).run()
+            return _Lockstep(cfgs).run()
     except Exception:
         return None
 
@@ -962,8 +966,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     (_Lockstep).  Raises NumericalBlowupError when u or m stops being
     finite or |u| exceeds BLOWUP_LIMIT.
     """
-    # no name keeps the initial state, so that the run owns its memory (_Lockstep)
-    [outcome] = _Lockstep([cfg], [init_state(cfg)], own=True).run()
+    [outcome] = _Lockstep([cfg]).run()
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

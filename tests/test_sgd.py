@@ -498,18 +498,22 @@ def test_a_final_state_keeps_the_initial_frozen_part(mu, sampler, frozen_mode):
 @pytest.mark.parametrize("frozen_mode", ["aligned", "mixed"])
 def test_a_state_whose_frozen_part_is_not_its_configs_is_refused(frozen_mode):
     # the kernel remakes omega_tilde from mu, w_star and xi, so a state that
-    # carries another one is refused rather than silently replaced
+    # carries another one is refused rather than silently replaced; and so is
+    # a state of the other frozen mode, whose xi is set or unset against its
+    # config's
     cfg = SimConfig(teacher=ERF, student=ERF, mu=0.3, d=80, batch_size=40, learning_rate=0.1,
                     n_steps=1, frozen_mode=frozen_mode, k_max=40)
     st_ = init_state(cfg)
     other_mu = replace(st_, omega_tilde=0.35 * st_.omega_star)
-    bad = [other_mu]
+    other_mode = init_state(replace(cfg, frozen_mode="mixed" if frozen_mode == "aligned" else "aligned"))
+    bad = [(other_mu, "omega_tilde"), (other_mode, "xi")]
     if frozen_mode == "mixed":
-        bad.append(replace(st_, omega_tilde=cfg.mu * st_.omega_star + (1.0 - cfg.mu) * -st_.xi))
-    for state in bad:
+        bad.append((replace(st_, omega_tilde=cfg.mu * st_.omega_star + (1.0 - cfg.mu) * -st_.xi),
+                    "omega_tilde"))
+    for state, name in bad:
         for call in (partial(measure_drift, cfg, state, 3), partial(sgd_step, cfg, state),
                      partial(measure_test_mse, cfg, state, 100)):
-            with pytest.raises(ValueError, match="omega_tilde"):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
                 call()
 
 

@@ -20,6 +20,13 @@ def test_bitdump_hashes_one_item_of_each_kind(capsys, monkeypatch):
     firsts = [next(make()) for make in bitdump.KINDS.values()]
     for name, thunk in firsts:
         assert re.fullmatch("[0-9a-f]{64}", bitdump.digest(thunk)), name
+    # the first CLI item, the README's first tau command: its exit code and
+    # the text of its CSVs, not its manifest
+    name, thunk = firsts[list(bitdump.KINDS).index("cli")]
+    assert name == "tau out/tau"
+    value = thunk()
+    assert value["codes"] == [0] and sorted(value["csv"]) == ["tau_erf.csv", "tau_linear.csv"]
+    assert value["csv"]["tau_linear.csv"].startswith("# activation = linear\n")
     # the first SGD run, with the worker forced off and on: one hash
     sgd = [name for name, _ in bitdump.items() if name.startswith("sgd/")][:2]
     assert bitdump.main(sgd) == 0

@@ -13,8 +13,13 @@ runs again, each as the middle member of a lockstep group whose other
 members differ from it in mu alone, and then each through run_lockstep as
 the group of one (the items named "... alone"); the script exits with
 status 1 when such a line differs from the line of the run alone, as it
-does when the group does not answer.  Given prefixes, only the items
-whose names start with one of them run.
+does when the group does not answer.  Last of all come the example
+commands of the README's command-line block, one item each, named by
+subcommand and output directory: each runs in a temporary directory, after
+the example commands whose output it reads (compare's), and its hash
+covers the exit codes and the text of every CSV it writes, but not its
+manifest.json, which holds times and paths.  Given prefixes, only the
+items whose names start with one of them run.
 
 A change that must keep every bit runs the dump at its parent commit and
 at the change, each from its own checkout, and diffs the two outputs.  The
@@ -23,10 +28,13 @@ package is imported from the ``src`` directory beside this script.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import os
+import shlex
 import sys
 import tempfile
 import warnings
@@ -34,7 +42,8 @@ from functools import partial
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from searchphase import (  # noqa: E402
     CommitteeConfig,
@@ -61,7 +70,7 @@ from searchphase import (  # noqa: E402
     scaled_learning_rate,
 )
 from searchphase import sgd as _sgd  # noqa: E402
-from searchphase.cli import compare_theory_experiment, write_csv  # noqa: E402
+from searchphase.cli import compare_theory_experiment, main as cli_main, write_csv  # noqa: E402
 
 LINEAR, ERF, RELU, SIGMOID, HE2, HE3, HE4 = (
     builtin(n) for n in ("linear", "erf", "relu", "sigmoid", "hermite2", "hermite3", "hermite4"))
@@ -277,6 +286,45 @@ def _compares():
     yield "reversed ranking", partial(_compare_item, mu, tau, [1.07 * e for e in reversed(exact)])
 
 
+def _readme_commands() -> list[list[str]]:
+    """The arguments after `searchphase` of each command of the README's
+    command-line block, the backslash continuations joined."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    text = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("searchphase ")]
+
+
+def _out(argv: list[str]) -> str:
+    return argv[argv.index("--out") + 1]
+
+
+def _cli_item(commands: list[list[str]]) -> dict:
+    """The exit code of each of commands, run in order through the CLI in a
+    temporary directory, and the text of each CSV the last one writes."""
+    cwd, out, codes, texts = os.getcwd(), _out(commands[-1]), [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):  # status lines, with times
+                    codes.append(cli_main(argv))
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".csv"):
+                    with open(os.path.join(out, name), newline="") as fh:
+                        texts[name] = fh.read()
+        finally:
+            os.chdir(cwd)
+    return {"codes": codes, "csv": texts}
+
+
+def _cli():
+    commands = _readme_commands()
+    for i, argv in enumerate(commands):
+        reads = [c for c in commands[:i] if any(a.startswith(_out(c) + "/") for a in argv)]
+        yield f"{argv[0]} {_out(argv)}", partial(_cli_item, reads + [argv])
+
+
 # kind -> its items; the first item of each kind is a small one
 KINDS = {
     "flow": _flows,
@@ -287,6 +335,7 @@ KINDS = {
     "series": _series,
     "compare": _compares,
     "lockstep": _lockstep_runs,
+    "cli": _cli,
 }
 
 
